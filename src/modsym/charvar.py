@@ -54,21 +54,49 @@ class Coordinates:
 
 def _halfangle_blocks(s, t, alpha, dtype):
     """Closed-form pieces of x = S W S: S = exp(t p1) diagonal and
-    W = exp(2 s R_alpha f1 R_{-alpha}) by the rank-two power identity."""
+    W = exp(2 s R_alpha f1 R_{-alpha}) by the rank-two power identity.
+
+    Broadcasts over coordinate arrays (a scalar is shape ()): S, S^{-1}
+    and ``expw(factor)`` are (..., 3, 3) stacks, each entry computed by
+    the same operations, in the same order, as for one point.
+    """
     s, t, alpha = dtype(s), dtype(t), dtype(alpha)
+    blocks = np.broadcast(s, t, alpha).shape + (3, 3)
     one = dtype(1.0)
-    S = np.diag([one, np.exp(t / 2), np.exp(-t / 2)])
-    Si = np.diag([one, np.exp(-t / 2), np.exp(t / 2)])
-    wt = np.zeros((3, 3), dtype=dtype)
-    wt[0, 1] = wt[1, 0] = np.cos(alpha)
-    wt[0, 2] = wt[2, 0] = np.sin(alpha)
+    S = np.zeros(blocks, dtype=dtype)
+    Si = np.zeros(blocks, dtype=dtype)
+    S[..., 0, 0] = Si[..., 0, 0] = one
+    S[..., 1, 1] = Si[..., 2, 2] = np.exp(t / 2)
+    S[..., 2, 2] = Si[..., 1, 1] = np.exp(-t / 2)
+    wt = np.zeros(blocks, dtype=dtype)
+    wt[..., 0, 1] = wt[..., 1, 0] = np.cos(alpha)
+    wt[..., 0, 2] = wt[..., 2, 0] = np.sin(alpha)
     wt2 = wt @ wt
     eye = np.eye(3, dtype=dtype)
 
     def expw(factor):
-        return eye + np.sinh(factor * s) * wt + (np.cosh(factor * s) - one) * wt2
+        sh = np.sinh(factor * s)[..., None, None]
+        ch = (np.cosh(factor * s) - one)[..., None, None]
+        return eye + sh * wt + ch * wt2
 
     return S, Si, expw
+
+
+def generators_at(s, t, theta):
+    """Extended-precision generator matrices (x, x^{-1}, R, R^2) at
+    coordinates (s, t, theta), all in closed form: no matrix is inverted
+    at runtime.
+
+    Broadcasts over coordinate arrays: x and x^{-1} are (..., 3, 3)
+    stacks, and R and R^2 single matrices that broadcast against them.
+    theta is reduced mod pi as :class:`Coordinates` reduces it.
+    """
+    alpha = np.remainder(theta, np.pi) / 2.0
+    S, Si, expw = _halfangle_blocks(s, t, alpha, np.longdouble)
+    x = S @ expw(2.0) @ S
+    xinv = Si @ expw(-2.0) @ Si
+    r = rotation(2.0 * np.pi / 3.0, dtype=np.longdouble)
+    return x, xinv, r, r.T.copy()
 
 
 class Representation:
@@ -179,14 +207,6 @@ def evaluate(rep: Representation, w: ModWord) -> Isometry:
     return out
 
 
-def word_fisometry(rep: Representation, w: ModWord) -> FIsometry:
-    """Same element as :func:`evaluate`, with maintained inverse matrix."""
-    out = FIsometry.identity()
-    for syll in w.syllables:
-        out = fcompose(out, rep.letter(syll))
-    return out
-
-
 def f2_fisometry(rep: Representation, w: F2Word) -> FIsometry:
     gens = rep.f2_generators()
     out = FIsometry.identity()
@@ -196,37 +216,23 @@ def f2_fisometry(rep: Representation, w: F2Word) -> FIsometry:
 
 
 def _generators_ld(rep: Representation):
-    """Extended-precision generator matrices (x, x^{-1}, R, R^2), all in
-    closed form: no matrix is inverted at runtime."""
-    ld = np.longdouble
+    """Extended-precision generator matrices (x, x^{-1}, R, R^2), from the
+    coordinates when the representation has them."""
     if rep.coords is not None:
         c = rep.coords
-        S, Si, expw = _halfangle_blocks(c.s, c.t, c.theta / 2.0, ld)
-        x = S @ expw(2.0) @ S
-        xinv = Si @ expw(-2.0) @ Si
-    else:
-        x = rep.x.mat.astype(ld)
-        xinv = rep.x.inv().astype(ld)
+        return generators_at(c.s, c.t, c.theta)
+    ld = np.longdouble
     r = rotation(2.0 * np.pi / 3.0, dtype=ld)
-    return x, xinv, r, r.T.copy()
+    return rep.x.mat.astype(ld), rep.x.inv().astype(ld), r, r.T.copy()
 
 
-def matrix_of(rep: Representation, w) -> np.ndarray:
-    """Matrix of an even word (an element of the index-two subgroup).
-
-    The word is folded left to right; a pending orientation reversal
-    replaces each incoming generator by its contragredient, which is
-    closed-form for all generators.  Returned in extended precision.
-
-    Raises ParityError on words with odd inversion count.
-    """
-    if isinstance(w, str):
-        w = normalize(w)
-    if parity_abelianization(w)[0] != 0:
-        raise ParityError(f"word {w} is orientation reversing; no matrix in the group")
-    x, xinv, r, r2 = _generators_ld(rep)
-    table = {"a": (x, xinv), "b": (r, r), "B": (r2, r2)}
-    out = np.eye(3, dtype=np.longdouble)
+def _fold(table, w: ModWord) -> np.ndarray:
+    """Fold the syllables of ``w`` left to right over ``table``, which maps
+    each syllable to its (plain, starred) matrices, the starred one being
+    the closed-form contragredient.  A pending orientation reversal
+    replaces each incoming generator by its contragredient.  The number
+    type and any leading stack axes are those of the table's matrices."""
+    out = np.eye(3, dtype=table["b"][0].dtype)
     reversed_state = False
     for syll in w.syllables:
         plain, starred = table[syll]
@@ -234,6 +240,40 @@ def matrix_of(rep: Representation, w) -> np.ndarray:
         if syll == "a":
             reversed_state = not reversed_state
     return out
+
+
+def _letter_table(x, xinv, r, r2) -> dict:
+    return {"a": (x, xinv), "b": (r, r), "B": (r2, r2)}
+
+
+def _even_word(w) -> ModWord:
+    if isinstance(w, str):
+        w = normalize(w)
+    if parity_abelianization(w)[0] != 0:
+        raise ParityError(f"word {w} is orientation reversing; no matrix in the group")
+    return w
+
+
+def matrix_of(rep: Representation, w) -> np.ndarray:
+    """Matrix of an even word (an element of the index-two subgroup),
+    folded from closed-form generator matrices.  Returned in extended
+    precision.
+
+    Raises ParityError on words with odd inversion count.
+    """
+    return _fold(_letter_table(*_generators_ld(rep)), _even_word(w))
+
+
+def matrices_at(s, t, theta, w) -> np.ndarray:
+    """:func:`matrix_of` at every point of coordinate arrays, as a
+    (..., 3, 3) extended-precision stack; each matrix is bit for bit the
+    one ``matrix_of(rep_from_coords(Coordinates(s, t, theta)), w)`` gives.
+    A word without ``a`` does not depend on the point and gives one 3x3
+    matrix.
+
+    Raises ParityError on words with odd inversion count.
+    """
+    return _fold(_letter_table(*generators_at(s, t, theta)), _even_word(w))
 
 
 def trace_of_word(rep: Representation, w) -> float:
@@ -247,7 +287,8 @@ def trace_baba_closed_form(c: Coordinates | None = None, s=None, t=None, theta=N
             - 3 sin^2(theta) sinh^4(s) sinh^2(t)
 
     Evaluated in extended precision (the terms cancel heavily at large
-    s, t).  Accepts a Coordinates or the three scalars.
+    s, t).  Accepts a Coordinates or the three values; the values may be
+    arrays, evaluated elementwise, and scalars give a scalar.
     """
     if c is not None:
         s, t, theta = c.s, c.t, c.theta
@@ -267,15 +308,19 @@ def schwartz_t(s, theta):
         cosh(2t) = (9 cosh^2(2s) + 1 + 6 sin^2(theta) sinh^4(s))
                    / (6 (cosh(2s) + sin^2(theta) sinh^4(s)))
 
-    Returns an extended-precision scalar so the defining identity holds
-    to ~1e-14 when fed back into the closed form.
+    Returns extended precision so the defining identity holds to ~1e-14
+    when fed back into the closed form.  Arrays are evaluated elementwise;
+    scalars give a scalar.  Where the entries overflow the result is NaN
+    or inf, which callers check.
     """
     ld = np.longdouble
     s, theta = ld(s), ld(theta)
     q = np.sin(theta) ** 2 * np.sinh(s) ** 4
     rhs = (9 * np.cosh(2 * s) ** 2 + 1 + 6 * q) / (6 * (np.cosh(2 * s) + q))
-    if rhs < 1:
-        raise DomainError(f"cosh(2t) = {float(rhs)} < 1; surface equation has no solution")
+    if (rhs < 1).any():
+        raise DomainError(
+            f"cosh(2t) = {float(np.nanmin(rhs))} < 1; surface equation has no solution"
+        )
     return np.arccosh(rhs) / 2
 
 

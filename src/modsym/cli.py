@@ -39,6 +39,8 @@ def _parse_axis(spec: str) -> np.ndarray:
         lo, hi, n = float(lo), float(hi), int(n)
     except ValueError as exc:
         raise SystemExit(f"bad axis spec {spec!r}; expected lo:hi:n") from exc
+    if not (np.isfinite(lo) and np.isfinite(hi)):
+        raise SystemExit(f"bad axis spec {spec!r}; bounds must be finite")
     if n < 1:
         raise SystemExit("axis must have at least one sample")
     return np.linspace(lo, hi, n)
@@ -54,9 +56,12 @@ def _parse_grid(spec: str, axes: int) -> list[np.ndarray]:
 def _parse_coords(spec: str) -> charvar.Coordinates:
     try:
         s, t, theta = (float(v) for v in spec.split(","))
+        if not np.isfinite([s, t, theta]).all():
+            raise ValueError("coordinates must be finite")
+        return charvar.Coordinates(s, t, theta)
     except ValueError as exc:
-        raise SystemExit(f"bad coordinates {spec!r}; expected s,t,theta") from exc
-    return charvar.Coordinates(s, t, theta)
+        raise SystemExit(
+            f"bad coordinates {spec!r}; expected finite s,t,theta with s, t >= 0") from exc
 
 
 def _config_hash(config: dict) -> str:
@@ -110,43 +115,65 @@ def cmd_verify(args) -> int:
 # -- trace table ---------------------------------------------------------------
 
 
-def _trace_row(coords: tuple[float, float, float]) -> tuple:
-    s, t, theta = coords
-    c = charvar.Coordinates(s, t, theta)
-    rep = charvar.rep_from_coords(c)
-    numeric = charvar.trace_of_word(rep, charvar.BABA)
-    closed = float(charvar.trace_baba_closed_form(c))
-    return s, t, theta, numeric, closed, abs(numeric - closed)
+def _grid_points(axes: list[np.ndarray]) -> np.ndarray:
+    """The grid's points, one per row, first axis outermost."""
+    return np.column_stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")])
 
 
-def _grid_rows(axes: list[np.ndarray]):
-    for s in axes[0]:
-        for t in axes[1]:
-            for theta in axes[2]:
-                yield float(s), float(t), float(theta)
+def _coordinate_grid(spec: str) -> np.ndarray:
+    """Points (s, t, theta) of a coordinate grid, one per row."""
+    points = _grid_points(_parse_grid(spec, 3))
+    if (points[:, :2] < 0).any():
+        raise SystemExit(f"bad grid {spec!r}; s and t must be >= 0")
+    return points
 
 
 def _map_rows(fn, rows, jobs: int):
     if jobs <= 1:
         return [fn(r) for r in rows]
     with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, rows, chunksize=16))
+        return list(pool.map(fn, rows))
+
+
+# Grid commands evaluate at most this many points per batch, which bounds
+# the memory of the batched arrays at any grid size.
+_BLOCK_POINTS = 2048
+
+
+def _map_blocks(fn, points: np.ndarray, jobs: int) -> list:
+    """The rows ``fn`` makes of contiguous blocks of ``points`` (one point
+    per row), in order; there are at least as many blocks as workers."""
+    n_blocks = min(len(points), max(jobs, -(-len(points) // _BLOCK_POINTS)))
+    blocks = np.array_split(points, n_blocks)
+    return [row for rows in _map_rows(fn, blocks, jobs) for row in rows]
+
+
+def _trace_block(points: np.ndarray) -> list:
+    """Trace-table rows for a block of points (s, t, theta), evaluated as
+    one batch."""
+    s, t, theta = points.T
+    theta = np.remainder(theta, np.pi)  # as Coordinates reduces it
+    numeric = np.trace(charvar.matrices_at(s, t, theta, charvar.BABA),
+                       axis1=-2, axis2=-1).astype(float)
+    closed = charvar.trace_baba_closed_form(s=s, t=t, theta=theta).astype(float)
+    return np.column_stack([points, numeric, closed, np.abs(numeric - closed)]).tolist()
 
 
 def cmd_trace_table(args) -> int:
     if args.coords:
         c = _parse_coords(args.coords)
-        rows = [(c.s, c.t, c.theta)]
+        points = np.array([[c.s, c.t, c.theta]])
     else:
-        rows = list(_grid_rows(_parse_grid(args.grid, 3)))
-    results = _map_rows(_trace_row, rows, args.jobs)
+        points = _coordinate_grid(args.grid)
+    results = _map_blocks(_trace_block, points, args.jobs)
     config = {"cmd": "trace-table", "grid": args.coords or args.grid}
     columns = ("s", "t", "theta", "tr_baba_numeric", "tr_baba_closed", "residual")
     if args.format == "json":
         _emit_json_rows(columns, results, config, args.out)
     else:
+        row_fmt = ",".join([_FMT] * len(columns))
         lines = [",".join(columns)]
-        lines.extend(",".join(_fmt(v) for v in row) for row in results)
+        lines.extend(row_fmt % tuple(row) for row in results)
         lines.append(f"# config={_config_hash(config)}")
         _emit(lines, args.out)
     max_res = max(row[5] for row in results)
@@ -157,28 +184,42 @@ def cmd_trace_table(args) -> int:
 # -- surface -----------------------------------------------------------------
 
 
+def _surface_block(points: np.ndarray) -> list:
+    """Rows (s, theta, t, residual, status) along the tr = -1 surface for a
+    block of points (s, theta).  A row is ``ok`` only when t and the
+    residual are finite and the residual is within ``charvar.SURFACE_TOL``;
+    otherwise its status says why not."""
+    s, theta = points.T
+    tol = charvar.SURFACE_TOL
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            t = charvar.schwartz_t(s, theta)
+            closed = charvar.trace_baba_closed_form(s=s, t=t, theta=theta)
+            t = t.astype(float)
+            residual = np.abs(closed.astype(float) + 1.0)
+    except GeometryError as exc:
+        t = residual = np.full(s.shape, np.nan)
+        status = [f"error:{exc}"] * s.size
+    else:
+        reasons = ("ok", "error:t is not finite", "error:residual is not finite",
+                   f"error:residual above SURFACE_TOL {tol:g}")
+        codes = np.select([~np.isfinite(t), ~np.isfinite(residual), residual > tol],
+                          [1, 2, 3], default=0)
+        status = [reasons[k] for k in codes.tolist()]
+    return list(zip(s.tolist(), theta.tolist(), t.tolist(), residual.tolist(), status))
+
+
 def cmd_surface(args) -> int:
-    s_axis = _parse_axis(args.s_grid)
-    th_axis = _parse_axis(args.theta_grid)
-    rows = []
-    for s in s_axis:
-        for theta in th_axis:
-            try:
-                t = charvar.schwartz_t(s, theta)
-                res = abs(float(charvar.trace_baba_closed_form(s=s, t=t, theta=theta)) + 1.0)
-                rows.append((float(s), float(theta), float(t), res, "ok"))
-            except GeometryError as exc:
-                rows.append((float(s), float(theta), float("nan"), float("nan"),
-                             f"error:{exc}"))
+    axes = [_parse_axis(args.s_grid), _parse_axis(args.theta_grid)]
+    rows = _map_blocks(_surface_block, _grid_points(axes), 1)
     config = {"cmd": "surface", "s_grid": args.s_grid, "theta_grid": args.theta_grid}
     columns = ("s", "theta", "t", "residual", "status")
     if args.format == "json":
         _emit_json_rows(columns, rows, config, args.out)
     else:
+        row_fmt = ",".join([_FMT] * 4 + ["%s"])
         lines = [",".join(columns)]
-        for row in rows:
-            lines.append(",".join([_fmt(row[0]), _fmt(row[1]), _fmt(row[2]),
-                                   _fmt(row[3]), row[4]]))
+        lines.extend(row_fmt % row for row in rows)
         lines.append(f"# config={_config_hash(config)}")
         _emit(lines, args.out)
     return 0
@@ -213,10 +254,9 @@ def _write_gap_table(path: str, coords, max_len, samples, seed) -> None:
 
 
 def cmd_anosov_scan(args) -> int:
-    axes = _parse_grid(args.grid, 3)
     tasks = [
-        (s, t, theta, args.max_len, args.samples, args.window, args.seed)
-        for (s, t, theta) in _grid_rows(axes)
+        (*point, args.max_len, args.samples, args.window, args.seed)
+        for point in _coordinate_grid(args.grid).tolist()
     ]
     if args.gap_table:
         if len(tasks) != 1:

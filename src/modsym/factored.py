@@ -29,7 +29,7 @@ from .flats import (
     _flat_minimize,
     chamber_angle,
 )
-from .symspace import Point, _sym_func, matrix_angle
+from .symspace import Point, matrix_angle
 
 
 def _rescaled(m: np.ndarray, logscale: float):
@@ -265,12 +265,3 @@ def chart_point(center: FPoint, q: FPoint) -> FPoint:
         center.finv @ q.f, q.finv @ center.f,
         center.lfi + q.lf, q.lfi + center.lf,
     )
-
-
-def fpoint_from_exponents(parallel: np.ndarray, fiber: np.ndarray) -> FPoint:
-    """Factored point exp(u) exp(2w) exp(u) from its two tangent parts."""
-    eu = _sym_func(parallel, np.exp)
-    eui = _sym_func(-parallel, np.exp)
-    ew = _sym_func(fiber, np.exp)
-    ewi = _sym_func(-fiber, np.exp)
-    return FPoint.from_factor(eu @ ew, ewi @ eui)

@@ -244,3 +244,31 @@ def test_rep_from_point_matches_coordinate_route(rng):
         m2 = np.asarray(matrix_of(via_point, word), dtype=float)
         assert np.linalg.norm(m1 - m2) < 1e-9 * max(1.0, np.linalg.norm(m1))
     assert via_point.validate(1e-10)
+
+
+def test_matrices_at_matches_matrix_of_bitwise():
+    # grid with s = 0, t = 0 and theta beyond pi, which Coordinates reduces
+    s, t, theta = (g.ravel() for g in np.meshgrid([0.0, 0.7, 2.9], [0.0, 1.3, 3.0],
+                                                  [0.0, 1.1, np.pi, 4.0], indexing="ij"))
+    for word in ("baba", "aBaB", "b", "baBaBaba"):
+        stack = np.broadcast_to(charvar.matrices_at(s, t, theta, word), (s.size, 3, 3))
+        assert stack.dtype == np.longdouble
+        for k in range(s.size):
+            ref = matrix_of(rep_from_coords(Coordinates(s[k], t[k], theta[k])), word)
+            assert np.array_equal(stack[k], ref)
+    with pytest.raises(ParityError):
+        charvar.matrices_at(s, t, theta, "a")
+
+
+def test_closed_forms_broadcast_elementwise():
+    s = np.array([0.0, 0.4, 1.7, 2.9])
+    t = np.array([0.0, 2.2, 0.3, 3.0])
+    theta = np.array([0.0, 0.5, 2.0, 3.1])
+    closed = trace_baba_closed_form(s=s, t=t, theta=theta)
+    surf = schwartz_t(s, theta)
+    assert closed.dtype == surf.dtype == np.longdouble
+    for k in range(s.size):
+        one = trace_baba_closed_form(Coordinates(s[k], t[k], theta[k]))
+        assert type(one) is np.longdouble and closed[k] == one
+        assert type(schwartz_t(s[k], theta[k])) is np.longdouble
+        assert surf[k] == schwartz_t(s[k], theta[k])

@@ -1,9 +1,19 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
 
 from modsym import cli
+from modsym.charvar import (
+    BABA,
+    SURFACE_TOL,
+    Coordinates,
+    matrix_of,
+    rep_from_coords,
+    schwartz_t,
+    trace_baba_closed_form,
+)
 
 
 def run_cli(args):
@@ -175,3 +185,86 @@ def test_anosov_scan_jobs_determinism(tmp_path):
     run_cli(args + ["--out", str(out1)])
     run_cli(args + ["--jobs", "2", "--out", str(out2)])
     assert out1.read_bytes() == out2.read_bytes()
+
+
+def _csv_data(path):
+    lines = path.read_text().strip().split("\n")
+    assert lines[-1].startswith("# config=")
+    return [line.split(",") for line in lines[1:-1]]
+
+
+def test_trace_table_grid_matches_scalar_route(tmp_path, monkeypatch):
+    """The batched table equals, bit for bit, the per-point evaluation
+    through rep_from_coords, matrix_of and the closed form; theta is
+    printed as given and reduced mod pi only for the computation."""
+    monkeypatch.setattr(cli, "_BLOCK_POINTS", 7)  # several uneven blocks
+    out = tmp_path / "t.csv"
+    run_cli(["trace-table", "--grid", "0:2.5:3,0:3:4,0:4.2:4", "--jobs", "2",
+             "--out", str(out)])
+    data = _csv_data(out)
+    assert len(data) == 3 * 4 * 4
+    points = [(s, t, th) for s in np.linspace(0, 2.5, 3) for t in np.linspace(0, 3, 4)
+              for th in np.linspace(0, 4.2, 4)]
+    assert any(th >= np.pi for _, _, th in points)
+    for row, (s, t, theta) in zip(data, points):
+        c = Coordinates(s, t, theta)
+        numeric = float(np.trace(matrix_of(rep_from_coords(c), BABA)))
+        closed = float(trace_baba_closed_form(c))
+        assert [float(v) for v in row] == [s, t, theta, numeric, closed, abs(numeric - closed)]
+
+
+def test_trace_table_single_point_and_json_match_scalar_route(tmp_path, capsys):
+    c = Coordinates(0.3, 2.1, 4.5)
+    numeric = float(np.trace(matrix_of(rep_from_coords(c), BABA)))
+    closed = float(trace_baba_closed_form(c))
+    expected = [c.s, c.t, c.theta, numeric, closed, abs(numeric - closed)]
+    out = tmp_path / "p.csv"
+    run_cli(["trace-table", "--coords", "0.3,2.1,4.5", "--out", str(out)])
+    assert [float(v) for v in _csv_data(out)[0]] == expected
+    capsys.readouterr()
+    run_cli(["trace-table", "--coords", "0.3,2.1,4.5", "--format", "json"])
+    row = json.loads(capsys.readouterr().out)["rows"][0]
+    assert [row[k] for k in ("s", "t", "theta", "tr_baba_numeric", "tr_baba_closed",
+                             "residual")] == expected
+
+
+def test_surface_matches_scalar_route(tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "_BLOCK_POINTS", 5)
+    out = tmp_path / "s.csv"
+    run_cli(["surface", "--s-grid", "0:3:4", "--theta-grid", "0:4:3", "--out", str(out)])
+    data = _csv_data(out)
+    points = [(s, th) for s in np.linspace(0, 3, 4) for th in np.linspace(0, 4, 3)]
+    assert len(data) == len(points)
+    for row, (s, theta) in zip(data, points):
+        t = schwartz_t(s, theta)
+        res = abs(float(trace_baba_closed_form(s=s, t=t, theta=theta)) + 1.0)
+        assert [float(v) for v in row[:4]] == [s, theta, float(t), res]
+        assert row[4] == "ok"
+
+
+@pytest.mark.parametrize("s", [8.0, 2750.0, 3000.0])
+def test_surface_flags_rows_it_cannot_verify(s, tmp_path):
+    out = tmp_path / "s.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        run_cli(["surface", "--s-grid", f"{s}:{s}:1", "--theta-grid", "0.5:0.5:1",
+                 "--out", str(out)])
+    (row,) = _csv_data(out)
+    assert row[4].startswith("error:")
+    t, residual = float(row[2]), float(row[3])
+    assert not (np.isfinite(t) and residual <= SURFACE_TOL)
+
+
+@pytest.mark.parametrize("argv", [
+    ["trace-table", "--grid=-1:0:2,1:1:1,0:0:1"],
+    ["trace-table", "--grid=1:1:1,0:-1:2,0:0:1"],
+    ["trace-table", "--grid=nan:nan:1,1:1:1,0:0:1"],
+    ["trace-table", "--grid=1:1:1,1:1:1,0:inf:2"],
+    ["trace-table", "--coords=0,-1,0"],
+    ["trace-table", "--coords=nan,1,0"],
+    ["surface", "--s-grid=nan:1:2"],
+    ["anosov-scan", "--grid=0:1:2,-1:1:2,0.5:0.5:1"],
+])
+def test_bad_coordinates_rejected(argv):
+    with pytest.raises(SystemExit, match="bad "):
+        run_cli(argv)
