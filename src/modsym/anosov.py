@@ -12,6 +12,7 @@ matrices can hold.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -61,6 +62,8 @@ from .modgroup import (
 _LETTERS = (G1, G1_INV, G2, G2_INV)
 # allowed continuations (ascending) after each last letter
 _ALLOWED = np.array([[k for k in _LETTERS if k != p ^ 1] for p in _LETTERS])
+# ASCII code of each letter's name, to spell letter arrays in one pass
+_LETTER_BYTES = np.frombuffer("".join(F2_LETTER_NAMES).encode("ascii"), dtype=np.uint8)
 
 
 # -- orbit triangle ----------------------------------------------------------
@@ -218,9 +221,15 @@ def straightness_report(seq: MidpointSequence, theta: ModelInterval) -> Straight
 @dataclass(frozen=True)
 class GapReport:
     """Per-word singular-value gaps and the fitted linear lower bound
-    gap >= c n - C (lower convex minorant of the per-length minima)."""
+    gap >= c n - C (lower convex minorant of the per-length minima).
 
-    words: tuple[str, ...]
+    ``letters[i]`` holds the words of the i-th length scanned as an
+    integer letter array of shape (m, n); the rows of all lengths, in
+    order, line up with ``lengths``, ``gap12`` and ``gap23``.  ``words``
+    spells them as strings, built on first read.
+    """
+
+    letters: tuple[np.ndarray, ...]
     lengths: np.ndarray
     gap12: np.ndarray
     gap23: np.ndarray
@@ -231,6 +240,23 @@ class GapReport:
     enumerated: bool
     seed: int
 
+    @cached_property
+    def words(self) -> tuple[str, ...]:
+        names = []
+        for level in self.letters:
+            m, n = level.shape
+            text = _LETTER_BYTES[level].tobytes().decode("ascii")
+            names.extend(text[i:i + n] for i in range(0, m * n, n))
+        return tuple(names)
+
+
+def _log_sigma1(mats: np.ndarray) -> np.ndarray:
+    """log of the top singular value of each matrix of a (..., 3, 3)
+    stack, as half the log of the top eigenvalue of G G^T.  The entries
+    must be rescaled to max |entry| 1, so that G G^T cannot overflow."""
+    gram = mats @ np.swapaxes(mats, -1, -2)
+    return 0.5 * np.log(np.linalg.eigvalsh(gram)[..., -1])
+
 
 def _rescale_batch(mats: np.ndarray, logs: np.ndarray):
     s = np.max(np.abs(mats), axis=(1, 2))
@@ -238,10 +264,8 @@ def _rescale_batch(mats: np.ndarray, logs: np.ndarray):
 
 
 def _batch_gaps(mats, invs, lm, lmi):
-    s1 = np.linalg.svd(mats, compute_uv=False)[:, 0]
-    s1i = np.linalg.svd(invs, compute_uv=False)[:, 0]
-    l1 = np.log(s1) + lm
-    l3 = -(np.log(s1i) + lmi)
+    l1 = _log_sigma1(mats) + lm
+    l3 = -(_log_sigma1(invs) + lmi)
     l2 = -l1 - l3
     return l1 - l2, l2 - l3
 
@@ -280,7 +304,8 @@ def cartan_gap_scan(
     Enumerates exhaustively when the full count 2 (3^max_len - 1) fits in
     the budget, otherwise draws a seeded uniform sample per length.  The
     linear lower bound is fitted to the per-length minima of
-    min(gap12, gap23).
+    min(gap12, gap23).  The generator matrices stay normalized and their
+    log-scales are summed apart, so the scan works at any scale.
     """
     if max_len < 1:
         raise ValueError("max_len must be >= 1")
@@ -289,42 +314,33 @@ def cartan_gap_scan(
     enumerate_all = total <= budget
 
     gens = rep.f2_generators()
-    gmat = np.stack([gens[k].mat * np.exp(gens[k].lm) for k in _LETTERS])
-    gmatinv = np.stack([gens[k].matinv * np.exp(gens[k].lmi) for k in _LETTERS])
+    gmat = np.stack([gens[k].mat for k in _LETTERS])
+    gmatinv = np.stack([gens[k].matinv for k in _LETTERS])
+    glm = np.array([gens[k].lm for k in _LETTERS])
+    glmi = np.array([gens[k].lmi for k in _LETTERS])
 
-    words: list[str] = []
-    lengths: list[np.ndarray] = []
+    letters: list[np.ndarray] = []
     gap12: list[np.ndarray] = []
     gap23: list[np.ndarray] = []
 
     if enumerate_all:
-        mats = gmat.copy()
-        invs = gmatinv.copy()
-        lm = np.zeros(4)
-        lmi = np.zeros(4)
-        last = np.array(_LETTERS)
-        level_words = [F2_LETTER_NAMES[k] for k in _LETTERS]
+        mats, invs, lm, lmi = gmat, gmatinv, glm, glmi
+        level = np.array(_LETTERS)[:, None]
         for n in range(1, max_len + 1):
             mats, lm = _rescale_batch(mats, lm)
             invs, lmi = _rescale_batch(invs, lmi)
             g12, g23 = _batch_gaps(mats, invs, lm, lmi)
-            words.extend(level_words)
-            lengths.append(np.full(len(level_words), n))
+            letters.append(level)
             gap12.append(g12)
             gap23.append(g23)
             if n == max_len:
                 break
-            child_letters = _ALLOWED[last].reshape(-1)
-            level_words = [
-                w + F2_LETTER_NAMES[k]
-                for w, row in zip(level_words, _ALLOWED[last])
-                for k in row
-            ]
-            mats = np.repeat(mats, 3, axis=0) @ gmat[child_letters]
-            invs = gmatinv[child_letters] @ np.repeat(invs, 3, axis=0)
-            lm = np.repeat(lm, 3)
-            lmi = np.repeat(lmi, 3)
-            last = child_letters
+            child = _ALLOWED[level[:, -1]].reshape(-1)
+            level = np.column_stack([np.repeat(level, 3, axis=0), child])
+            mats = np.repeat(mats, 3, axis=0) @ gmat[child]
+            invs = gmatinv[child] @ np.repeat(invs, 3, axis=0)
+            lm = np.repeat(lm, 3) + glm[child]
+            lmi = np.repeat(lmi, 3) + glmi[child]
     else:
         from .modgroup import f2_count
 
@@ -332,42 +348,36 @@ def cartan_gap_scan(
         per_length = max(1, budget // max_len)
         for n in range(1, max_len + 1):
             m = min(per_length, f2_count(n))
-            letters = np.empty((m, n), dtype=np.int64)
-            letters[:, 0] = rng.integers(4, size=m)
+            level = np.empty((m, n), dtype=np.int64)
+            level[:, 0] = rng.integers(4, size=m)
             for col in range(1, n):
                 pick = rng.integers(3, size=m)
-                letters[:, col] = _ALLOWED[letters[:, col - 1], pick]
-            mats = gmat[letters[:, 0]]
-            invs = gmatinv[letters[:, 0]]
-            lm = np.zeros(m)
-            lmi = np.zeros(m)
+                level[:, col] = _ALLOWED[level[:, col - 1], pick]
+            mats = gmat[level[:, 0]]
+            invs = gmatinv[level[:, 0]]
+            lm = glm[level].sum(axis=1)
+            lmi = glmi[level].sum(axis=1)
             for col in range(1, n):
-                mats = mats @ gmat[letters[:, col]]
-                invs = gmatinv[letters[:, col]] @ invs
+                mats = mats @ gmat[level[:, col]]
+                invs = gmatinv[level[:, col]] @ invs
                 mats, lm = _rescale_batch(mats, lm)
                 invs, lmi = _rescale_batch(invs, lmi)
             g12, g23 = _batch_gaps(mats, invs, lm, lmi)
-            words.extend("".join(F2_LETTER_NAMES[k] for k in row) for row in letters)
-            lengths.append(np.full(m, n))
+            letters.append(level)
             gap12.append(g12)
             gap23.append(g23)
 
-    lengths_arr = np.concatenate(lengths)
-    g12_arr = np.concatenate(gap12)
-    g23_arr = np.concatenate(gap23)
-    min_gap = np.minimum(g12_arr, g23_arr)
-    per_len = []
-    for n in range(1, max_len + 1):
-        sel = lengths_arr == n
-        if np.any(sel):
-            per_len.append((n, float(min_gap[sel].min())))
+    per_len = [
+        (level.shape[1], float(np.minimum(g12, g23).min()))
+        for level, g12, g23 in zip(letters, gap12, gap23)
+    ]
     c, big_c, _ = _lower_hull_fit(per_len)
     residual = max(0.0, min(y - (c * n - big_c) for n, y in per_len))
     return GapReport(
-        words=tuple(words),
-        lengths=lengths_arr,
-        gap12=g12_arr,
-        gap23=g23_arr,
+        letters=tuple(letters),
+        lengths=np.concatenate([np.full(len(level), level.shape[1]) for level in letters]),
+        gap12=np.concatenate(gap12),
+        gap23=np.concatenate(gap23),
         per_length_min=tuple(per_len),
         slope_c=float(c),
         intercept_C=float(big_c),
@@ -384,8 +394,8 @@ def word_cartan(rep: Representation, w: F2Word) -> np.ndarray:
 
     g = f2_fisometry(rep, w)
     gi = f2_fisometry(rep, f2_inverse(w))
-    l1 = float(np.log(np.linalg.svd(g.mat, compute_uv=False)[0])) + g.lm
-    l3 = -(float(np.log(np.linalg.svd(gi.mat, compute_uv=False)[0])) + gi.lm)
+    l1 = float(_log_sigma1(g.mat)) + g.lm
+    l3 = -(float(_log_sigma1(gi.mat)) + gi.lm)
     return np.array([l1, -l1 - l3, l3])
 
 
@@ -423,19 +433,23 @@ def peripheral_growth(rep: Representation, n_max: int) -> PeripheralGrowthReport
         raise PreconditionError("peripheral growth needs n_max >= 4")
     p = np.asarray(matrix_of(rep, BABA), dtype=float)
     pinv = np.asarray(matrix_of(rep, ABAB), dtype=float)
-    gaps = np.empty(n_max)
+    mats = np.empty((n_max, 3, 3))
+    invs = np.empty((n_max, 3, 3))
+    lms = np.empty(n_max)
+    lmis = np.empty(n_max)
     mat, inv = np.eye(3), np.eye(3)
     lm = lmi = 0.0
-    for n in range(1, n_max + 1):
+    for n in range(n_max):
         mat = mat @ p
         inv = pinv @ inv
         s = float(np.max(np.abs(mat)))
         mat, lm = mat / s, lm + np.log(s)
         si = float(np.max(np.abs(inv)))
         inv, lmi = inv / si, lmi + np.log(si)
-        l1 = np.log(np.linalg.svd(mat, compute_uv=False)[0]) + lm
-        l3 = -(np.log(np.linalg.svd(inv, compute_uv=False)[0]) + lmi)
-        gaps[n - 1] = l1 - l3
+        mats[n], invs[n], lms[n], lmis[n] = mat, inv, lm, lmi
+    l1 = _log_sigma1(mats) + lms
+    l3 = -(_log_sigma1(invs) + lmis)
+    gaps = l1 - l3
     ns = np.arange(1, n_max + 1, dtype=float)
     kappa_log, rss_log = _affine_fit(np.log(ns), gaps)
     kappa_lin, rss_lin = _affine_fit(ns, gaps)

@@ -40,14 +40,17 @@ NON_FUCHSIAN = "non-fuchsian"
 
 @dataclass(frozen=True)
 class Coordinates:
-    """Character coordinates (s, t, theta) with s, t >= 0, theta in [0, pi)."""
+    """Character coordinates (s, t, theta): finite, with s, t >= 0; theta
+    is reduced to [0, pi)."""
 
     s: float
     t: float
     theta: float
 
     def __post_init__(self):
-        if self.s < 0.0 or self.t < 0.0:
+        if not np.isfinite([self.s, self.t, self.theta]).all():
+            raise ValueError("s, t and theta must be finite")
+        if not (self.s >= 0.0 and self.t >= 0.0):
             raise ValueError("s and t must be nonnegative")
         object.__setattr__(self, "theta", float(self.theta) % float(np.pi))
 

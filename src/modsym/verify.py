@@ -306,8 +306,9 @@ def suite_anosov(tol: _Tol, seed: int = 4) -> list[CheckResult]:
     rep = charvar.rep_from_coords(charvar.Coordinates(0.8, 2.0, 0.9))
     r1 = anosov.cartan_gap_scan(rep, 5, None, seed=11)
     r2 = anosov.cartan_gap_scan(rep, 5, None, seed=11)
-    ok = (r1.words == r2.words and np.array_equal(r1.gap12, r2.gap12)
-          and r1.slope_c == r2.slope_c)
+    ok = (len(r1.letters) == len(r2.letters)
+          and all(np.array_equal(a, b) for a, b in zip(r1.letters, r2.letters))
+          and np.array_equal(r1.gap12, r2.gap12) and r1.slope_c == r2.slope_c)
     out.append(CheckResult("anosov", "gap-scan-determinism", ok, "two identical runs"))
 
     res = 0.0

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from modsym.flats import ModelInterval
 from modsym.modgroup import (
     G1,
     constant_generator_geodesic,
+    f2_from_string,
     f2_inverse,
     random_f2_geodesic,
 )
@@ -140,6 +142,72 @@ def test_gap_scan_sampled_mode():
     assert r.words == r2.words and r.slope_c == r2.slope_c
     r3 = cartan_gap_scan(rep, 9, 2000, seed=4)
     assert r.words != r3.words
+
+
+# first, middle and last sampled word of several lengths for
+# cartan_gap_scan(rep(0.8, 2, 0.9), 9, 2000, seed=3), as recorded from the
+# string-building scan: the seeded draws must not change
+SAMPLED_WORDS_SEED3 = {
+    1: ("Y", "X", "x"),
+    2: ("yx", "YY", "XX"),
+    5: ("YYXXX", "yXXYX", "YxxyX"),
+    9: ("xyXyyxYYX", "xYXXyXyxy", "xxxyyxYxy"),
+}
+
+
+def test_gap_scan_sampled_words_pinned():
+    rep = rep_from_coords(Coordinates(0.8, 2.0, 0.9))
+    r = cartan_gap_scan(rep, 9, 2000, seed=3)
+    words = r.words
+    for n, expected in SAMPLED_WORDS_SEED3.items():
+        idx = np.flatnonzero(r.lengths == n)
+        assert tuple(words[i] for i in (idx[0], idx[len(idx) // 2], idx[-1])) == expected
+
+
+@pytest.mark.parametrize("max_len, budget", [(5, None), (9, 2000)])
+def test_gap_report_letters_round_trip(max_len, budget):
+    rep = rep_from_coords(Coordinates(0.8, 2.0, 0.9))
+    r = cartan_gap_scan(rep, max_len, budget, seed=3)
+    assert [level.shape[1] for level in r.letters] == list(range(1, max_len + 1))
+    rows = [tuple(row) for level in r.letters for row in level.tolist()]
+    assert len(rows) == len(r.words) == len(r.lengths) == len(r.gap12)
+    for row, word, n in zip(rows, r.words, r.lengths):
+        assert f2_from_string(word).letters == row and len(row) == n
+
+
+@pytest.mark.parametrize("max_len, budget", [(5, None), (9, 2000)])
+def test_gap_scan_finite_at_large_scale(max_len, budget):
+    """At t=400 every generator has log-scale ~801: the scan must carry
+    the scales as sums, never as exp(lm) inside a matrix."""
+    rep = rep_from_coords(Coordinates(1.0, 400.0, 0.5))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        r = cartan_gap_scan(rep, max_len, budget, seed=0)
+    assert r.enumerated == (budget is None)
+    assert np.isfinite(r.gap12).all() and np.isfinite(r.gap23).all()
+    assert np.isfinite(r.slope_c) and np.isfinite(r.intercept_C)
+
+
+def _rescaled_stack(mats):
+    return mats / np.max(np.abs(mats), axis=(1, 2))[:, None, None]
+
+
+def _sigma1_cases():
+    rng = np.random.default_rng(12)
+    q1 = np.linalg.qr(rng.normal(size=(200, 3, 3)))[0]
+    q2 = np.linalg.qr(rng.normal(size=(200, 3, 3)))[0]
+    spread = np.sort(rng.uniform(-30.0, 30.0, size=(200, 3)), axis=1)[:, ::-1]
+    spectra = np.exp(spread - spread[:, :1])
+    yield "spread", _rescaled_stack(q1 * spectra[:, None, :] @ q2)
+    yield "rotation", q1 @ q2
+    yield "tied-top", _rescaled_stack(q1 * np.array([1.0, 1.0, 1e-3]) @ q2)
+
+
+@pytest.mark.parametrize("mats", [pytest.param(m, id=name) for name, m in _sigma1_cases()])
+def test_log_sigma1_matches_svd(mats):
+    ref = np.linalg.svd(mats, compute_uv=False)[:, 0]
+    got = np.exp(anosov._log_sigma1(mats))
+    assert np.max(np.abs(got - ref) / ref) < 1e-14
 
 
 def test_gap_scan_positive_slope_at_anosov_point():

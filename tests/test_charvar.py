@@ -38,6 +38,22 @@ def test_coordinates_normalization():
         Coordinates(-0.1, 0.0, 0.0)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("slot", [0, 1, 2])
+def test_coordinates_reject_non_finite(slot, bad):
+    coords = [1.0, 1.0, 0.5]
+    coords[slot] = bad
+    with pytest.raises(ValueError):
+        Coordinates(*coords)
+
+
+def test_rep_from_coords_rejects_nan_before_factoring():
+    # the check must fire before factored._rescaled, whose DomainError
+    # is not a ValueError
+    with pytest.raises(ValueError, match="finite"):
+        rep_from_coords(Coordinates(np.nan, 1.0, 0.0))
+
+
 def test_rep_fixed_point_examples():
     rep = rep_from_coords(Coordinates(0.0, 0.0, 0.4))
     assert np.allclose(rep.x.mat, np.eye(3), atol=1e-14)
