@@ -35,6 +35,7 @@ from .errors import (
 from .factored import (
     FIsometry,
     FPoint,
+    _rescaled,
     chart_point,
     fact,
     fangle,
@@ -75,10 +76,6 @@ class TriangleReport:
 
     sides: tuple[float, float, float]     # (xy, yz, zx)
     angles: tuple[float, float, float]    # at x, y, z
-
-    @property
-    def max_angle(self) -> float:
-        return max(self.angles)
 
 
 def triangle_report(rep: Representation) -> TriangleReport:
@@ -422,6 +419,19 @@ def _affine_fit(x: np.ndarray, y: np.ndarray):
     return float(coef[0]), rss
 
 
+# Largest binary exponent the float64 copy of a word matrix may reach:
+# 2^1020 leaves room for the three-term sums of the power products.
+_FLOAT_EXP_MAX = 1020
+
+
+def _as_float(m: np.ndarray):
+    """(m 2^-k as float64, k log 2) for an extended-precision matrix, with
+    the least k >= 0 that keeps every entry below 2^_FLOAT_EXP_MAX; the
+    scaling is exact, and k = 0 leaves m as a plain cast."""
+    k = max(0, int(np.frexp(np.max(np.abs(m)))[1]) - _FLOAT_EXP_MAX)
+    return np.ldexp(m, -k).astype(float), k * float(np.log(2.0))
+
+
 def peripheral_growth(rep: Representation, n_max: int) -> PeripheralGrowthReport:
     """Cartan spread lambda_1 - lambda_3 of rho(baba)^n for n <= n_max.
 
@@ -431,8 +441,8 @@ def peripheral_growth(rep: Representation, n_max: int) -> PeripheralGrowthReport
     """
     if n_max < 4:
         raise PreconditionError("peripheral growth needs n_max >= 4")
-    p = np.asarray(matrix_of(rep, BABA), dtype=float)
-    pinv = np.asarray(matrix_of(rep, ABAB), dtype=float)
+    p, lp = _as_float(matrix_of(rep, BABA))
+    pinv, lpi = _as_float(matrix_of(rep, ABAB))
     mats = np.empty((n_max, 3, 3))
     invs = np.empty((n_max, 3, 3))
     lms = np.empty(n_max)
@@ -440,12 +450,8 @@ def peripheral_growth(rep: Representation, n_max: int) -> PeripheralGrowthReport
     mat, inv = np.eye(3), np.eye(3)
     lm = lmi = 0.0
     for n in range(n_max):
-        mat = mat @ p
-        inv = pinv @ inv
-        s = float(np.max(np.abs(mat)))
-        mat, lm = mat / s, lm + np.log(s)
-        si = float(np.max(np.abs(inv)))
-        inv, lmi = inv / si, lmi + np.log(si)
+        mat, lm = _rescaled(mat @ p, lm + lp)
+        inv, lmi = _rescaled(pinv @ inv, lmi + lpi)
         mats[n], invs[n], lms[n], lmis[n] = mat, inv, lm, lmi
     l1 = _log_sigma1(mats) + lms
     l3 = -(_log_sigma1(invs) + lmis)

@@ -17,13 +17,14 @@ to ~1e-10 absolute even where the entries reach 1e10.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
 from .errors import DomainError, ParityError, PreconditionError
 from .factored import FIsometry, FPoint, fcompose
 from .flats import ParallelCoords, coords_from_point
-from .modgroup import F2Word, ModWord, normalize, parity_abelianization
+from .modgroup import _F2_SUBSTITUTION, F2Word, ModWord, normalize, parity_abelianization
 from .symspace import Isometry, Point, compose, inversion_at, rotation
 
 BABA = normalize("baba")
@@ -145,15 +146,11 @@ class Representation:
         """Factored isometries of the four free generators of the
         index-six subgroup."""
         if self._f2_gens is None:
-            from .modgroup import G1, G1_INV, G2, G2_INV, _F2_SUBSTITUTION
-
-            gens = {}
-            for k in (G1, G1_INV, G2, G2_INV):
-                g = FIsometry.identity()
-                for syll in _F2_SUBSTITUTION[k]:
-                    g = fcompose(g, self._letters[syll])
-                gens[k] = g
-            self._f2_gens = gens
+            self._f2_gens = {
+                k: reduce(fcompose, (self._letters[syll] for syll in sylls),
+                          FIsometry.identity())
+                for k, sylls in _F2_SUBSTITUTION.items()
+            }
         return self._f2_gens
 
     def validate(self, tol: float = 1e-10) -> bool:
@@ -199,23 +196,16 @@ def coords_from_rep(rep: Representation) -> Coordinates:
 
 def evaluate(rep: Representation, w: ModWord) -> Isometry:
     """Homomorphic extension to normal-form words, as an Isometry."""
-    out = Isometry.identity()
-    for syll in w.syllables:
-        if syll == "a":
-            out = compose(out, rep.rho_a)
-        elif syll == "b":
-            out = compose(out, rep.rot)
-        else:
-            out = compose(out, compose(rep.rot, rep.rot))
-    return out
+    table = {"b": rep.rot, "B": compose(rep.rot, rep.rot)}
+    if "a" in w.syllables:
+        # the explicit inversion exists only at moderate scales
+        table["a"] = rep.rho_a
+    return reduce(compose, (table[syll] for syll in w.syllables), Isometry.identity())
 
 
 def f2_fisometry(rep: Representation, w: F2Word) -> FIsometry:
     gens = rep.f2_generators()
-    out = FIsometry.identity()
-    for k in w.letters:
-        out = fcompose(out, gens[k])
-    return out
+    return reduce(fcompose, (gens[k] for k in w.letters), FIsometry.identity())
 
 
 def _generators_ld(rep: Representation):

@@ -29,10 +29,6 @@ from .errors import GeometryError
 _FMT = "%.17g"
 
 
-def _fmt(x) -> str:
-    return _FMT % float(x)
-
-
 def _parse_axis(spec: str) -> np.ndarray:
     try:
         lo, hi, n = spec.split(":")
@@ -56,8 +52,6 @@ def _parse_grid(spec: str, axes: int) -> list[np.ndarray]:
 def _parse_coords(spec: str) -> charvar.Coordinates:
     try:
         s, t, theta = (float(v) for v in spec.split(","))
-        if not np.isfinite([s, t, theta]).all():
-            raise ValueError("coordinates must be finite")
         return charvar.Coordinates(s, t, theta)
     except ValueError as exc:
         raise SystemExit(
@@ -69,15 +63,26 @@ def _config_hash(config: dict) -> str:
     return hashlib.sha256(canon.encode()).hexdigest()[:12]
 
 
-def _emit_json_rows(columns, rows, config, out_path) -> None:
-    payload = {
-        "config_hash": _config_hash(config),
-        "rows": [
-            {k: (v if isinstance(v, str) else float(v)) for k, v in zip(columns, row)}
-            for row in rows
-        ],
-    }
-    _emit([json.dumps(payload, indent=2, sort_keys=True)], out_path)
+def _emit_table(columns, rows, config, fmt, out, footer="") -> None:
+    """Write ``rows`` as CSV or, when ``fmt`` is ``"json"``, as a JSON
+    payload.  CSV prints strings as they are and numbers as ``%.17g``, with
+    the column kinds read off the first row, and ends with a comment
+    line holding the configuration hash and ``footer``."""
+    if fmt == "json":
+        payload = {
+            "config_hash": _config_hash(config),
+            "rows": [
+                {k: (v if isinstance(v, str) else float(v)) for k, v in zip(columns, row)}
+                for row in rows
+            ],
+        }
+        _emit([json.dumps(payload, indent=2, sort_keys=True)], out)
+        return
+    row_fmt = ",".join("%s" if isinstance(v, str) else _FMT for v in rows[0])
+    lines = [",".join(columns)]
+    lines.extend(row_fmt % tuple(row) for row in rows)
+    lines.append(f"# config={_config_hash(config)}{footer}")
+    _emit(lines, out)
 
 
 def _emit(lines: list[str], out_path: str | None) -> None:
@@ -168,14 +173,7 @@ def cmd_trace_table(args) -> int:
     results = _map_blocks(_trace_block, points, args.jobs)
     config = {"cmd": "trace-table", "grid": args.coords or args.grid}
     columns = ("s", "t", "theta", "tr_baba_numeric", "tr_baba_closed", "residual")
-    if args.format == "json":
-        _emit_json_rows(columns, results, config, args.out)
-    else:
-        row_fmt = ",".join([_FMT] * len(columns))
-        lines = [",".join(columns)]
-        lines.extend(row_fmt % tuple(row) for row in results)
-        lines.append(f"# config={_config_hash(config)}")
-        _emit(lines, args.out)
+    _emit_table(columns, results, config, args.format, args.out)
     max_res = max(row[5] for row in results)
     print(f"max residual {max_res:.3e} over {len(results)} rows", file=sys.stderr)
     return 0
@@ -214,14 +212,7 @@ def cmd_surface(args) -> int:
     rows = _map_blocks(_surface_block, _grid_points(axes), 1)
     config = {"cmd": "surface", "s_grid": args.s_grid, "theta_grid": args.theta_grid}
     columns = ("s", "theta", "t", "residual", "status")
-    if args.format == "json":
-        _emit_json_rows(columns, rows, config, args.out)
-    else:
-        row_fmt = ",".join([_FMT] * 4 + ["%s"])
-        lines = [",".join(columns)]
-        lines.extend(row_fmt % row for row in rows)
-        lines.append(f"# config={_config_hash(config)}")
-        _emit(lines, args.out)
+    _emit_table(columns, rows, config, args.format, args.out)
     return 0
 
 
@@ -245,12 +236,10 @@ def _write_gap_table(path: str, coords, max_len, samples, seed) -> None:
     gaps = anosov.cartan_gap_scan(rep, max_len, samples, seed)
     config = {"cmd": "gap-table", "coords": coords, "max_len": max_len,
               "samples": samples, "seed": seed}
-    lines = ["word,length,gap12,gap23"]
-    for w, n, g12, g23 in zip(gaps.words, gaps.lengths, gaps.gap12, gaps.gap23):
-        lines.append(",".join([w, str(int(n)), _fmt(g12), _fmt(g23)]))
-    lines.append(f"# config={_config_hash(config)} c={_fmt(gaps.slope_c)}"
-                 f" C={_fmt(gaps.intercept_C)}")
-    _emit(lines, path)
+    rows = list(zip(gaps.words, gaps.lengths.tolist(), gaps.gap12.tolist(),
+                    gaps.gap23.tolist()))
+    footer = f" c={_FMT % gaps.slope_c} C={_FMT % gaps.intercept_C}"
+    _emit_table(("word", "length", "gap12", "gap23"), rows, config, "csv", path, footer)
 
 
 def cmd_anosov_scan(args) -> int:
@@ -269,17 +258,7 @@ def cmd_anosov_scan(args) -> int:
         "samples": args.samples, "window": args.window, "seed": args.seed,
     }
     columns = ("s", "t", "theta", "verdict", "c", "minangle", "minspacing")
-    if args.format == "json":
-        _emit_json_rows(columns, results, config, args.out)
-    else:
-        lines = [",".join(columns)]
-        for row in results:
-            lines.append(",".join(
-                [_fmt(row[0]), _fmt(row[1]), _fmt(row[2]), str(row[3]),
-                 _fmt(row[4]), _fmt(row[5]), _fmt(row[6])]
-            ))
-        lines.append(f"# config={_config_hash(config)}")
-        _emit(lines, args.out)
+    _emit_table(columns, results, config, args.format, args.out)
     summary = {
         "config": config,
         "config_hash": _config_hash(config),
@@ -291,12 +270,11 @@ def cmd_anosov_scan(args) -> int:
                          anosov.INCONCLUSIVE)
         },
     }
+    text = json.dumps(summary, indent=2, sort_keys=True)
     if args.out:
-        with open(args.out + ".summary.json", "w", encoding="utf-8") as fh:
-            json.dump(summary, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _emit([text], args.out + ".summary.json")
     else:
-        print(json.dumps(summary, indent=2, sort_keys=True), file=sys.stderr)
+        print(text, file=sys.stderr)
     return 0
 
 
@@ -339,12 +317,7 @@ def cmd_rep_info(args) -> int:
             }
         except GeometryError as exc:
             info["trace_word"] = {"word": str(word), "error": str(exc)}
-    text = json.dumps(info, indent=2, sort_keys=True)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+    _emit([json.dumps(info, indent=2, sort_keys=True)], args.out)
     return 0
 
 

@@ -20,15 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, RegularityError
-from .flats import (
-    CHAMBER_MAX,
-    EIGEN_TIE_TOL,
-    REGULARITY_WALL_TOL,
-    Flag,
-    Flat,
-    _flat_minimize,
-    chamber_angle,
-)
+from .flats import Flag, Flat, _check_regular, _flat_minimize, chamber_angle
 from .symspace import Point, matrix_angle
 
 
@@ -167,13 +159,7 @@ def seg_frame(p: FPoint, q: FPoint):
     l1 = 2.0 * (float(np.log(sg[0])) + lg)
     l3 = -2.0 * (float(np.log(sgi[0])) + lgi)
     lam = np.array([l1, -l1 - l3, l3])
-    if np.linalg.norm(lam) < 1e-12:
-        raise DomainError("segment undefined for coincident points")
-    phi = chamber_angle(lam)
-    if min(phi, CHAMBER_MAX - phi) < REGULARITY_WALL_TOL:
-        raise RegularityError(f"segment type {phi:.3e} is too close to a wall")
-    if lam[0] - lam[1] < EIGEN_TIE_TOL or lam[1] - lam[2] < EIGEN_TIE_TOL:
-        raise RegularityError("eigenvalue tie: segment is numerically singular")
+    _check_regular(lam)
     u1 = ug[:, 0]
     u3 = vgi[0, :]
     u3 = u3 - (u3 @ u1) * u1

@@ -244,14 +244,9 @@ def coords_from_point(p: Point) -> ParallelCoords:
 # -- zeta angles -------------------------------------------------------------
 
 
-def _regular_frame(p: Point, q: Point):
-    """Descending eigenvalues and frame of the segment log; rejects
-    segments at or too near the walls."""
-    logw, u = _relative_eigh(p, q)
-    lam = logw - logw.mean()
-    order = np.argsort(lam)[::-1]
-    lam = lam[order]
-    u = u[:, order]
+def _check_regular(lam: np.ndarray) -> None:
+    """Reject a segment with descending log-eigenvalues ``lam`` that is
+    degenerate, at or too near a wall, or numerically tied."""
     if np.linalg.norm(lam) < 1e-12:
         raise DomainError("segment undefined for coincident points")
     phi = chamber_angle(lam)
@@ -259,7 +254,17 @@ def _regular_frame(p: Point, q: Point):
         raise RegularityError(f"segment type {phi:.3e} is too close to a wall")
     if lam[0] - lam[1] < EIGEN_TIE_TOL or lam[1] - lam[2] < EIGEN_TIE_TOL:
         raise RegularityError("eigenvalue tie: segment is numerically singular")
-    return lam, u
+
+
+def _regular_frame(p: Point, q: Point):
+    """Descending eigenvalues and frame of the segment log; rejects
+    segments at or too near the walls."""
+    logw, u = _relative_eigh(p, q)
+    lam = logw - logw.mean()
+    order = np.argsort(lam)[::-1]
+    lam = lam[order]
+    _check_regular(lam)
+    return lam, u[:, order]
 
 
 def zeta_direction(p: Point, q: Point) -> np.ndarray:

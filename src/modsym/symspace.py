@@ -60,10 +60,6 @@ def rotation(theta: float, dtype=np.float64) -> np.ndarray:
     return out
 
 
-ROT_2PI3 = rotation(2.0 * np.pi / 3.0)
-ROT_2PI3.flags.writeable = False
-
-
 def check_symmetric(m: np.ndarray, tol: float = SYMMETRY_TOL) -> np.ndarray:
     """Validate the symmetry defect of ``m`` and return the symmetrized matrix.
 
@@ -114,14 +110,6 @@ class Point:
         self.mat.flags.writeable = False
         self._evals.flags.writeable = False
         self._evecs.flags.writeable = False
-
-    @property
-    def evals(self) -> np.ndarray:
-        return self._evals
-
-    @property
-    def evecs(self) -> np.ndarray:
-        return self._evecs
 
     def _func(self, fn) -> np.ndarray:
         return (self._evecs * fn(self._evals)) @ self._evecs.T

@@ -1,6 +1,7 @@
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -16,7 +17,7 @@ from modsym.anosov import (
     triangle_report,
     word_cartan,
 )
-from modsym.charvar import Coordinates, rep_from_coords, schwartz_t
+from modsym.charvar import BABA, Coordinates, rep_from_coords, schwartz_t
 from modsym.errors import (
     DegenerateTriangleError,
     OppositionError,
@@ -257,6 +258,25 @@ def test_peripheral_growth_off_surface_linear():
     rpt = peripheral_growth(rep, 64)
     assert rpt.model == "linear"
     assert rpt.kappa > 1.0
+
+
+def test_peripheral_growth_finite_at_large_scale():
+    """At t=400 the entries of rho(baba) pass the float64 range; the slope
+    must still be log |mu_1 / mu_3| of its eigenvalues, here taken from a
+    1000-digit matrix."""
+    rep = rep_from_coords(Coordinates(1.0, 400.0, 0.5))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rpt = peripheral_growth(rep, 64)
+    assert np.isfinite(rpt.gaps).all()
+    assert rpt.model == "linear"
+    with mpmath.workdps(1000):
+        x, xinv = highprec._x_pair(1.0, 400.0, 0.5)
+        rot = highprec._rotation(2 * mpmath.pi / 3)
+        eigs = sorted(abs(e) for e in mpmath.eig(
+            highprec._word_matrix(BABA, x, xinv, rot, rot.T))[0])
+        slope = float(mpmath.log(eigs[2] / eigs[0]))
+    assert rpt.kappa == pytest.approx(slope, rel=1e-12)
 
 
 def test_peripheral_growth_precondition():

@@ -9,6 +9,7 @@ from modsym.charvar import (
     char_poly_coeffs,
     coords_from_rep,
     evaluate,
+    f2_fisometry,
     fuchsian_classify,
     is_reducible,
     matrix_of,
@@ -20,8 +21,9 @@ from modsym.charvar import (
     trace_symmetry_check,
 )
 from modsym.errors import ParityError, PreconditionError
-from modsym.modgroup import normalize
-from modsym.symspace import rotation
+from modsym.factored import FIsometry, fcompose
+from modsym.modgroup import _F2_SUBSTITUTION, f2_from_string, normalize, parity_abelianization
+from modsym.symspace import Isometry, compose, rotation
 
 LOG3_HALF = float(np.log(3.0) / 2.0)
 
@@ -92,7 +94,6 @@ def test_evaluate_identity_and_relator(rng):
 
 def test_evaluate_homomorphism(rng):
     rep = rep_from_coords(Coordinates(0.8, 1.2, 0.6))
-    from modsym.symspace import compose
     for _ in range(30):
         raw1 = "".join(rng.choice(list("abB"), size=rng.integers(0, 6)))
         raw2 = "".join(rng.choice(list("abB"), size=rng.integers(0, 6)))
@@ -101,6 +102,42 @@ def test_evaluate_homomorphism(rng):
         rhs = compose(evaluate(rep, w1), evaluate(rep, w2))
         assert np.linalg.norm(lhs.mat - rhs.mat) < 1e-10
         assert lhs.reversing == rhs.reversing
+
+
+@pytest.mark.parametrize("raw", ["a", "ba", "aB", "bab", "abaBa", "BabaBab", "aBabaBaba"])
+def test_evaluate_odd_words_fold_left_to_right(raw):
+    rep = rep_from_coords(Coordinates(0.8, 1.2, 0.6))
+    gens = {"a": rep.rho_a, "b": rep.rot, "B": compose(rep.rot, rep.rot)}
+    w = normalize(raw)
+    assert str(w) == raw and parity_abelianization(w)[0] == 1
+    expected = Isometry.identity()
+    for syll in w.syllables:
+        expected = compose(expected, gens[syll])
+    got = evaluate(rep, w)
+    assert got.reversing and expected.reversing
+    assert np.array_equal(got.mat, expected.mat)
+
+
+def _fcompose_chain(isometries):
+    out = FIsometry.identity()
+    for g in isometries:
+        out = fcompose(out, g)
+    return out
+
+
+def _same_fisometry(g, h):
+    return (np.array_equal(g.mat, h.mat) and np.array_equal(g.matinv, h.matinv)
+            and (g.lm, g.lmi, g.reversing) == (h.lm, h.lmi, h.reversing))
+
+
+def test_f2_fisometry_is_the_fcompose_loop():
+    rep = rep_from_coords(Coordinates(1.0, 6.0, 0.5))
+    gens = rep.f2_generators()
+    for k, sylls in _F2_SUBSTITUTION.items():
+        assert _same_fisometry(gens[k], _fcompose_chain(rep.letter(s) for s in sylls))
+    for name in ("x", "Y", "xyXY", "yyxYxxyX"):
+        w = f2_from_string(name)
+        assert _same_fisometry(f2_fisometry(rep, w), _fcompose_chain(gens[k] for k in w.letters))
 
 
 def test_matrix_of_b_is_rotation(rng):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from modsym import cli
+from modsym.anosov import VerdictConfig, anosov_verdict, cartan_gap_scan
 from modsym.charvar import (
     BABA,
     SURFACE_TOL,
@@ -264,7 +265,74 @@ def test_surface_flags_rows_it_cannot_verify(s, tmp_path):
     ["trace-table", "--coords=nan,1,0"],
     ["surface", "--s-grid=nan:1:2"],
     ["anosov-scan", "--grid=0:1:2,-1:1:2,0.5:0.5:1"],
+    ["rep-info", "--coords=1,inf,0"],
 ])
 def test_bad_coordinates_rejected(argv):
     with pytest.raises(SystemExit, match="bad "):
         run_cli(argv)
+
+
+@pytest.mark.parametrize("max_len, samples", [(3, 500), (5, 100)])
+def test_gap_table_rows_match_gap_scan(max_len, samples, tmp_path):
+    gaps_path = tmp_path / "gaps.csv"
+    run_cli(["anosov-scan", "--grid", "0.8:0.8:1,2:2:1,0.5:0.5:1", "--max-len", str(max_len),
+             "--samples", str(samples), "--gap-table", str(gaps_path),
+             "--out", str(tmp_path / "scan.csv")])
+    r = cartan_gap_scan(rep_from_coords(Coordinates(0.8, 2.0, 0.5)), max_len, samples, 0)
+    assert r.enumerated == (max_len == 3)
+    lines = gaps_path.read_text().split("\n")
+    assert lines[0] == "word,length,gap12,gap23" and lines[-1] == ""
+    assert lines[1:-2] == [
+        "%s,%d,%.17g,%.17g" % row for row in zip(r.words, r.lengths, r.gap12, r.gap23)
+    ]
+    assert lines[-2].startswith("# config=")
+    assert lines[-2].endswith(" c=%.17g C=%.17g" % (r.slope_c, r.intercept_C))
+
+
+def test_anosov_scan_rows_match_verdict(tmp_path):
+    out = tmp_path / "scan.csv"
+    run_cli(["anosov-scan", "--grid", "0:1:2,0:3:2,0.5:0.5:1", "--max-len", "4",
+             "--samples", "500", "--window", "6", "--out", str(out)])
+    cfg = VerdictConfig(max_len=4, samples=500, window=6, seed=0)
+    expected = []
+    for s, t in [(0.0, 0.0), (0.0, 3.0), (1.0, 0.0), (1.0, 3.0)]:
+        v = anosov_verdict(Coordinates(s, t, 0.5), cfg)
+        stats = [v.stats.get(k, float("nan")) for k in ("slope_c", "min_zeta_angle", "min_spacing")]
+        expected.append(["%.17g" % x for x in (s, t, 0.5)] + [v.verdict]
+                        + ["%.17g" % x for x in stats])
+    assert _csv_data(out) == expected
+    assert expected[0][-1] == "nan"  # the fixed point has no straightness stats
+
+
+def test_surface_json_keeps_error_status(tmp_path, capsys):
+    grid = ["--s-grid", "2:8:2", "--theta-grid", "0.5:0.5:1"]
+    run_cli(["surface", *grid, "--out", str(tmp_path / "s.csv")])
+    run_cli(["surface", *grid, "--format", "json"])
+    rows = json.loads(capsys.readouterr().out)["rows"]
+    assert [row["status"] for row in rows] == [
+        "ok", f"error:residual above SURFACE_TOL {SURFACE_TOL:g}"]
+    for row, csv_row in zip(rows, _csv_data(tmp_path / "s.csv")):
+        assert [row[k] for k in ("s", "theta", "t", "residual")] == [
+            float(v) for v in csv_row[:4]]
+        assert row["status"] == csv_row[4]
+
+
+def test_rep_info_out_equals_stdout(tmp_path, capsys):
+    out = tmp_path / "info.json"
+    argv = ["rep-info", "--coords", "1,2,0.5", "--word", "baBa"]
+    run_cli(argv)
+    printed = capsys.readouterr().out
+    run_cli(argv + ["--out", str(out)])
+    assert capsys.readouterr().out == ""
+    assert out.read_text() == printed
+
+
+def test_anosov_scan_completes_at_large_scale(tmp_path):
+    """At t=400 the peripheral word's entries pass the float64 range."""
+    out = tmp_path / "scan.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        run_cli(["anosov-scan", "--grid", "1:1:1,400:400:1,0.5:0.5:1", "--max-len", "4",
+                 "--samples", "500", "--window", "6", "--out", str(out)])
+    (row,) = _csv_data(out)
+    assert np.isfinite(float(row[4]))
