@@ -247,12 +247,43 @@ class GapReport:
         return tuple(names)
 
 
+# The closed form of the top eigenvalue reads it off arccos(r) / 3, which
+# amplifies rounding like eps / delta as the top two eigenvalues close in
+# (r -> -1, relative gap delta).  Rows with 1 + r below _TIE_MARGIN (top
+# two within about 1%) go to LAPACK instead.  So do near-scalar Grams,
+# with spread p at most _SCALAR_SPREAD times the mean eigenvalue q: they
+# include orthogonal words and the fixed point, whose gaps are rounding
+# noise that must stay the same noise as LAPACK's, and p = 0 leaves r
+# undefined.
+_TIE_MARGIN = 1e-3
+_SCALAR_SPREAD = 1e-8
+
+
 def _log_sigma1(mats: np.ndarray) -> np.ndarray:
     """log of the top singular value of each matrix of a (..., 3, 3)
     stack, as half the log of the top eigenvalue of G G^T.  The entries
-    must be rescaled to max |entry| 1, so that G G^T cannot overflow."""
-    gram = mats @ np.swapaxes(mats, -1, -2)
-    return 0.5 * np.log(np.linalg.eigvalsh(gram)[..., -1])
+    must be rescaled to max |entry| 1, so that G G^T cannot overflow.
+
+    The eigenvalue is the closed form q + 2 p cos(arccos(r) / 3) of a
+    symmetric 3x3 matrix (O. K. Smith, CACM 4(4), 1961), from the six
+    distinct entries of G G^T; rows near a top tie or a scalar Gram take
+    ``eigvalsh`` instead (see _TIE_MARGIN)."""
+    m = mats.reshape(-1, 3, 3)
+    r0, r1, r2 = m[:, 0], m[:, 1], m[:, 2]
+    a, d, f, b, c, e = (np.einsum("ij,ij->i", u, v) for u, v in (
+        (r0, r0), (r1, r1), (r2, r2), (r0, r1), (r0, r2), (r1, r2)))
+    q = (a + d + f) / 3
+    a, d, f = a - q, d - q, f - q
+    p = np.sqrt((a * a + d * d + f * f + 2 * (b * b + c * c + e * e)) / 6)
+    det = a * (d * f - e * e) - b * (b * f - c * e) + c * (b * e - c * d)
+    scalar = p <= _SCALAR_SPREAD * q
+    r = det / (2 * np.where(scalar, 1.0, p) ** 3)
+    lam = q + 2 * p * np.cos(np.arccos(np.clip(r, -1.0, 1.0)) / 3)
+    fallback = scalar | (1 + r < _TIE_MARGIN)
+    if fallback.any():
+        g = m[fallback]
+        lam[fallback] = np.linalg.eigvalsh(g @ np.swapaxes(g, -1, -2))[:, -1]
+    return 0.5 * np.log(lam).reshape(mats.shape[:-2])
 
 
 def _rescale_batch(mats: np.ndarray, logs: np.ndarray):
@@ -260,9 +291,15 @@ def _rescale_batch(mats: np.ndarray, logs: np.ndarray):
     return mats / s[:, None, None], logs + np.log(s)
 
 
+def _cartan_pair(mats, invs, lm, lmi):
+    """(log sigma_1, log sigma_3) of each word, from the normalized
+    matrices of the words and of their inverses with their log-scales:
+    sigma_3(g) = 1 / sigma_1(g^-1)."""
+    return _log_sigma1(mats) + lm, -(_log_sigma1(invs) + lmi)
+
+
 def _batch_gaps(mats, invs, lm, lmi):
-    l1 = _log_sigma1(mats) + lm
-    l3 = -(_log_sigma1(invs) + lmi)
+    l1, l3 = _cartan_pair(mats, invs, lm, lmi)
     l2 = -l1 - l3
     return l1 - l2, l2 - l3
 
@@ -391,8 +428,7 @@ def word_cartan(rep: Representation, w: F2Word) -> np.ndarray:
 
     g = f2_fisometry(rep, w)
     gi = f2_fisometry(rep, f2_inverse(w))
-    l1 = float(_log_sigma1(g.mat)) + g.lm
-    l3 = -(float(_log_sigma1(gi.mat)) + gi.lm)
+    l1, l3 = _cartan_pair(g.mat, gi.mat, g.lm, gi.lm)
     return np.array([l1, -l1 - l3, l3])
 
 
@@ -453,8 +489,7 @@ def peripheral_growth(rep: Representation, n_max: int) -> PeripheralGrowthReport
         mat, lm = _rescaled(mat @ p, lm + lp)
         inv, lmi = _rescaled(pinv @ inv, lmi + lpi)
         mats[n], invs[n], lms[n], lmis[n] = mat, inv, lm, lmi
-    l1 = _log_sigma1(mats) + lms
-    l3 = -(_log_sigma1(invs) + lmis)
+    l1, l3 = _cartan_pair(mats, invs, lms, lmis)
     gaps = l1 - l3
     ns = np.arange(1, n_max + 1, dtype=float)
     kappa_log, rss_log = _affine_fit(np.log(ns), gaps)

@@ -269,8 +269,20 @@ def matrices_at(s, t, theta, w) -> np.ndarray:
     return _fold(_letter_table(*generators_at(s, t, theta)), _even_word(w))
 
 
+def _as_double(x, what: str) -> np.ndarray:
+    """float64 copy of an extended-precision value or matrix.  Raises
+    DomainError when it does not fit the float64 range."""
+    with np.errstate(over="ignore"):
+        out = np.asarray(x, dtype=float)
+    if not np.isfinite(out).all():
+        raise DomainError(f"{what} is outside the float64 range")
+    return out
+
+
 def trace_of_word(rep: Representation, w) -> float:
-    return float(np.trace(matrix_of(rep, w)))
+    """Trace of an even word's matrix as a float.  Raises DomainError when
+    it does not fit the float64 range."""
+    return float(_as_double(np.trace(matrix_of(rep, w)), f"trace of {w}"))
 
 
 def trace_baba_closed_form(c: Coordinates | None = None, s=None, t=None, theta=None):
@@ -372,10 +384,11 @@ def is_reducible(rep: Representation, tol: float = 1e-7) -> bool:
 
     The even subgroup is generated by b and aba; a common complex
     eigenvector of their matrices is an invariant line, and a common
-    eigenvector of the inverse transposes is an invariant plane.
+    eigenvector of the inverse transposes is an invariant plane.  Raises
+    DomainError when their entries do not fit the float64 range.
     """
-    mb = np.asarray(matrix_of(rep, WORD_B), dtype=float)
-    maba = np.asarray(matrix_of(rep, WORD_ABA), dtype=float)
+    mb = _as_double(matrix_of(rep, WORD_B), "matrix of b")
+    maba = _as_double(matrix_of(rep, WORD_ABA), "matrix of aba")
     if _common_eigenvector(mb, maba, tol):
         return True
     return _common_eigenvector(np.linalg.inv(mb).T, np.linalg.inv(maba).T, tol)

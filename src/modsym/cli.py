@@ -281,9 +281,7 @@ def cmd_anosov_scan(args) -> int:
 # -- rep info ------------------------------------------------------------------
 
 
-def cmd_rep_info(args) -> int:
-    c = _parse_coords(args.coords)
-    rep = charvar.rep_from_coords(c)
+def _rep_info(c: charvar.Coordinates, rep, args) -> dict:
     numeric = charvar.trace_of_word(rep, charvar.BABA)
     closed = float(charvar.trace_baba_closed_form(c))
     symm = charvar.trace_symmetry_check(rep)
@@ -307,6 +305,16 @@ def cmd_rep_info(args) -> int:
             "numeric": report.numeric_trace,
             "bound_abs": charvar.B2ABA_TRACE_BOUND,
         }
+    return info
+
+
+def cmd_rep_info(args) -> int:
+    c = _parse_coords(args.coords)
+    try:
+        rep = charvar.rep_from_coords(c)
+        info = _rep_info(c, rep, args)
+    except GeometryError as exc:
+        raise SystemExit(f"rep-info at {args.coords!r}: {exc}") from exc
     if args.word:
         # word literals use the alphabet a, b, B (= b^2), e.g. "baBa"
         word = charvar.normalize(args.word)

@@ -66,29 +66,24 @@ def _sym_eig_desc(m):
     return vals, cols
 
 
-def _spd_pow(m, exponent):
+def _spd_pows(m, *exponents):
+    """The powers m^e of an SPD matrix, one per exponent, from one
+    eigendecomposition."""
     vals, q = _sym_eig_desc(m)
-    d = mp.diag([v**exponent for v in vals])
-    return q * d * q.T
+    return [q * mp.diag([v**e for v in vals]) * q.T for e in exponents]
 
 
-def _midpoint(p, q):
-    pis = _spd_pow(p, mp.mpf(-0.5))
-    ps = _spd_pow(p, mp.mpf(0.5))
-    return ps * _spd_pow(pis * q * pis, mp.mpf(0.5)) * ps
-
-
-def _rel_frame(p, q):
-    """Descending log-eigenvalues and frame of log(p^{-1/2} q p^{-1/2})."""
-    pis = _spd_pow(p, mp.mpf(-0.5))
+def _rel_frame(pis, q):
+    """Descending log-eigenvalues and frame of log(p^{-1/2} q p^{-1/2}),
+    given pis = p^{-1/2}."""
     vals, u = _sym_eig_desc(pis * q * pis)
     lam = [mp.log(v) for v in vals]
     mean = sum(lam) / 3
     return [v - mean for v in lam], u
 
 
-def _zeta_dir(p, q):
-    _, u = _rel_frame(p, q)
+def _zeta_dir(u):
+    """Zeta direction u_1 u_1^T - u_3 u_3^T of a relative frame."""
     d = mp.matrix(3, 3)
     for i in range(3):
         for j in range(3):
@@ -132,26 +127,29 @@ def straightness_stats(s, t, theta, window: list[F2Word], dps: int | None = None
         steps = [None]
         for w_prev, w_next in zip(window, window[1:]):
             steps.append(rho(f2_mul(f2_inverse(w_prev), w_next)))
+        half = mp.mpf(0.5)
+        xis, xs = _spd_pows(x, -half, half)
         mids = [None]
         for k in range(1, len(window)):
-            mids.append(_midpoint(x, steps[k] * x * steps[k].T))
+            (root,) = _spd_pows(xis * (steps[k] * x * steps[k].T) * xis, half)
+            mids.append(xs * root * xs)
 
         n_mid = len(window) - 1
-        spacings = []
-        types = []
-        for n in range(n_mid - 1):
-            p = mids[n + 1]
-            q = steps[n + 1] * mids[n + 2] * steps[n + 1].T
-            lam, _ = _rel_frame(p, q)
-            spacings.append(float(mp.sqrt(sum(v**2 for v in lam))))
-            types.append(float(_chamber_angle(lam)))
+        # pis[n] = m_n^{-1/2}, shared by the segment (m_n, m_{n+1}) and by
+        # both zeta directions at m_n
+        pis = [None] + [_spd_pows(m, -half)[0] for m in mids[1:n_mid]]
+        # frame of the segment (m_n, m_{n+1}) in the chart of g_n
+        forward = [
+            _rel_frame(pis[n + 1], steps[n + 1] * mids[n + 2] * steps[n + 1].T)
+            for n in range(n_mid - 1)
+        ]
+        spacings = [float(mp.sqrt(sum(v**2 for v in lam))) for lam, _ in forward]
+        types = [float(_chamber_angle(lam)) for lam, _ in forward]
         deficits = []
         for n in range(1, n_mid - 1):
             inv_step = steps[n] ** -1
-            prev = inv_step * mids[n] * inv_step.T
-            center = mids[n + 1]
-            nxt = steps[n + 1] * mids[n + 2] * steps[n + 1].T
-            ang = _angle_between(_zeta_dir(center, prev), _zeta_dir(center, nxt))
+            _, back = _rel_frame(pis[n + 1], inv_step * mids[n] * inv_step.T)
+            ang = _angle_between(_zeta_dir(back), _zeta_dir(forward[n][1]))
             deficits.append(float(mp.pi - ang))
     return {"deficits": deficits, "spacings": spacings, "types": types}
 
@@ -171,8 +169,9 @@ def triangle_angle(s, t, theta, dps: int | None = None) -> float:
         rot = _rotation(2 * mp.pi / 3)
         y = rot * x * rot.T
         z = rot * y * rot.T
-        lam_y, uy = _rel_frame(x, y)
-        lam_z, uz = _rel_frame(x, z)
+        (xis,) = _spd_pows(x, mp.mpf(-0.5))
+        lam_y, uy = _rel_frame(xis, y)
+        lam_z, uz = _rel_frame(xis, z)
         vy = uy * mp.diag(lam_y) * uy.T
         vz = uz * mp.diag(lam_z) * uz.T
         ny = mp.sqrt(sum(vy[i, j] ** 2 for i in range(3) for j in range(3)))

@@ -17,7 +17,7 @@ from modsym.anosov import (
     triangle_report,
     word_cartan,
 )
-from modsym.charvar import BABA, Coordinates, rep_from_coords, schwartz_t
+from modsym.charvar import BABA, Coordinates, f2_fisometry, rep_from_coords, schwartz_t
 from modsym.errors import (
     DegenerateTriangleError,
     OppositionError,
@@ -209,6 +209,87 @@ def test_log_sigma1_matches_svd(mats):
     ref = np.linalg.svd(mats, compute_uv=False)[:, 0]
     got = np.exp(anosov._log_sigma1(mats))
     assert np.max(np.abs(got - ref) / ref) < 1e-14
+
+
+def _with_singular_values(values, n=200, seed=21):
+    """n random matrices with the given singular values, rescaled to max
+    |entry| 1."""
+    rng = np.random.default_rng(seed)
+    q1 = np.linalg.qr(rng.normal(size=(n, 3, 3)))[0]
+    q2 = np.linalg.qr(rng.normal(size=(n, 3, 3)))[0]
+    return _rescaled_stack(q1 * np.asarray(values) @ q2)
+
+
+def _svd_log_sigma1(mats):
+    return np.log(np.linalg.svd(mats, compute_uv=False)[..., 0])
+
+
+@pytest.mark.parametrize("delta", [10.0**-k for k in range(1, 9)])
+def test_log_sigma1_top_gap_sweep(delta):
+    """Top singular values 1 and 1 - delta: the closed form before the tie
+    margin and eigvalsh past it both stay within 1e-14 of the SVD."""
+    mats = _with_singular_values([1.0, 1.0 - delta, 1e-3])
+    ref = np.linalg.svd(mats, compute_uv=False)[:, 0]
+    got = np.exp(anosov._log_sigma1(mats))
+    assert np.max(np.abs(got - ref) / ref) < 1e-14
+
+
+def test_log_sigma1_scalar_and_triple_ties():
+    """p = 0 must not divide, and a near-scalar Gram must not warn."""
+    identity = np.tile(np.eye(3), (4, 1, 1))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.array_equal(anosov._log_sigma1(identity), np.zeros(4))
+        for spread in (1e-15, 1e-12, 1e-7):
+            mats = _with_singular_values([1.0, 1.0 - spread, 1.0 - 2 * spread], n=50)
+            got = anosov._log_sigma1(mats)
+            assert np.max(np.abs(got - _svd_log_sigma1(mats))) < 1e-14
+
+
+def test_log_sigma1_single_matrix():
+    """One 3x3 matrix, as word_cartan passes it, gives a 0-d result."""
+    for m in _with_singular_values([1.0, 0.3, 1e-4], n=5):
+        got = anosov._log_sigma1(m)
+        assert got.shape == ()
+        assert abs(got - _svd_log_sigma1(m)) < 1e-14
+
+
+def test_log_sigma1_fallback_rows_go_to_eigvalsh(monkeypatch):
+    """Tied and scalar rows, and only they, take eigvalsh, whose value they
+    keep bit for bit."""
+    spread = _with_singular_values([1.0, 0.3, 1e-4], n=6)
+    tied = _with_singular_values([1.0, 1.0, 0.2], n=3)
+    mats = np.concatenate([spread[:3], tied, spread[3:], np.tile(np.eye(3), (2, 1, 1))])
+    fallback = np.repeat([False, True, False, True], [3, 3, 3, 2])
+    grams = mats @ np.swapaxes(mats, -1, -2)
+    reference = 0.5 * np.log(np.linalg.eigvalsh(grams)[:, -1])
+    sent = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def spy(a):
+        sent.append(a.copy())
+        return eigvalsh(a)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+    got = anosov._log_sigma1(mats)
+    assert len(sent) == 1 and np.array_equal(sent[0], grams[fallback])
+    assert np.array_equal(got[fallback], reference[fallback])
+    sent.clear()
+    anosov._log_sigma1(spread)
+    assert sent == []
+
+
+def test_gap_scan_matches_per_word_svd():
+    rep = rep_from_coords(Coordinates(1.0, 4.0, 0.5))
+    r = cartan_gap_scan(rep, 6, None, seed=0)
+    words = [f2_from_string(w) for w in r.words]
+    fwd = [f2_fisometry(rep, w) for w in words]
+    inv = [f2_fisometry(rep, f2_inverse(w)) for w in words]
+    l1 = _svd_log_sigma1(np.stack([g.mat for g in fwd])) + [g.lm for g in fwd]
+    l3 = -(_svd_log_sigma1(np.stack([g.mat for g in inv])) + [g.lm for g in inv])
+    l2 = -l1 - l3
+    np.testing.assert_allclose(r.gap12, l1 - l2, rtol=1e-13, atol=1e-13)
+    np.testing.assert_allclose(r.gap23, l2 - l3, rtol=1e-13, atol=1e-13)
 
 
 def test_gap_scan_positive_slope_at_anosov_point():

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -20,7 +22,7 @@ from modsym.charvar import (
     trace_of_word,
     trace_symmetry_check,
 )
-from modsym.errors import ParityError, PreconditionError
+from modsym.errors import DomainError, ParityError, PreconditionError
 from modsym.factored import FIsometry, fcompose
 from modsym.modgroup import _F2_SUBSTITUTION, f2_from_string, normalize, parity_abelianization
 from modsym.symspace import Isometry, compose, rotation
@@ -325,3 +327,20 @@ def test_closed_forms_broadcast_elementwise():
         assert type(one) is np.longdouble and closed[k] == one
         assert type(schwartz_t(s[k], theta[k])) is np.longdouble
         assert surf[k] == schwartz_t(s[k], theta[k])
+
+
+def test_float64_overflow_raises_domain_error():
+    """At t=400 the extended-precision matrices pass the float64 range:
+    the float copies must raise, not return -inf or reach LAPACK."""
+    rep = rep_from_coords(Coordinates(1.0, 400.0, 0.5))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="trace of baba is outside the float64 range"):
+            trace_of_word(rep, BABA)
+        with pytest.raises(DomainError, match="outside the float64 range"):
+            is_reducible(rep)
+
+
+def test_trace_of_word_is_the_float_of_the_trace():
+    rep = rep_from_coords(Coordinates(1.0, 6.0, 0.5))
+    assert trace_of_word(rep, BABA) == float(np.trace(matrix_of(rep, BABA)))

@@ -1,9 +1,14 @@
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import modsym
 from modsym import cli
 from modsym.anosov import VerdictConfig, anosov_verdict, cartan_gap_scan
 from modsym.charvar import (
@@ -336,3 +341,24 @@ def test_anosov_scan_completes_at_large_scale(tmp_path):
                  "--samples", "500", "--window", "6", "--out", str(out)])
     (row,) = _csv_data(out)
     assert np.isfinite(float(row[4]))
+
+
+def test_rep_info_out_of_float_range_is_one_line(capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["rep-info", "--coords", "1,400,0.5"])
+    assert str(exc.value) == (
+        "rep-info at '1,400,0.5': trace of baba is outside the float64 range")
+    assert capsys.readouterr().out == ""
+
+
+def test_python_m_modsym(capsys):
+    argv = ["rep-info", "--coords", "1,6,0.5"]
+    assert run_cli(argv) == 0
+    src = str(Path(modsym.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-m", "modsym", *argv], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": path}, timeout=120)
+    assert proc.returncode == 0
+    assert proc.stdout == capsys.readouterr().out

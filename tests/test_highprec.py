@@ -34,3 +34,72 @@ def test_deficit_resolves_below_double_precision():
 
 def test_dps_scales_with_coordinates():
     assert highprec.default_dps(0.0, 2.0) < highprec.default_dps(2.0, 16.0)
+
+
+# full output of straightness_stats with seeded windows, as recorded from
+# the oracle that decomposed each matrix anew: sharing the
+# eigendecompositions must not move a single bit
+STATS_T4 = {
+    "deficits": [
+        0.001126042272364273,
+        0.0,
+        0.0,
+        0.0,
+        0.001126042272364273,
+        0.001126042272364273,
+    ],
+    "spacings": [
+        25.87988357348373,
+        25.871375592278213,
+        25.871375592278213,
+        25.871375592278213,
+        25.871375592278213,
+        25.87988357348373,
+        25.871375592278213,
+    ],
+    "types": [
+        0.5146055427580681,
+        0.5231291318407453,
+        0.5231291318407453,
+        0.5231291318407453,
+        0.5231291318407453,
+        0.5146055427580681,
+        0.5231291318407453,
+    ],
+}
+STATS_T12 = {
+    "deficits": [
+        1.1807084128428287e-10,
+        1.1806541725532964e-10,
+        1.1806541725532964e-10,
+        1.1807084128428287e-10,
+        3.4803343425690296e-05,
+        3.480334342749909e-05,
+    ],
+    "spacings": [
+        71.12801040241021,
+        71.12801040152759,
+        71.12801040241021,
+        71.12801040152759,
+        71.12801040241021,
+        35.564005201205106,
+        71.12801040152759,
+    ],
+    "types": [
+        0.5235998760262415,
+        0.5235987756174981,
+        0.5235976751703563,
+        0.5235987756174981,
+        0.5235998760262415,
+        0.5235976751703563,
+        0.5235987755790996,
+    ],
+}
+
+
+@pytest.mark.parametrize("t, seed, expected", [
+    (4.0, 0, STATS_T4),
+    (12.0, 1, STATS_T12),
+])
+def test_straightness_stats_pinned(t, seed, expected):
+    assert highprec.straightness_stats(1.0, t, 0.5, random_f2_geodesic(8, seed)) == expected
