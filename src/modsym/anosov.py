@@ -52,19 +52,15 @@ from .factored import (
 from .flats import Flat, ModelInterval, chamber_angle, flat_from_flags
 from .modgroup import (
     F2Word,
-    G1,
-    G1_INV,
-    G2,
-    G2_INV,
-    F2_LETTER_NAMES,
+    f2_count,
+    f2_inverse,
+    f2_levels,
+    f2_mul,
+    f2_names,
+    f2_rng,
+    f2_sample,
     random_f2_geodesic,
 )
-
-_LETTERS = (G1, G1_INV, G2, G2_INV)
-# allowed continuations (ascending) after each last letter
-_ALLOWED = np.array([[k for k in _LETTERS if k != p ^ 1] for p in _LETTERS])
-# ASCII code of each letter's name, to spell letter arrays in one pass
-_LETTER_BYTES = np.frombuffer("".join(F2_LETTER_NAMES).encode("ascii"), dtype=np.uint8)
 
 
 # -- orbit triangle ----------------------------------------------------------
@@ -137,8 +133,6 @@ def midpoint_sequence(rep: Representation, window: Sequence[F2Word]) -> Midpoint
     words = tuple(window)
     if len(words) < 3:
         raise ValueError("geodesic window must contain at least 3 words")
-    from .modgroup import f2_inverse, f2_mul
-
     steps = [FIsometry.identity()]
     for w_prev, w_next in zip(words, words[1:]):
         steps.append(f2_fisometry(rep, f2_mul(f2_inverse(w_prev), w_next)))
@@ -239,12 +233,7 @@ class GapReport:
 
     @cached_property
     def words(self) -> tuple[str, ...]:
-        names = []
-        for level in self.letters:
-            m, n = level.shape
-            text = _LETTER_BYTES[level].tobytes().decode("ascii")
-            names.extend(text[i:i + n] for i in range(0, m * n, n))
-        return tuple(names)
+        return tuple(name for level in self.letters for name in f2_names(level))
 
 
 # The closed form of the top eigenvalue reads it off arccos(r) / 3, which
@@ -305,7 +294,7 @@ def _batch_gaps(mats, invs, lm, lmi):
 
 
 def _lower_hull_fit(points: list[tuple[int, float]]):
-    """Lower convex minorant; returns (c, C, hull) with the fitted line
+    """Lower convex minorant; returns (c, C) with the fitted line
     c n - C through the final hull edge."""
     pts = sorted(points)
     hull: list[tuple[float, float]] = []
@@ -323,8 +312,7 @@ def _lower_hull_fit(points: list[tuple[int, float]]):
     else:
         c = 0.0
         x1, y1 = hull[-1]
-    big_c = c * x1 - y1
-    return c, big_c, hull
+    return c, c * x1 - y1
 
 
 def cartan_gap_scan(
@@ -335,8 +323,8 @@ def cartan_gap_scan(
 ) -> GapReport:
     """Gap growth over reduced words of the free subgroup up to max_len.
 
-    Enumerates exhaustively when the full count 2 (3^max_len - 1) fits in
-    the budget, otherwise draws a seeded uniform sample per length.  The
+    Enumerates exhaustively when the full count of words fits in the
+    budget, otherwise draws a seeded uniform sample per length.  The
     linear lower bound is fitted to the per-length minima of
     min(gap12, gap23).  The generator matrices stay normalized and their
     log-scales are summed apart, so the scan works at any scale.
@@ -344,14 +332,14 @@ def cartan_gap_scan(
     if max_len < 1:
         raise ValueError("max_len must be >= 1")
     budget = sample_budget if sample_budget is not None else 50_000
-    total = 2 * (3**max_len - 1)
+    total = sum(f2_count(n) for n in range(1, max_len + 1))
     enumerate_all = total <= budget
 
-    gens = rep.f2_generators()
-    gmat = np.stack([gens[k].mat for k in _LETTERS])
-    gmatinv = np.stack([gens[k].matinv for k in _LETTERS])
-    glm = np.array([gens[k].lm for k in _LETTERS])
-    glmi = np.array([gens[k].lmi for k in _LETTERS])
+    gens = [rep.f2_generators()[k] for k in range(4)]  # letters 0..3
+    gmat = np.stack([g.mat for g in gens])
+    gmatinv = np.stack([g.matinv for g in gens])
+    glm = np.array([g.lm for g in gens])
+    glmi = np.array([g.lmi for g in gens])
 
     letters: list[np.ndarray] = []
     gap12: list[np.ndarray] = []
@@ -359,34 +347,25 @@ def cartan_gap_scan(
 
     if enumerate_all:
         mats, invs, lm, lmi = gmat, gmatinv, glm, glmi
-        level = np.array(_LETTERS)[:, None]
-        for n in range(1, max_len + 1):
+        for level in f2_levels(max_len):
+            if level.shape[1] > 1:
+                # row i extends row i // 3 of the previous level
+                child = level[:, -1]
+                mats = np.repeat(mats, 3, axis=0) @ gmat[child]
+                invs = gmatinv[child] @ np.repeat(invs, 3, axis=0)
+                lm = np.repeat(lm, 3) + glm[child]
+                lmi = np.repeat(lmi, 3) + glmi[child]
             mats, lm = _rescale_batch(mats, lm)
             invs, lmi = _rescale_batch(invs, lmi)
             g12, g23 = _batch_gaps(mats, invs, lm, lmi)
             letters.append(level)
             gap12.append(g12)
             gap23.append(g23)
-            if n == max_len:
-                break
-            child = _ALLOWED[level[:, -1]].reshape(-1)
-            level = np.column_stack([np.repeat(level, 3, axis=0), child])
-            mats = np.repeat(mats, 3, axis=0) @ gmat[child]
-            invs = gmatinv[child] @ np.repeat(invs, 3, axis=0)
-            lm = np.repeat(lm, 3) + glm[child]
-            lmi = np.repeat(lmi, 3) + glmi[child]
     else:
-        from .modgroup import f2_count
-
-        rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
+        rng = f2_rng(seed)
         per_length = max(1, budget // max_len)
         for n in range(1, max_len + 1):
-            m = min(per_length, f2_count(n))
-            level = np.empty((m, n), dtype=np.int64)
-            level[:, 0] = rng.integers(4, size=m)
-            for col in range(1, n):
-                pick = rng.integers(3, size=m)
-                level[:, col] = _ALLOWED[level[:, col - 1], pick]
+            level = f2_sample(rng, min(per_length, f2_count(n)), n)
             mats = gmat[level[:, 0]]
             invs = gmatinv[level[:, 0]]
             lm = glm[level].sum(axis=1)
@@ -405,7 +384,7 @@ def cartan_gap_scan(
         (level.shape[1], float(np.minimum(g12, g23).min()))
         for level, g12, g23 in zip(letters, gap12, gap23)
     ]
-    c, big_c, _ = _lower_hull_fit(per_len)
+    c, big_c = _lower_hull_fit(per_len)
     residual = max(0.0, min(y - (c * n - big_c) for n, y in per_len))
     return GapReport(
         letters=tuple(letters),
@@ -424,8 +403,6 @@ def cartan_gap_scan(
 def word_cartan(rep: Representation, w: F2Word) -> np.ndarray:
     """Cartan vector of one reduced word, by the forward/inverse duality
     (accurate for all three entries at any word length)."""
-    from .modgroup import f2_inverse
-
     g = f2_fisometry(rep, w)
     gi = f2_fisometry(rep, f2_inverse(w))
     l1, l3 = _cartan_pair(g.mat, gi.mat, g.lm, gi.lm)

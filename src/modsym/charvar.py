@@ -162,12 +162,16 @@ class Representation:
 
 def rep_from_coords(c: Coordinates) -> Representation:
     """Build the gauge-fixed representation: r = 0, beta = 0,
-    alpha = theta / 2, so that 2 alpha - beta = theta."""
-    alpha = c.theta / 2.0
-    S, Si, expw = _halfangle_blocks(c.s, c.t, alpha, np.float64)
-    fx = FPoint.from_factor(S @ expw(1.0), expw(-1.0) @ Si)
-    x_mat = S @ expw(2.0) @ S
-    x_inv = Si @ expw(-2.0) @ Si
+    alpha = theta / 2, so that 2 alpha - beta = theta.
+
+    Raises DomainError when the fixed point or the inversion leaves the
+    float64 range, from t + 2s of about 710 on."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        S, Si, expw = _halfangle_blocks(c.s, c.t, c.theta / 2.0, np.float64)
+        f, finv = S @ expw(1.0), expw(-1.0) @ Si
+        x_mat, x_inv = S @ expw(2.0) @ S, Si @ expw(-2.0) @ Si
+    # _rescaled rejects the overflowed (inf or NaN) factors
+    fx = FPoint.from_factor(f, finv)
     letter_a = FIsometry.from_pair(x_mat, x_inv, True)
     return Representation(c, fx, letter_a)
 

@@ -20,13 +20,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, RegularityError
-from .flats import Flag, Flat, _check_regular, _flat_minimize, chamber_angle
+from .flats import (PROJECTION_MAX_ITER, PROJECTION_TOL, Flag, Flat, _check_regular,
+                    _flat_minimize, chamber_angle)
 from .symspace import Point, matrix_angle
 
 
 def _rescaled(m: np.ndarray, logscale: float):
     s = float(np.max(np.abs(m)))
-    if not np.isfinite(s) or s == 0.0:
+    if not np.isfinite(s):
+        raise DomainError("factor matrix is outside the float64 range")
+    if s == 0.0:
         raise DomainError("degenerate factor matrix")
     return m / s, logscale + float(np.log(s))
 
@@ -229,16 +232,14 @@ def fflag_of_sector_opposite(p: FPoint, q: FPoint) -> Flag:
     return _flag_from_frame(p, u[:, 2], u[:, 0])
 
 
-def fflat_project(p: FPoint, flat: Flat, tol: float = 1e-10, max_iter: int = 500,
-                  noise_cap: float | None = None):
+def fflat_project(p: FPoint, flat: Flat, noise_cap: float | None = None):
     """Nearest point on the flat from a factored point; (a, b, distance).
 
     ``noise_cap`` loosens the acceptable gradient noise floor for
     coordinate-grade projections of far-away points.
     """
     a, b, dist, _ = _flat_minimize(
-        flat.frame, np.linalg.inv(flat.frame), 0.0, 0.0,
-        p.f, p.finv, p.lf, p.lfi, tol, max_iter, noise_cap=noise_cap,
+        flat, p.f, p.finv, p.lf, p.lfi, PROJECTION_TOL, PROJECTION_MAX_ITER, noise_cap
     )
     return a, b, dist
 

@@ -367,11 +367,9 @@ def flat_from_flags(f_minus: Flag, f_plus: Flag, tol: float = 1e-8) -> Flat:
     return Flat(frame=g)
 
 
-def _flat_minimize(frame, frame_inv, lframe, lframe_inv,
-                   f_p, finv_p, lp, lpi, tol, max_iter, noise_cap=None):
+def _flat_minimize(flat, f_p, finv_p, lp, lpi, tol, max_iter, noise_cap=None):
     """Minimize the squared distance from the factored point
-    (f_p e^{lp})(f_p e^{lp})^T over the flat with the given scaled frame
-    pair (true frame = frame e^{lframe}), in its affine (a, b) chart.
+    (f_p e^{lp})(f_p e^{lp})^T over the flat, in its affine (a, b) chart.
 
     Works entirely through G(a, b) = D^{-1/2} g^{-1} F_p and its inverse,
     whose top singular values give all three relative log-eigenvalues by
@@ -379,21 +377,22 @@ def _flat_minimize(frame, frame_inv, lframe, lframe_inv,
     matrix [[2, 1], [1, 2]], so a projected-log step with backtracking
     converges.
     """
-    g, ginv = frame, frame_inv
+    g = flat.frame
+    ginv = np.linalg.inv(g)
     gram_inv = np.array([[2.0, -1.0], [-1.0, 2.0]]) / 3.0
 
     h = ginv @ f_p
     hs = np.max(np.abs(h))
     hh = (h / hs) @ (h / hs).T
-    dlog = np.log(np.maximum(np.diag(hh), 1e-300)) + 2.0 * (lp + lframe_inv + np.log(hs))
+    dlog = np.log(np.maximum(np.diag(hh), 1e-300)) + 2.0 * (lp + np.log(hs))
     a, b = float(dlog[0] - dlog.mean()), float(dlog[1] - dlog.mean())
 
     def lambdas(aa, bb):
         half = np.exp([-aa / 2.0, -bb / 2.0, (aa + bb) / 2.0])
         gh = (ginv * half[:, None]) @ f_p
         gh_i = finv_p @ (g * (1.0 / half)[None, :])
-        l1 = 2.0 * (np.log(np.linalg.svd(gh, compute_uv=False)[0]) + lp + lframe_inv)
-        l3 = -2.0 * (np.log(np.linalg.svd(gh_i, compute_uv=False)[0]) + lpi + lframe)
+        l1 = 2.0 * (np.log(np.linalg.svd(gh, compute_uv=False)[0]) + lp)
+        l3 = -2.0 * (np.log(np.linalg.svd(gh_i, compute_uv=False)[0]) + lpi)
         return np.array([l1, -l1 - l3, l3]), gh
 
     lam, gh = lambdas(a, b)
@@ -442,10 +441,7 @@ def _flat_minimize(frame, frame_inv, lframe, lframe_inv,
 def flat_project(p: Point, flat: Flat, tol: float = PROJECTION_TOL,
                  max_iter: int = PROJECTION_MAX_ITER):
     """Nearest point on the flat; returns (a, b, distance)."""
-    a, b, dist, _ = _flat_minimize(
-        flat.frame, np.linalg.inv(flat.frame), 0.0, 0.0,
-        p.sqrt(), p.inv_sqrt(), 0.0, 0.0, tol, max_iter,
-    )
+    a, b, dist, _ = _flat_minimize(flat, p.sqrt(), p.inv_sqrt(), 0.0, 0.0, tol, max_iter)
     return a, b, dist
 
 

@@ -8,6 +8,8 @@ written ``b`` or ``B`` (= b^2 = b^{-1}).  The index-six subgroup
 
 F2 words are reduced letter sequences over {g1, g1^{-1}, g2, g2^{-1}},
 encoded as the integers 0, 1, 2, 3 in that order (inverse = index ^ 1).
+Batches of words of one length are int64 letter arrays of shape (m, n):
+``f2_levels`` enumerates them, ``f2_sample`` draws them from ``f2_rng``.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ import numpy as np
 
 G1, G1_INV, G2, G2_INV = 0, 1, 2, 3
 F2_LETTER_NAMES = ("x", "X", "y", "Y")
+_LETTERS = (G1, G1_INV, G2, G2_INV)
 
 _A = "a"
 _B = "b"
@@ -138,7 +141,7 @@ class F2Word:
     def __post_init__(self):
         prev = None
         for k in self.letters:
-            if k not in (G1, G1_INV, G2, G2_INV):
+            if k not in _LETTERS:
                 raise ValueError(f"invalid letter {k!r}")
             if prev is not None and prev ^ 1 == k:
                 raise ValueError("word is not reduced")
@@ -188,24 +191,6 @@ def f2_to_mod(w: F2Word) -> ModWord:
     return normalize(tokens)
 
 
-def enumerate_f2(max_len: int) -> Iterator[F2Word]:
-    """All reduced words of length 1..max_len, shorter first, each length in
-    lexicographic order on (g1, g1^{-1}, g2, g2^{-1})."""
-    if max_len < 0:
-        raise ValueError("max_len must be >= 0")
-    level: list[tuple[int, ...]] = [()]
-    for _ in range(max_len):
-        nxt: list[tuple[int, ...]] = []
-        for w in level:
-            for k in (G1, G1_INV, G2, G2_INV):
-                if w and w[-1] ^ 1 == k:
-                    continue
-                nw = w + (k,)
-                nxt.append(nw)
-                yield F2Word(nw)
-        level = nxt
-
-
 def f2_count(length: int) -> int:
     """Number of reduced words of exactly this length: 4 * 3^(k-1)."""
     if length <= 0:
@@ -213,21 +198,58 @@ def f2_count(length: int) -> int:
     return 4 * 3 ** (length - 1)
 
 
-def _philox(seed: int, counter: int = 0) -> np.random.Generator:
+# allowed continuations (ascending) after each last letter
+_ALLOWED = np.array([[k for k in _LETTERS if k != p ^ 1] for p in _LETTERS], dtype=np.int64)
+# ASCII code of each letter's name, to spell letter arrays in one pass
+_LETTER_BYTES = np.frombuffer("".join(F2_LETTER_NAMES).encode("ascii"), dtype=np.uint8)
+
+
+def f2_levels(max_len: int) -> Iterator[np.ndarray]:
+    """The reduced words of each length 1..max_len as an int64 letter
+    array of shape (f2_count(n), n), rows in enumerate_f2 order: row i of
+    length n + 1 extends row i // 3 by its allowed continuations."""
+    if max_len < 0:
+        raise ValueError("max_len must be >= 0")
+    level = np.array(_LETTERS, dtype=np.int64)[:, None]
+    for n in range(1, max_len + 1):
+        if n > 1:
+            child = _ALLOWED[level[:, -1]].reshape(-1)
+            level = np.column_stack([np.repeat(level, 3, axis=0), child])
+        yield level
+
+
+def enumerate_f2(max_len: int) -> Iterator[F2Word]:
+    """All reduced words of length 1..max_len, shorter first, each length in
+    lexicographic order on (g1, g1^{-1}, g2, g2^{-1})."""
+    for level in f2_levels(max_len):
+        for row in level.tolist():
+            yield F2Word(tuple(row))
+
+
+def f2_rng(seed: int) -> np.random.Generator:
     """Counter-based generator so scans are reproducible and shardable."""
-    return np.random.Generator(np.random.Philox(key=np.uint64(seed), counter=np.uint64(counter)))
+    return np.random.Generator(np.random.Philox(key=np.uint64(seed)))
 
 
-def random_f2_word(length: int, rng: np.random.Generator) -> F2Word:
-    """One uniformly random reduced word of the given length."""
-    letters: list[int] = []
-    for _ in range(length):
-        if not letters:
-            letters.append(int(rng.integers(4)))
-        else:
-            options = [k for k in (G1, G1_INV, G2, G2_INV) if k != letters[-1] ^ 1]
-            letters.append(options[int(rng.integers(3))])
-    return F2Word(tuple(letters))
+def f2_sample(rng: np.random.Generator, m: int, n: int) -> np.ndarray:
+    """m uniformly random reduced words of length n as an int64 letter
+    array of shape (m, n), drawn column by column: the first letters by
+    one ``rng.integers(4, size=m)``, each later column by one
+    ``rng.integers(3, size=m)`` over the allowed continuations."""
+    level = np.empty((m, n), dtype=np.int64)
+    if n:
+        level[:, 0] = rng.integers(4, size=m)
+    for col in range(1, n):
+        level[:, col] = _ALLOWED[level[:, col - 1], rng.integers(3, size=m)]
+    return level
+
+
+def f2_names(level: np.ndarray) -> list[str]:
+    """The rows of an (m, n) letter array spelled as strings ("e" for the
+    empty word), from one lookup over the whole array."""
+    m, n = level.shape
+    text = _LETTER_BYTES[level].tobytes().decode("ascii")
+    return [text[i * n:(i + 1) * n] or "e" for i in range(m)]
 
 
 def random_f2_geodesic(length: int, seed: int) -> list[F2Word]:
@@ -235,12 +257,12 @@ def random_f2_geodesic(length: int, seed: int) -> list[F2Word]:
     geodesic through the identity, reproducible from the seed."""
     if length < 0:
         raise ValueError("length must be >= 0")
-    word = random_f2_word(length, _philox(seed))
-    return [F2Word(word.letters[:n]) for n in range(length + 1)]
+    letters = tuple(f2_sample(f2_rng(seed), 1, length)[0].tolist())
+    return [F2Word(letters[:n]) for n in range(length + 1)]
 
 
 def constant_generator_geodesic(letter: int, length: int) -> list[F2Word]:
     """Prefixes of the cyclic geodesic along a single generator."""
-    if letter not in (G1, G1_INV, G2, G2_INV):
+    if letter not in _LETTERS:
         raise ValueError(f"invalid letter {letter!r}")
     return [F2Word((letter,) * n) for n in range(length + 1)]

@@ -29,8 +29,10 @@ from modsym.flats import ModelInterval
 from modsym.modgroup import (
     G1,
     constant_generator_geodesic,
+    enumerate_f2,
     f2_from_string,
     f2_inverse,
+    f2_levels,
     random_f2_geodesic,
 )
 
@@ -176,6 +178,15 @@ def test_gap_report_letters_round_trip(max_len, budget):
         assert f2_from_string(word).letters == row and len(row) == n
 
 
+def test_enumerated_gap_report_letters_are_f2_levels():
+    rep = rep_from_coords(Coordinates(0.8, 2.0, 0.9))
+    r = cartan_gap_scan(rep, 6, None, seed=3)
+    assert r.enumerated
+    levels = list(f2_levels(6))
+    assert len(r.letters) == len(levels)
+    assert all(np.array_equal(a, b) for a, b in zip(r.letters, levels))
+
+
 @pytest.mark.parametrize("max_len, budget", [(5, None), (9, 2000)])
 def test_gap_scan_finite_at_large_scale(max_len, budget):
     """At t=400 every generator has log-scale ~801: the scan must carry
@@ -318,8 +329,6 @@ def test_gap_scan_degenerate_at_fixed_point():
 
 def test_gap_mirror_duality():
     rep = rep_from_coords(Coordinates(0.8, 2.0, 0.9))
-    from modsym.modgroup import enumerate_f2
-
     for w in enumerate_f2(3):
         lam = word_cartan(rep, w)
         lam_inv = word_cartan(rep, f2_inverse(w))

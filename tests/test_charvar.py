@@ -341,6 +341,23 @@ def test_float64_overflow_raises_domain_error():
             is_reducible(rep)
 
 
+@pytest.mark.parametrize("t", [800.0, 1e5])
+def test_rep_from_coords_out_of_float_range_raises_without_warning(t):
+    """Past t + 2s of about 710 the inversion (and then the fixed point)
+    overflows float64: a DomainError, with no RuntimeWarning first."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="outside the float64 range"):
+            rep_from_coords(Coordinates(1.0, t, 0.5))
+
+
+def test_longdouble_is_extended_precision():
+    assert np.finfo(np.longdouble).nmant >= 63, (
+        "numpy.longdouble has no 64-bit mantissa on this platform: the trace "
+        "tolerances do not hold (see README, Numerical design notes, on extended "
+        "precision)")
+
+
 def test_trace_of_word_is_the_float_of_the_trace():
     rep = rep_from_coords(Coordinates(1.0, 6.0, 0.5))
     assert trace_of_word(rep, BABA) == float(np.trace(matrix_of(rep, BABA)))

@@ -353,6 +353,16 @@ def test_rep_info_out_of_float_range_is_one_line(capsys):
     assert capsys.readouterr().out == ""
 
 
+def test_rep_info_past_float_range_of_the_representation_is_one_line(capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["rep-info", "--coords", "1,800,0.5"])
+    assert str(exc.value) == (
+        "rep-info at '1,800,0.5': factor matrix is outside the float64 range")
+    assert capsys.readouterr().out == ""
+
+
 def test_python_m_modsym(capsys):
     argv = ["rep-info", "--coords", "1,6,0.5"]
     assert run_cli(argv) == 0

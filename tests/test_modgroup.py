@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from modsym.modgroup import (
@@ -11,7 +12,11 @@ from modsym.modgroup import (
     f2_count,
     f2_from_string,
     f2_inverse,
+    f2_levels,
     f2_mul,
+    f2_names,
+    f2_rng,
+    f2_sample,
     f2_to_mod,
     mod_cyclic_reduce,
     mod_inverse,
@@ -143,6 +148,57 @@ def test_random_geodesic_prefix_stability():
     short = random_f2_geodesic(5, seed=7)
     long = random_f2_geodesic(9, seed=7)
     assert long[5].letters == short[5].letters
+
+
+# last word of random_f2_geodesic(length, seed), as drawn by the per-letter
+# sampler that f2_sample replaced: the seeded draws must not change
+GEODESIC_LETTERS = {
+    0: {0: (), 1: (0,), 10: (0, 0, 2, 0, 2, 0, 0, 2, 1, 2)},
+    1: {0: (), 1: (1,), 10: (1, 1, 3, 3, 1, 1, 2, 0, 3, 3)},
+    7: {0: (), 1: (0,), 10: (0, 3, 3, 0, 0, 2, 2, 1, 2, 0)},
+    42: {0: (), 1: (1,), 10: (1, 3, 1, 1, 3, 3, 1, 2, 1, 2)},
+    2**31 - 1: {0: (), 1: (0,), 10: (0, 0, 0, 2, 2, 0, 3, 3, 0, 2)},
+}
+
+
+@pytest.mark.parametrize("seed", sorted(GEODESIC_LETTERS))
+def test_random_geodesic_pinned(seed):
+    for length, letters in GEODESIC_LETTERS[seed].items():
+        assert random_f2_geodesic(length, seed)[-1].letters == letters
+
+
+@pytest.mark.parametrize("seed", [0, 3, 2**31 - 1])
+def test_f2_sample_row_is_the_seeded_geodesic(seed):
+    for n in (0, 1, 2, 9):
+        row = f2_sample(f2_rng(seed), 1, n)[0]
+        assert tuple(row.tolist()) == random_f2_geodesic(n, seed)[-1].letters
+
+
+def test_f2_sample_draws_reduced_words():
+    level = f2_sample(f2_rng(5), 300, 7)
+    assert level.shape == (300, 7) and level.dtype == np.int64
+    assert ((level[:, 1:] ^ 1) != level[:, :-1]).all()
+    assert f2_sample(f2_rng(5), 4, 0).shape == (4, 0)
+
+
+@pytest.mark.parametrize("max_len", range(7))
+def test_f2_levels_extend_parent_rows(max_len):
+    levels = list(f2_levels(max_len))
+    assert [level.shape for level in levels] == [
+        (f2_count(n), n) for n in range(1, max_len + 1)]
+    assert all(level.dtype == np.int64 for level in levels)
+    for parent, level in zip(levels, levels[1:]):
+        assert np.array_equal(level[:, :-1], parent[np.arange(len(level)) // 3])
+    rows = [tuple(row) for level in levels for row in level.tolist()]
+    assert rows == [w.letters for w in enumerate_f2(max_len)]
+
+
+def test_f2_names_spell_rows():
+    level = np.array([[G1, G2, G1_INV], [G2, G2, G2]])
+    assert f2_names(level) == ["xyX", "yyy"]
+    assert f2_names(np.empty((2, 0), dtype=np.int64)) == ["e", "e"]
+    (words,) = [level for level in f2_levels(3) if level.shape[1] == 3]
+    assert f2_names(words) == [str(F2Word(tuple(row))) for row in words.tolist()]
 
 
 def test_constant_generator_geodesic():
