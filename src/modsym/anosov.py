@@ -47,7 +47,7 @@ from .factored import (
     finverse,
     fmidpoint,
     fzeta_angle,
-    seg_type,
+    seg_lambdas,
 )
 from .flats import Flat, ModelInterval, chamber_angle, flat_from_flags
 from .modgroup import (
@@ -97,36 +97,29 @@ def triangle_report(rep: Representation) -> TriangleReport:
 
 @dataclass(frozen=True)
 class MidpointSequence:
-    """Orbit points x_n = rho(g_n) x and midpoints m_n = mid(x_n, x_{n+1}).
+    """Midpoints m_n = mid(x_n, x_{n+1}) of the orbit points x_n = rho(g_n) x.
 
-    The midpoints are stored twice: globally (``midpoints``) and in local
-    form (``local_mids[k]`` is mid(x, rho(step_k) x), so that
-    m_n = rho(g_n) local_mids[n + 1]).  Everything measured between
-    nearby midpoints is computed in the chart of the common orbit prefix:
-    a product mat @ matinv of one large word never appears, which keeps
-    the small relative eigenvalues meaningful at any scale.
+    The midpoints are stored in local form: ``local_mids[k]`` is
+    mid(x, rho(step_k) x), so that m_n = rho(g_n) local_mids[n + 1];
+    ``midpoints`` builds the global ones on first read.  Everything
+    measured between nearby midpoints is computed in the chart of the
+    common orbit prefix: a product mat @ matinv of one large word never
+    appears, which keeps the small relative eigenvalues meaningful at any
+    scale.
     """
 
+    rep: Representation
     words: tuple[F2Word, ...]
-    orbit: tuple[FPoint, ...]
-    midpoints: tuple[FPoint, ...]
     steps: tuple[FIsometry, ...]        # steps[k] = rho(g_{k-1}^{-1} g_k)
     local_mids: tuple[FPoint, ...]      # local_mids[k] = mid(x, steps[k] x)
-    prefixes: tuple[FIsometry, ...]     # prefixes[n] = rho(g_n)
     equidistance_defect: float
 
-    def neighbor_triple(self, n: int):
-        """(m_{n-1}, m_n, m_{n+1}) translated to the chart of g_n: the
-        center becomes local_mids[n+1], the neighbors involve only one
-        step isometry each."""
-        prev = fact(finverse(self.steps[n]), self.local_mids[n])
-        center = self.local_mids[n + 1]
-        nxt = fact(self.steps[n + 1], self.local_mids[n + 2])
-        return prev, center, nxt
-
-    def segment_pair(self, n: int):
-        """(m_n, m_{n+1}) in the chart of g_n."""
-        return self.local_mids[n + 1], fact(self.steps[n + 1], self.local_mids[n + 2])
+    @cached_property
+    def midpoints(self) -> tuple[FPoint, ...]:
+        return tuple(
+            fact(f2_fisometry(self.rep, w), self.local_mids[n + 1])
+            for n, w in enumerate(self.words[:-1])
+        )
 
 
 def midpoint_sequence(rep: Representation, window: Sequence[F2Word]) -> MidpointSequence:
@@ -136,26 +129,19 @@ def midpoint_sequence(rep: Representation, window: Sequence[F2Word]) -> Midpoint
     steps = [FIsometry.identity()]
     for w_prev, w_next in zip(words, words[1:]):
         steps.append(f2_fisometry(rep, f2_mul(f2_inverse(w_prev), w_next)))
-    prefixes = [f2_fisometry(rep, w) for w in words]
     local_mids = [rep.fx]
-    for k in range(1, len(words)):
-        local_mids.append(fmidpoint(rep.fx, fact(steps[k], rep.fx)))
-    orbit = tuple(fact(g, rep.fx) for g in prefixes)
-    midpoints = tuple(
-        fact(prefixes[n], local_mids[n + 1]) for n in range(len(words) - 1)
-    )
     defect = 0.0
-    for k in range(1, len(words)):
-        dp = fdistance(local_mids[k], rep.fx)
-        dq = fdistance(local_mids[k], fact(steps[k], rep.fx))
+    for step in steps[1:]:
+        y = fact(step, rep.fx)
+        local_mids.append(fmidpoint(rep.fx, y))
+        dp = fdistance(local_mids[-1], rep.fx)
+        dq = fdistance(local_mids[-1], y)
         defect = max(defect, abs(dp - dq) / max(1.0, dp))
     return MidpointSequence(
+        rep=rep,
         words=words,
-        orbit=orbit,
-        midpoints=midpoints,
         steps=tuple(steps),
         local_mids=tuple(local_mids),
-        prefixes=tuple(prefixes),
         equidistance_defect=defect,
     )
 
@@ -175,23 +161,28 @@ class StraightnessReport:
 
 
 def straightness_report(seq: MidpointSequence, theta: ModelInterval) -> StraightnessReport:
-    n_mid = len(seq.midpoints)
+    n_mid = len(seq.words) - 1
     if n_mid < 3:
         raise ValueError("straightness needs at least 3 midpoints")
+    # segment n runs from m_n to m_{n+1}, both in the chart of g_n
+    nxts = []
     spacings = []
     types = []
     for n in range(n_mid - 1):
-        p, q = seq.segment_pair(n)
-        spacings.append(fdistance(p, q))
-        try:
-            types.append(seg_type(p, q))
-        except (RegularityError, DomainError) as exc:
-            raise RegularityError(f"midpoint segment {n}: {exc}") from exc
+        nxt = fact(seq.steps[n + 1], seq.local_mids[n + 2])
+        lam = seg_lambdas(seq.local_mids[n + 1], nxt)
+        spacing = float(np.linalg.norm(lam))
+        if spacing < 1e-12:
+            raise RegularityError(
+                f"midpoint segment {n}: segment type undefined for coincident points")
+        nxts.append(nxt)
+        spacings.append(spacing)
+        types.append(chamber_angle(lam))
     zeta_angles = []
     for n in range(1, n_mid - 1):
-        prev, center, nxt = seq.neighbor_triple(n)
+        prev = fact(finverse(seq.steps[n]), seq.local_mids[n])
         try:
-            zeta_angles.append(fzeta_angle(center, prev, nxt))
+            zeta_angles.append(fzeta_angle(seq.local_mids[n + 1], prev, nxts[n]))
         except (RegularityError, DomainError) as exc:
             raise RegularityError(f"midpoint vertex {n}: {exc}") from exc
     return StraightnessReport(
@@ -516,9 +507,7 @@ def morse_flat_check(
     fail to be in general position.
     """
     seq = midpoint_sequence(rep, window)
-    n_mid = len(seq.midpoints)
-    if n_mid < 2:
-        raise ValueError("morse check needs at least 2 midpoints")
+    n_mid = len(seq.words) - 1
     # forward[n] = rho(g_n^{-1} g_{last mid}): fold of steps n+1 .. n_mid-1
     forward = [FIsometry.identity() for _ in range(n_mid)]
     for n in range(n_mid - 2, -1, -1):

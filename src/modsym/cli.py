@@ -222,7 +222,11 @@ def cmd_surface(args) -> int:
 def _verdict_row(task) -> tuple:
     s, t, theta, max_len, samples, window, seed = task
     cfg = anosov.VerdictConfig(max_len=max_len, samples=samples, window=window, seed=seed)
-    v = anosov.anosov_verdict(charvar.Coordinates(s, t, theta), cfg)
+    try:
+        v = anosov.anosov_verdict(charvar.Coordinates(s, t, theta), cfg)
+    except GeometryError as exc:
+        point = ",".join(_FMT % x for x in (s, t, theta))
+        raise SystemExit(f"anosov-scan at {point}: {exc}") from exc
     return (
         s, t, theta, v.verdict,
         v.stats.get("slope_c", float("nan")),
@@ -242,17 +246,27 @@ def _write_gap_table(path: str, coords, max_len, samples, seed) -> None:
     _emit_table(("word", "length", "gap12", "gap23"), rows, config, "csv", path, footer)
 
 
+def _check_scan_options(args) -> None:
+    if not 0 <= args.seed < 2**64:
+        raise SystemExit(f"bad --seed {args.seed}; expected 0 <= seed < 2**64")
+    if args.window < 3:
+        raise SystemExit(f"bad --window {args.window}; straightness needs at least 3")
+    if args.max_len < 1:
+        raise SystemExit(f"bad --max-len {args.max_len}; expected at least 1")
+
+
 def cmd_anosov_scan(args) -> int:
+    _check_scan_options(args)
     tasks = [
         (*point, args.max_len, args.samples, args.window, args.seed)
         for point in _coordinate_grid(args.grid).tolist()
     ]
-    if args.gap_table:
-        if len(tasks) != 1:
-            raise SystemExit("--gap-table needs a single-point grid")
-        _write_gap_table(args.gap_table, tasks[0][:3], args.max_len,
-                         args.samples, args.seed)
+    if args.gap_table and len(tasks) != 1:
+        raise SystemExit("--gap-table needs a single-point grid")
     results = _map_rows(_verdict_row, tasks, args.jobs)
+    if args.gap_table:
+        # after the verdict, which runs the same scan and so meets its errors first
+        _write_gap_table(args.gap_table, tasks[0][:3], args.max_len, args.samples, args.seed)
     config = {
         "cmd": "anosov-scan", "grid": args.grid, "max_len": args.max_len,
         "samples": args.samples, "window": args.window, "seed": args.seed,

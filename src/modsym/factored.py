@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import DomainError, RegularityError
 from .flats import (PROJECTION_MAX_ITER, PROJECTION_TOL, Flag, Flat, _check_regular,
-                    _flat_minimize, chamber_angle)
+                    _flat_minimize)
 from .symspace import Point, matrix_angle
 
 
@@ -142,13 +142,6 @@ def seg_lambdas(p: FPoint, q: FPoint) -> np.ndarray:
 
 def fdistance(p: FPoint, q: FPoint) -> float:
     return float(np.linalg.norm(seg_lambdas(p, q)))
-
-
-def seg_type(p: FPoint, q: FPoint) -> float:
-    lam = seg_lambdas(p, q)
-    if np.linalg.norm(lam) < 1e-12:
-        raise DomainError("segment type undefined for coincident points")
-    return chamber_angle(lam)
 
 
 def seg_frame(p: FPoint, q: FPoint):

@@ -228,6 +228,8 @@ def enumerate_f2(max_len: int) -> Iterator[F2Word]:
 
 def f2_rng(seed: int) -> np.random.Generator:
     """Counter-based generator so scans are reproducible and shardable."""
+    if not 0 <= seed < 2**64:
+        raise ValueError(f"seed must be in [0, 2**64), got {seed}")
     return np.random.Generator(np.random.Philox(key=np.uint64(seed)))
 
 

@@ -13,6 +13,7 @@ import numpy as np
 
 from . import anosov, charvar, flats, modgroup, symspace
 from .errors import GeometryError
+from .factored import fact
 
 
 @dataclass(frozen=True)
@@ -340,8 +341,6 @@ def suite_anosov(tol: _Tol, seed: int = 4) -> list[CheckResult]:
     sseq = anosov.midpoint_sequence(small, s_words)
     sseq2 = anosov.midpoint_sequence(small, s_shifted)
     g = charvar.f2_fisometry(small, shift)
-    from .factored import fact
-
     for m, m2 in zip(sseq.midpoints, sseq2.midpoints):
         lhs = fact(g, m).to_point().mat
         rhs = m2.to_point().mat

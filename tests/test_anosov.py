@@ -24,7 +24,7 @@ from modsym.errors import (
     PreconditionError,
     RegularityError,
 )
-from modsym.factored import fdistance
+from modsym.factored import fact, fdistance
 from modsym.flats import ModelInterval
 from modsym.modgroup import (
     G1,
@@ -74,13 +74,75 @@ def test_midpoint_sequence_shapes_and_equidistance():
     rep = rep_from_coords(Coordinates(0.7, 2.0, 0.4))
     words = random_f2_geodesic(6, seed=3)
     seq = midpoint_sequence(rep, words)
-    assert len(seq.orbit) == 7
     assert len(seq.midpoints) == 6
     assert seq.equidistance_defect < 1e-9
     short = midpoint_sequence(rep, words[:3])
     assert len(short.midpoints) == 2
     with pytest.raises(ValueError):
         midpoint_sequence(rep, words[:2])
+
+
+def test_midpoints_are_global_translates_of_local_midpoints():
+    rep = rep_from_coords(Coordinates(0.7, 2.0, 0.4))
+    window = random_f2_geodesic(9, seed=2)[3:]
+    assert window[0].letters
+    seq = midpoint_sequence(rep, window)
+    assert len(seq.midpoints) == len(window) - 1
+    for n, m in enumerate(seq.midpoints):
+        ref = fact(f2_fisometry(rep, window[n]), seq.local_mids[n + 1])
+        assert np.array_equal(m.f, ref.f) and np.array_equal(m.finv, ref.finv)
+        assert (m.lf, m.lfi) == (ref.lf, ref.lfi)
+
+
+# Straightness figures at window 10, seed 0, pinned bit for bit: the
+# orbit layer computes each quantity once, and must not change them.
+PINNED_STRAIGHTNESS = {
+    4.0: dict(
+        zeta_angles=(3.1404666113174255, 3.141592653588358, 3.1415926535892207,
+                     3.141592653588358, 3.1404666113174344, 3.1404666113174255,
+                     3.0379721021741672, 3.1415926535886265),
+        spacings=(25.879883573483664, 25.87137559227814, 25.871375592278323,
+                  25.87137559227814, 25.871375592278323, 25.879883573483664,
+                  25.87137559227814, 12.939941786742155, 12.939941786741278),
+        type_min=0.5146055427580574,
+        type_max=0.5231291318407504,
+        equidistance_defect=1.0844885751835664e-14,
+    ),
+    12.0: dict(
+        zeta_angles=(3.14157797732154, 3.141587001743411, 3.141577977325676,
+                     3.141587001743411, 3.1415779772745944, 3.14157797732154,
+                     3.14155536414096, 3.14151890270711),
+        spacings=(71.12801052984561, 71.12801052896211, 71.12801003011626,
+                  71.12801052896211, 71.12801003011626, 71.12801052984561,
+                  71.12801052896211, 35.5640048304799, 35.56400222063595),
+        type_min=0.5235976560980062,
+        type_max=0.5235987878616346,
+        equidistance_defect=1.8084818614834918e-07,
+    ),
+}
+
+
+@pytest.mark.parametrize("t", sorted(PINNED_STRAIGHTNESS))
+def test_straightness_pinned(t):
+    pins = PINNED_STRAIGHTNESS[t]
+    rep = rep_from_coords(Coordinates(1.0, t, 0.5))
+    seq = midpoint_sequence(rep, random_f2_geodesic(10, seed=0))
+    sr = straightness_report(seq, THETA_INTERVAL)
+    assert sr.zeta_angles == pins["zeta_angles"]
+    assert sr.spacings == pins["spacings"]
+    assert (sr.type_min, sr.type_max) == (pins["type_min"], pins["type_max"])
+    assert seq.equidistance_defect == pins["equidistance_defect"]
+
+
+def test_morse_distances_pinned():
+    rep = rep_from_coords(Coordinates(1.0, 4.0, 0.5))
+    rpt = morse_flat_check(rep, random_f2_geodesic(10, seed=0), THETA_INTERVAL)
+    assert rpt.distances == (
+        6.2803698347351e-16, 0.0015924625544103121, 1.7090566682166165e-07,
+        4.3146140764626847e-13, 1.7088471488111436e-07, 0.0015922681703989853,
+        0.0015921825437517872, 0.14474901598905363, 0.0013890312497965665,
+        8.308148362110449e-16,
+    )
 
 
 def test_midpoint_sequence_cyclic_spacing_constant():

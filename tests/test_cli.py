@@ -343,6 +343,28 @@ def test_anosov_scan_completes_at_large_scale(tmp_path):
     assert np.isfinite(float(row[4]))
 
 
+@pytest.mark.parametrize("extra", [["--jobs", "1"], ["--jobs", "2"], ["--gap-table"]])
+def test_anosov_scan_point_error_is_one_line(extra, tmp_path, capsys):
+    if extra == ["--gap-table"]:
+        extra = extra + [str(tmp_path / "gaps.csv")]
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["anosov-scan", "--grid", "1:1:1,800:800:1,0.5:0.5:1", "--max-len", "3",
+                 "--samples", "100", *extra])
+    assert str(exc.value) == (
+        "anosov-scan at 1,800,0.5: factor matrix is outside the float64 range")
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("option, value", [
+    ("--seed", "-1"), ("--seed", str(2**64)), ("--window", "2"), ("--max-len", "0"),
+])
+def test_anosov_scan_rejects_out_of_range_options(option, value, capsys):
+    with pytest.raises(SystemExit, match=f"^bad {option} {value};"):
+        run_cli(["anosov-scan", "--grid", "1:1:1,2:2:1,0.5:0.5:1", "--max-len", "3",
+                 "--samples", "10", option, value])
+    assert capsys.readouterr().out == ""
+
+
 def test_rep_info_out_of_float_range_is_one_line(capsys):
     with warnings.catch_warnings():
         warnings.simplefilter("error")

@@ -16,9 +16,8 @@ from modsym.factored import (
     fzeta_angle,
     seg_lambdas,
     seg_log_vector,
-    seg_type,
 )
-from modsym.flats import segment_type, zeta_angle
+from modsym.flats import chamber_angle, segment_type, zeta_angle
 from modsym.modgroup import f2_from_string
 
 
@@ -29,7 +28,8 @@ def test_matches_explicit_kernel(rand_point):
         assert fdistance(fp, fq) == pytest.approx(symspace.distance(p, q), abs=1e-11)
         m = fmidpoint(fp, fq)
         assert np.linalg.norm(m.to_point().mat - symspace.midpoint(p, q).mat) < 1e-11
-        assert seg_type(fp, fq) == pytest.approx(segment_type(p, q), abs=1e-10)
+        lam = seg_lambdas(fp, fq)
+        assert chamber_angle(lam) == pytest.approx(segment_type(p, q), abs=1e-10)
         v = seg_log_vector(fp, fq)
         assert np.linalg.norm(v - symspace.log_map(p, q).vec) < 1e-10
 

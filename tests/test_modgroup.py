@@ -174,6 +174,13 @@ def test_f2_sample_row_is_the_seeded_geodesic(seed):
         assert tuple(row.tolist()) == random_f2_geodesic(n, seed)[-1].letters
 
 
+@pytest.mark.parametrize("seed", [-1, 2**64])
+def test_f2_rng_rejects_seeds_outside_the_key_range(seed):
+    with pytest.raises(ValueError, match="seed must be in"):
+        f2_rng(seed)
+    assert f2_rng(2**64 - 1).integers(4) in range(4)
+
+
 def test_f2_sample_draws_reduced_words():
     level = f2_sample(f2_rng(5), 300, 7)
     assert level.shape == (300, 7) and level.dtype == np.int64
