@@ -218,7 +218,6 @@ class GapReport:
     per_length_min: tuple[tuple[int, float], ...]
     slope_c: float
     intercept_C: float
-    min_residual: float
     enumerated: bool
     seed: int
 
@@ -284,28 +283,6 @@ def _batch_gaps(mats, invs, lm, lmi):
     return l1 - l2, l2 - l3
 
 
-def _lower_hull_fit(points: list[tuple[int, float]]):
-    """Lower convex minorant; returns (c, C) with the fitted line
-    c n - C through the final hull edge."""
-    pts = sorted(points)
-    hull: list[tuple[float, float]] = []
-    for x, y in pts:
-        while len(hull) >= 2:
-            (x0, y0), (x1, y1) = hull[-2], hull[-1]
-            if (x1 - x0) * (y - y0) - (y1 - y0) * (x - x0) <= 0.0:
-                hull.pop()
-            else:
-                break
-        hull.append((float(x), float(y)))
-    if len(hull) >= 2:
-        (x0, y0), (x1, y1) = hull[-2], hull[-1]
-        c = (y1 - y0) / (x1 - x0)
-    else:
-        c = 0.0
-        x1, y1 = hull[-1]
-    return c, c * x1 - y1
-
-
 def cartan_gap_scan(
     rep: Representation,
     max_len: int,
@@ -315,13 +292,15 @@ def cartan_gap_scan(
     """Gap growth over reduced words of the free subgroup up to max_len.
 
     Enumerates exhaustively when the full count of words fits in the
-    budget, otherwise draws a seeded uniform sample per length.  The
-    linear lower bound is fitted to the per-length minima of
+    budget (50 000 when None), otherwise draws a seeded uniform sample per
+    length.  The linear lower bound is fitted to the per-length minima of
     min(gap12, gap23).  The generator matrices stay normalized and their
     log-scales are summed apart, so the scan works at any scale.
     """
     if max_len < 1:
         raise ValueError("max_len must be >= 1")
+    if sample_budget is not None and sample_budget < 1:
+        raise ValueError("sample_budget must be >= 1")
     budget = sample_budget if sample_budget is not None else 50_000
     total = sum(f2_count(n) for n in range(1, max_len + 1))
     enumerate_all = total <= budget
@@ -375,8 +354,10 @@ def cartan_gap_scan(
         (level.shape[1], float(np.minimum(g12, g23).min()))
         for level, g12, g23 in zip(letters, gap12, gap23)
     ]
-    c, big_c = _lower_hull_fit(per_len)
-    residual = max(0.0, min(y - (c * n - big_c) for n, y in per_len))
+    # the last edge of the lower convex minorant is the steepest secant
+    # into the last per-length minimum
+    n_last, y_last = per_len[-1]
+    c = max(((y_last - y) / (n_last - n) for n, y in per_len[:-1]), default=0.0)
     return GapReport(
         letters=tuple(letters),
         lengths=np.concatenate([np.full(len(level), level.shape[1]) for level in letters]),
@@ -384,8 +365,7 @@ def cartan_gap_scan(
         gap23=np.concatenate(gap23),
         per_length_min=tuple(per_len),
         slope_c=float(c),
-        intercept_C=float(big_c),
-        min_residual=float(residual),
+        intercept_C=float(c * n_last - y_last),
         enumerated=enumerate_all,
         seed=seed,
     )

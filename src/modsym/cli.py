@@ -253,6 +253,8 @@ def _check_scan_options(args) -> None:
         raise SystemExit(f"bad --window {args.window}; straightness needs at least 3")
     if args.max_len < 1:
         raise SystemExit(f"bad --max-len {args.max_len}; expected at least 1")
+    if args.samples < 1:
+        raise SystemExit(f"bad --samples {args.samples}; expected at least 1")
 
 
 def cmd_anosov_scan(args) -> int:

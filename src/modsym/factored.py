@@ -184,7 +184,7 @@ def fangle(p: FPoint, q: FPoint, r: FPoint) -> float:
 
 
 def fzeta_direction(p: FPoint, q: FPoint) -> np.ndarray:
-    lam, u = seg_frame(p, q)
+    _, u = seg_frame(p, q)
     return np.outer(u[:, 0], u[:, 0]) - np.outer(u[:, 2], u[:, 2])
 
 

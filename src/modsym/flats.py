@@ -29,12 +29,8 @@ from .symspace import (
     P0,
     P1,
     Point,
-    TangentVector,
     _sym_func,
     check_symmetric,
-    distance,
-    exp_map,
-    log_map,
     matrix_angle,
     rotation,
 )
@@ -133,51 +129,35 @@ def _block_part(v: np.ndarray) -> np.ndarray:
     return out
 
 
-def project_to_parallel_set(
-    q: Point,
-    tol: float = PROJECTION_TOL,
-    max_iter: int = PROJECTION_MAX_ITER,
-) -> Point:
-    """Nearest block-diagonal point, by geodesic gradient descent.
+# The half-turn about the first axis, exact: rotation(pi) is not, since
+# sin(pi) != 0 in floating point.
+_HALF_TURN = np.diag([1.0, -1.0, -1.0])
 
-    The squared distance to ``q`` is geodesically convex and the parallel
-    set is totally geodesic, so projecting the log vector onto the
-    block-diagonal tangent directions and stepping with backtracking
-    converges; iteration stops when the projected gradient norm drops
-    below ``tol``.
+
+def project_to_parallel_set(q: Point) -> Point:
+    """Nearest block-diagonal point, in closed form: the midpoint of q and
+    R q R, for R the half-turn about the first axis.
+
+    The parallel set is the fixed set of the isometric involution
+    p -> R p R.  The geodesic from q to its nearest point y meets the set
+    normally (Bridson-Haefliger II.2.4), and the involution reverses the
+    normal directions, so it continues that geodesic through y to R q R.
+    Each pass works in the chart of a block-diagonal centre b, which R
+    fixes: with q_c = b^{-1/2} q b^{-1/2} and the SVD
+    q_c^{-1/2} R q_c^{1/2} = W S V^T, the midpoint is L L^T with
+    L = b^{1/2} q_c^{1/2} W S^{1/2}.  The first pass centres at the block
+    part of q; the second, at the block part of the first result, is the
+    more accurate for starting nearer the answer.
     """
-    y = Point(_block_part(q.mat))
-    f_curr = distance(y, q) ** 2
-    f_prev = np.inf
-    for iteration in range(max_iter):
-        w = _block_part(log_map(y, q).vec)
-        gnorm = float(np.linalg.norm(w))
-        if gnorm <= tol:
-            return y
-        if f_prev - f_curr <= 1e-16 * max(1.0, f_curr):
-            # no further progress: the gradient is at its noise floor
-            if gnorm <= 100 * tol:
-                return y
-            raise ConvergenceError(
-                "parallel-set projection stalled",
-                iterations=iteration,
-                grad_norm=gnorm,
-            )
-        f_prev = f_curr
-        step = 1.0
-        while True:
-            y_try = exp_map(y, TangentVector(y, step * w))
-            y_try = Point(_block_part(y_try.mat))
-            f_try = distance(y_try, q) ** 2
-            if f_try <= f_curr - 1e-4 * step * 2.0 * gnorm**2 or step < 2**-40:
-                break
-            step *= 0.5
-        y, f_curr = y_try, f_try
-    raise ConvergenceError(
-        "parallel-set projection did not converge",
-        iterations=max_iter,
-        grad_norm=gnorm,
-    )
+    centre = Point(_block_part(q.mat))
+    for _ in range(2):
+        qc = Point(centre.inv_sqrt() @ q.mat @ centre.inv_sqrt())
+        qc_half = qc.sqrt()
+        w, sv, _ = np.linalg.svd(qc.inv_sqrt() @ _HALF_TURN @ qc_half)
+        # L L^T is symmetric by construction, unlike a sandwich product
+        half = centre.sqrt() @ qc_half @ (w * np.sqrt(sv))
+        centre = Point(_block_part(half @ half.T))
+    return centre
 
 
 # -- cylindrical coordinates -------------------------------------------------

@@ -301,7 +301,6 @@ def suite_charvar(tol: _Tol, seed: int = 3) -> list[CheckResult]:
 
 
 def suite_anosov(tol: _Tol, seed: int = 4) -> list[CheckResult]:
-    rng = np.random.default_rng(seed)
     out = []
 
     rep = charvar.rep_from_coords(charvar.Coordinates(0.8, 2.0, 0.9))

@@ -132,7 +132,7 @@ def test_criterion_05_square_is_unipotent():
 
 
 def test_criterion_06_projection_oracle():
-    """Iterative parallel-set projector vs the forward-construction oracle,
+    """Closed-form parallel-set projector vs the forward-construction oracle,
     and against 1000 random block-diagonal competitors per point."""
     rng = np.random.default_rng(404)
     worst = 0.0

@@ -196,7 +196,6 @@ def test_gap_scan_enumerated_counts_and_determinism():
     assert r1.words == r2.words
     assert np.array_equal(r1.gap12, r2.gap12)
     assert r1.slope_c == r2.slope_c
-    assert r1.min_residual >= 0.0
 
 
 def test_gap_scan_sampled_mode():
@@ -207,6 +206,29 @@ def test_gap_scan_sampled_mode():
     assert r.words == r2.words and r.slope_c == r2.slope_c
     r3 = cartan_gap_scan(rep, 9, 2000, seed=4)
     assert r.words != r3.words
+
+
+@pytest.mark.parametrize("max_len, budget", [(6, None), (9, 2000)])
+def test_gap_scan_bound_supports_per_length_minima(max_len, budget):
+    """c n - C is the last edge of the lower convex minorant: it passes
+    through the last per-length minimum and under all the others."""
+    r = cartan_gap_scan(rep_from_coords(Coordinates(0.8, 2.0, 0.9)), max_len, budget, seed=3)
+    below = [y - (r.slope_c * n - r.intercept_C) for n, y in r.per_length_min]
+    assert below[-1] == pytest.approx(0.0, abs=1e-12)
+    assert min(below) >= -1e-12
+    assert sum(b < 1e-12 for b in below) >= 2
+
+
+def test_gap_scan_single_length_has_zero_slope():
+    r = cartan_gap_scan(rep_from_coords(Coordinates(0.8, 2.0, 0.9)), 1)
+    assert r.slope_c == 0.0
+    assert r.intercept_C == -r.per_length_min[0][1]
+
+
+@pytest.mark.parametrize("budget", [0, -5])
+def test_gap_scan_rejects_empty_budget(budget):
+    with pytest.raises(ValueError, match="sample_budget"):
+        cartan_gap_scan(rep_from_coords(Coordinates(0.8, 2.0, 0.9)), 3, budget)
 
 
 # first, middle and last sampled word of several lengths for

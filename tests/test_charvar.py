@@ -82,6 +82,15 @@ def test_coords_roundtrip(rng):
         assert abs((back.theta - c.theta + np.pi / 2) % np.pi - np.pi / 2) < 1e-8
 
 
+@pytest.mark.parametrize("s, t, theta", [(4.5, 2.0, 0.5), (5.0, 0.5, 0.5), (5.0, 1.0, 1.0)])
+def test_coords_roundtrip_far_from_the_parallel_set(s, t, theta):
+    """Points where the iterative parallel-set projection used to stall."""
+    back = coords_from_rep(rep_from_coords(Coordinates(s, t, theta)))
+    assert back.s == pytest.approx(s, abs=1e-6)
+    assert back.t == pytest.approx(t, abs=1e-6)
+    assert back.theta == pytest.approx(theta, abs=1e-6)
+
+
 def test_coords_from_rep_block_diagonal_is_type_one():
     rep = rep_from_coords(Coordinates(0.0, 1.7, 0.0))
     back = coords_from_rep(rep)

@@ -357,6 +357,7 @@ def test_anosov_scan_point_error_is_one_line(extra, tmp_path, capsys):
 
 @pytest.mark.parametrize("option, value", [
     ("--seed", "-1"), ("--seed", str(2**64)), ("--window", "2"), ("--max-len", "0"),
+    ("--samples", "0"),
 ])
 def test_anosov_scan_rejects_out_of_range_options(option, value, capsys):
     with pytest.raises(SystemExit, match=f"^bad {option} {value};"):
