@@ -484,7 +484,9 @@ def morse_flat_check(
     checked on consecutive projection steps; since the type-restricted
     Weyl sector is a convex cone, consecutive steps inside the cone imply
     the same for all forward pairs.  Raises OppositionError when flags
-    fail to be in general position.
+    fail to be in general position, and the flat projection's
+    ConvergenceError or DomainError when a projection stalls above its
+    noise floor or meets a degenerate relative matrix.
     """
     seq = midpoint_sequence(rep, window)
     n_mid = len(seq.words) - 1

@@ -20,8 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, RegularityError
-from .flats import (PROJECTION_MAX_ITER, PROJECTION_TOL, Flag, Flat, _check_regular,
-                    _flat_minimize)
+from .flats import Flag, Flat, _check_regular, _flat_minimize
 from .symspace import Point, matrix_angle
 
 
@@ -225,15 +224,14 @@ def fflag_of_sector_opposite(p: FPoint, q: FPoint) -> Flag:
     return _flag_from_frame(p, u[:, 2], u[:, 0])
 
 
-def fflat_project(p: FPoint, flat: Flat, noise_cap: float | None = None):
+def fflat_project(p: FPoint, flat: Flat, noise_cap: float = 1e-6):
     """Nearest point on the flat from a factored point; (a, b, distance).
 
-    ``noise_cap`` loosens the acceptable gradient noise floor for
-    coordinate-grade projections of far-away points.
+    Newton steps on the closed-form Hessian, as ``flats._flat_minimize``.
+    ``noise_cap`` is the largest gradient at which a stalled solve still
+    returns: coordinate-grade projections of far-away points pass 1.0.
     """
-    a, b, dist, _ = _flat_minimize(
-        flat, p.f, p.finv, p.lf, p.lfi, PROJECTION_TOL, PROJECTION_MAX_ITER, noise_cap
-    )
+    a, b, dist, _ = _flat_minimize(flat, p.f, p.finv, p.lf, p.lfi, noise_cap)
     return a, b, dist
 
 

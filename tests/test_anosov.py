@@ -138,9 +138,9 @@ def test_morse_distances_pinned():
     rep = rep_from_coords(Coordinates(1.0, 4.0, 0.5))
     rpt = morse_flat_check(rep, random_f2_geodesic(10, seed=0), THETA_INTERVAL)
     assert rpt.distances == (
-        6.2803698347351e-16, 0.0015924625544103121, 1.7090566682166165e-07,
-        4.3146140764626847e-13, 1.7088471488111436e-07, 0.0015922681703989853,
-        0.0015921825437517872, 0.14474901598905363, 0.0013890312497965665,
+        6.2803698347351e-16, 0.0015924625544106257, 1.7090566682166165e-07,
+        4.3146140764626847e-13, 1.7088471488111436e-07, 0.001592268170398986,
+        0.0015921825437521008, 0.14474901598905313, 0.0013890312497956256,
         8.308148362110449e-16,
     )
 

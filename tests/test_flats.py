@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from modsym import flats, symspace
-from modsym.errors import ConvergenceError, DomainError, OppositionError, RegularityError
+from modsym.errors import DomainError, OppositionError, RegularityError
 from modsym.flats import (
     Flag,
     ModelInterval,
@@ -22,8 +22,8 @@ from modsym.flats import (
     zeta_angle,
     zeta_direction,
 )
-from modsym.symspace import Point, act, identity_point, inversion_at, spd_exp
-from modsym.verify import random_point
+from modsym.symspace import Isometry, Point, act, identity_point, inversion_at, spd_exp
+from modsym.verify import random_isometry, random_point
 
 
 def random_coords(rng, smin=0.1, smax=3.0):
@@ -272,13 +272,39 @@ def test_flat_endpoint_flags_recover_flat(rand_point):
     assert distance_to_flat(q_plus, flat) < 1e-9
 
 
-@pytest.mark.xfail(strict=True, raises=ConvergenceError,
-                   reason="the flat descent stalls at gradient 1.28e-6, above its 1e-6 noise cap")
 def test_distance_to_flat_at_a_stalling_point():
     p = random_point(np.random.default_rng(8), 1.5)
     flat = flats.Flat(frame=np.eye(3))
     a, b, d = flats.flat_project(p, flat)
     assert d == pytest.approx(symspace.distance(p, flat.point_at(a, b)), abs=1e-9)
+
+
+def test_flat_newton_converges_on_random_points():
+    """Newton steps on the closed-form Hessian reach the foot of the
+    perpendicular in a few steps: the log vector from the foot to p has
+    no component along the diagonal flat."""
+    flat = flats.Flat(frame=np.eye(3))
+    for k in range(400):
+        p = random_point(np.random.default_rng(k), 1.5)
+        a, b, d, steps = flats._flat_minimize(flat, p.sqrt(), p.inv_sqrt(), 0.0, 0.0)
+        assert steps <= 6
+        y = flat.point_at(a, b)
+        assert np.max(np.abs(np.diag(symspace.log_map(y, p).vec))) <= 1e-6
+        assert d == pytest.approx(symspace.distance(p, y), abs=1e-9)
+
+
+@settings(derandomize=True, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+def test_distance_to_flat_property_isometry_invariance(seed):
+    rng = np.random.default_rng(seed)
+    p = random_point(rng, 1.5)
+    frame = rng.normal(size=(3, 3))
+    while abs(np.linalg.det(frame)) < 0.3:
+        frame = rng.normal(size=(3, 3))
+    g = Isometry(random_isometry(rng).mat)
+    d = distance_to_flat(p, flats.Flat(frame=frame))
+    d_moved = distance_to_flat(act(g, p), flats.Flat(frame=g.mat @ frame))
+    assert d_moved == pytest.approx(d, abs=1e-8)
 
 
 def test_distance_to_flat_grid_oracle(rng, rand_point):
