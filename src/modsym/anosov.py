@@ -34,9 +34,7 @@ from .errors import (
 )
 from .factored import (
     FIsometry,
-    FPoint,
     _rescaled,
-    chart_point,
     fact,
     fangle,
     fcompose,
@@ -111,11 +109,11 @@ class MidpointSequence:
     rep: Representation
     words: tuple[F2Word, ...]
     steps: tuple[FIsometry, ...]        # steps[k] = rho(g_{k-1}^{-1} g_k)
-    local_mids: tuple[FPoint, ...]      # local_mids[k] = mid(x, steps[k] x)
+    local_mids: tuple[FIsometry, ...]   # local_mids[k] = mid(x, steps[k] x)
     equidistance_defect: float
 
     @cached_property
-    def midpoints(self) -> tuple[FPoint, ...]:
+    def midpoints(self) -> tuple[FIsometry, ...]:
         return tuple(
             fact(f2_fisometry(self.rep, w), self.local_mids[n + 1])
             for n, w in enumerate(self.words[:-1])
@@ -502,17 +500,17 @@ def morse_flat_check(
     dists = []
     proj_pairs = []
     flat0 = None
-    origin = FPoint.identity()
+    origin = FIsometry.identity()
     for n in range(n_mid):
-        center = seq.local_mids[n + 1]
         # everything is measured in the factor chart of the midpoint,
-        # where the center is the identity and both flag directions stay
+        # where it is the identity and both flag directions stay
         # O(1)-separated no matter how deep in the orbit the window sits
+        to_chart = finverse(seq.local_mids[n + 1])
         fwd = back = None
         if n < n_mid - 1:
-            fwd = chart_point(center, fact(forward[n], seq.local_mids[n_mid]))
+            fwd = fact(to_chart, fact(forward[n], seq.local_mids[n_mid]))
         if n > 0:
-            back = chart_point(center, fact(backward[n], seq.local_mids[1]))
+            back = fact(to_chart, fact(backward[n], seq.local_mids[1]))
         if fwd is not None:
             f_plus = fflag_of_sector(origin, fwd)
         else:
@@ -529,7 +527,7 @@ def morse_flat_check(
         if n < n_mid - 1:
             # coordinate-grade projection of the next midpoint in this
             # chart: only the chart coordinates (order ~ spacing) matter
-            nxt = chart_point(center, fact(seq.steps[n + 1], seq.local_mids[n + 2]))
+            nxt = fact(to_chart, fact(seq.steps[n + 1], seq.local_mids[n + 2]))
             a2, b2, _ = fflat_project(nxt, flat, noise_cap=1.0)
             proj_pairs.append(((a, b), (a2, b2)))
 

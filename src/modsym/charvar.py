@@ -22,7 +22,7 @@ from functools import reduce
 import numpy as np
 
 from .errors import DomainError, ParityError, PreconditionError
-from .factored import FIsometry, FPoint, fcompose
+from .factored import FIsometry, fcompose
 from .flats import ParallelCoords, coords_from_point
 from .modgroup import _F2_SUBSTITUTION, F2Word, ModWord, normalize, parity_abelianization
 from .symspace import Isometry, Point, compose, inversion_at, rotation
@@ -112,7 +112,7 @@ class Representation:
     range of ``x`` fits in double precision.
     """
 
-    def __init__(self, coords: Coordinates | None, fx: FPoint,
+    def __init__(self, coords: Coordinates | None, fx: FIsometry,
                  letter_a: FIsometry):
         self.coords = coords
         self.fx = fx
@@ -171,14 +171,14 @@ def rep_from_coords(c: Coordinates) -> Representation:
         f, finv = S @ expw(1.0), expw(-1.0) @ Si
         x_mat, x_inv = S @ expw(2.0) @ S, Si @ expw(-2.0) @ Si
     # _rescaled rejects the overflowed (inf or NaN) factors
-    fx = FPoint.from_factor(f, finv)
+    fx = FIsometry.from_pair(f, finv, False)
     letter_a = FIsometry.from_pair(x_mat, x_inv, True)
     return Representation(c, fx, letter_a)
 
 
 def rep_from_point(x: Point) -> Representation:
     """Representation with inversion center at an explicit point."""
-    fx = FPoint.from_point(x)
+    fx = FIsometry.from_point(x)
     letter_a = FIsometry.from_pair(x.mat, x.inv(), True)
     return Representation(None, fx, letter_a)
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 
@@ -133,10 +134,19 @@ def _coordinate_grid(spec: str) -> np.ndarray:
     return points
 
 
+def _workers(jobs: int, tasks: int) -> int:
+    """How many processes ``--jobs`` starts for ``tasks`` tasks: at most
+    one per task and per CPU."""
+    if jobs < 1:
+        raise SystemExit(f"bad --jobs {jobs}; expected at least 1")
+    return min(jobs, tasks, os.cpu_count() or 1)
+
+
 def _map_rows(fn, rows, jobs: int):
-    if jobs <= 1:
+    workers = _workers(jobs, len(rows))
+    if workers <= 1:
         return [fn(r) for r in rows]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, rows))
 
 
@@ -148,7 +158,7 @@ _BLOCK_POINTS = 2048
 def _map_blocks(fn, points: np.ndarray, jobs: int) -> list:
     """The rows ``fn`` makes of contiguous blocks of ``points`` (one point
     per row), in order; there are at least as many blocks as workers."""
-    n_blocks = min(len(points), max(jobs, -(-len(points) // _BLOCK_POINTS)))
+    n_blocks = max(_workers(jobs, len(points)), -(-len(points) // _BLOCK_POINTS))
     blocks = np.array_split(points, n_blocks)
     return [row for rows in _map_rows(fn, blocks, jobs) for row in rows]
 
@@ -327,13 +337,16 @@ def _rep_info(c: charvar.Coordinates, rep, args) -> dict:
 def cmd_rep_info(args) -> int:
     c = _parse_coords(args.coords)
     try:
+        # word literals use the alphabet a, b, B (= b^2), e.g. "baBa"
+        word = charvar.normalize(args.word) if args.word else None
+    except ValueError as exc:
+        raise SystemExit(f"bad --word {args.word!r}; alphabet is a, b, B (= b^2)") from exc
+    try:
         rep = charvar.rep_from_coords(c)
         info = _rep_info(c, rep, args)
     except GeometryError as exc:
         raise SystemExit(f"rep-info at {args.coords!r}: {exc}") from exc
-    if args.word:
-        # word literals use the alphabet a, b, B (= b^2), e.g. "baBa"
-        word = charvar.normalize(args.word)
+    if word is not None:
         try:
             info["trace_word"] = {
                 "word": str(word),

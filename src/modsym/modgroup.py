@@ -102,28 +102,6 @@ def mod_inverse(w: ModWord) -> ModWord:
     return ModWord(tuple(inv[s] for s in reversed(w.syllables)))
 
 
-def mod_cyclic_reduce(w: ModWord) -> ModWord:
-    """Strip matching first/last syllables; helper for conjugacy-invariant
-    eigenvalue diagnostics."""
-    syll = list(w.syllables)
-    while len(syll) >= 2:
-        first, last = syll[0], syll[-1]
-        if first == _A and last == _A:
-            syll = syll[1:-1]
-        elif first in (_B, _B2) and last in (_B, _B2):
-            k = (1 if last == _B else 2) + (1 if first == _B else 2)
-            syll = syll[1:-1]
-            k %= 3
-            if k:
-                syll.insert(0, _B if k == 1 else _B2)
-            # a merged b-power may expose new matching ends; loop continues
-        else:
-            break
-        # re-normalize interior in case the strip created adjacencies
-        syll = list(normalize(syll).syllables)
-    return ModWord(tuple(syll))
-
-
 def parity_abelianization(w: ModWord) -> tuple[int, int]:
     """Exponent sums modulo (2, 3); (0, *) detects the index-two subgroup,
     (0, 0) the free rank-two subgroup."""

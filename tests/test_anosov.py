@@ -90,8 +90,8 @@ def test_midpoints_are_global_translates_of_local_midpoints():
     assert len(seq.midpoints) == len(window) - 1
     for n, m in enumerate(seq.midpoints):
         ref = fact(f2_fisometry(rep, window[n]), seq.local_mids[n + 1])
-        assert np.array_equal(m.f, ref.f) and np.array_equal(m.finv, ref.finv)
-        assert (m.lf, m.lfi) == (ref.lf, ref.lfi)
+        assert np.array_equal(m.mat, ref.mat) and np.array_equal(m.matinv, ref.matinv)
+        assert (m.lm, m.lmi) == (ref.lm, ref.lmi)
 
 
 # Straightness figures at window 10, seed 0, pinned bit for bit: the

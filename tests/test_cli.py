@@ -271,6 +271,7 @@ def test_surface_flags_rows_it_cannot_verify(s, tmp_path):
     ["surface", "--s-grid=nan:1:2"],
     ["anosov-scan", "--grid=0:1:2,-1:1:2,0.5:0.5:1"],
     ["rep-info", "--coords=1,inf,0"],
+    ["rep-info", "--coords=1,1,0", "--word=xyz"],
 ])
 def test_bad_coordinates_rejected(argv):
     with pytest.raises(SystemExit, match="bad "):
@@ -357,13 +358,47 @@ def test_anosov_scan_point_error_is_one_line(extra, tmp_path, capsys):
 
 @pytest.mark.parametrize("option, value", [
     ("--seed", "-1"), ("--seed", str(2**64)), ("--window", "2"), ("--max-len", "0"),
-    ("--samples", "0"),
+    ("--samples", "0"), ("--jobs", "0"),
 ])
 def test_anosov_scan_rejects_out_of_range_options(option, value, capsys):
     with pytest.raises(SystemExit, match=f"^bad {option} {value};"):
         run_cli(["anosov-scan", "--grid", "1:1:1,2:2:1,0.5:0.5:1", "--max-len", "3",
                  "--samples", "10", option, value])
     assert capsys.readouterr().out == ""
+
+
+def test_jobs_starts_at_most_one_worker_per_task_and_cpu(monkeypatch, capsys):
+    started, mapped = [], []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, rows):
+            mapped.append(len(rows))
+            return map(fn, rows)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
+    assert cli._map_rows(abs, [-1, 2, -3], 500) == [1, 2, 3]
+    assert cli._map_rows(abs, list(range(-9, 0)), 500) == list(range(9, 0, -1))
+    assert cli._map_rows(abs, [-1, 2, -3], 2) == [1, 2, 3]
+    assert started == [3, 4, 2]
+    # a one-point grid runs in this process, whatever --jobs asks for
+    assert run_cli(["anosov-scan", "--grid", "1:1:1,2:2:1,0.5:0.5:1", "--max-len", "3",
+                    "--samples", "10", "--jobs", "500"]) == 0
+    assert started == [3, 4, 2]
+    assert capsys.readouterr().out.count("\n") == 3
+    # and a grid is cut into as many blocks as there are workers, not --jobs
+    assert run_cli(["trace-table", "--jobs", "500"]) == 0
+    assert started[3:] == [4] and mapped[3:] == [4]
+    assert capsys.readouterr().out.count("\n") == 127
 
 
 def test_rep_info_out_of_float_range_is_one_line(capsys):

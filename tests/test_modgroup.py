@@ -18,7 +18,6 @@ from modsym.modgroup import (
     f2_rng,
     f2_sample,
     f2_to_mod,
-    mod_cyclic_reduce,
     mod_inverse,
     mod_mul,
     normalize,
@@ -213,9 +212,3 @@ def test_constant_generator_geodesic():
     assert [len(w) for w in words] == [0, 1, 2, 3, 4]
     assert words[3].letters == (G2, G2, G2)
 
-
-def test_cyclic_reduce():
-    w = normalize("abaB")  # conjugate of ba-ish word
-    red = mod_cyclic_reduce(w)
-    assert len(red) <= len(w)
-    assert mod_cyclic_reduce(normalize("aba")) == normalize("b")
