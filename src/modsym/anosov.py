@@ -51,6 +51,7 @@ from .flats import Flat, ModelInterval, chamber_angle, flat_from_flags
 from .modgroup import (
     F2Word,
     f2_count,
+    f2_index,
     f2_inverse,
     f2_levels,
     f2_mul,
@@ -218,6 +219,7 @@ class GapReport:
     intercept_C: float
     enumerated: bool
     seed: int
+    products: int    # 3x3 products the fold formed
 
     @cached_property
     def words(self) -> tuple[str, ...]:
@@ -263,9 +265,17 @@ def _log_sigma1(mats: np.ndarray) -> np.ndarray:
     return 0.5 * np.log(lam).reshape(mats.shape[:-2])
 
 
-def _rescale_batch(mats: np.ndarray, logs: np.ndarray):
-    s = np.max(np.abs(mats), axis=(1, 2))
-    return mats / s[:, None, None], logs + np.log(s)
+def _rescale_batch(mats: np.ndarray):
+    """Divide each matrix of a fresh (m, 3, 3) stack in place by its max
+    |entry|; return the stack and the log of each divisor.  The max runs
+    over the nine entries as columns, which numpy reduces several times
+    faster than the trailing axes of the stack."""
+    entries = mats.reshape(-1, 9)
+    s = np.abs(entries[:, 0])
+    for j in range(1, 9):
+        np.maximum(s, np.abs(entries[:, j]), out=s)
+    mats /= s[:, None, None]
+    return mats, np.log(s)
 
 
 def _cartan_pair(mats, invs, lm, lmi):
@@ -275,10 +285,92 @@ def _cartan_pair(mats, invs, lm, lmi):
     return _log_sigma1(mats) + lm, -(_log_sigma1(invs) + lmi)
 
 
-def _batch_gaps(mats, invs, lm, lmi):
-    l1, l3 = _cartan_pair(mats, invs, lm, lmi)
-    l2 = -l1 - l3
-    return l1 - l2, l2 - l3
+def _times_letters(mats: np.ndarray, letter: np.ndarray, table: np.ndarray, left: bool = False):
+    """mats[i] @ table[letter[i]] (table[letter[i]] @ mats[i] when left)
+    for a fresh (m, 3, 3) stack, in place, one letter at a time: a
+    product by one broadcast matrix needs no gathered copy of the table,
+    and numpy forms it about twice as fast."""
+    for k, g in enumerate(table):
+        these = letter == k
+        mats[these] = g @ mats[these] if left else mats[these] @ g
+    return mats
+
+
+def _distinct(values: np.ndarray):
+    """The distinct entries of a non-negative integer array, ascending,
+    and the place of each entry among them: np.unique with
+    return_inverse, in time linear in the largest entry."""
+    seen = np.zeros(int(values.max()) + 1, dtype=bool)
+    seen[values] = True
+    distinct = np.flatnonzero(seen)
+    place = np.empty(len(seen), dtype=np.int64)
+    place[distinct] = np.arange(len(distinct))
+    return distinct, place[values]
+
+
+def _prefix_fold(levels, gens, enumerated):
+    """(log sigma_1, log sigma_3) of the rows of each level, where
+    ``levels[i]`` holds words of length i + 1, and the number of 3x3
+    products formed.
+
+    The words form one prefix tree.  A node at depth k is a distinct pair
+    (node at depth k - 1, last letter), and its normalized matrix is its
+    parent's times the letter's, rescaled: it is formed once, however
+    many rows pass through it, and only the previous depth is kept.
+
+    Enumerated levels are complete, so their rows are the nodes (row i
+    extends row i // 3), a row's log-scale is its parent's plus its own,
+    and sigma_3(w) = 1 / sigma_1(w^-1) is read off the row of w^-1 that
+    ``f2_index`` gives.  Sampled rows keep the arithmetic of a per-row
+    fold bit for bit: the inverses w^-1 are folded beside the words, a
+    row's log-scale sums the generators' along the row first and then the
+    rescale of each of its prefixes in depth order, and sigma_1 is taken
+    once per distinct node that a level's rows reach.
+    """
+    gmat, gmatinv, glm, glmi = gens
+    if not enumerated:
+        # per live level (rows of length >= k): each row's log-scales and
+        # its node at the current depth
+        row_lm = [glm[level].sum(axis=1) for level in levels]
+        row_lmi = [glmi[level].sum(axis=1) for level in levels]
+        rows = [np.zeros(len(level), dtype=np.int64) for level in levels]
+    pairs = []
+    products = 0
+    for k, level in enumerate(levels, 1):
+        if enumerated:
+            letter, parent = level[:, -1], np.arange(len(level)) // 3
+        else:
+            # the nodes at depth k are the distinct (parent, letter) keys of
+            # the live rows
+            live = levels[k - 1:]
+            keys = np.concatenate([4 * r + lv[:, k - 1] for r, lv in zip(rows, live)])
+            nodes, place = _distinct(keys)
+            parent, letter = np.divmod(nodes, 4)
+            rows = np.split(place, np.cumsum([len(lv) for lv in live[:-1]]))
+        if k == 1:
+            mats, invs = gmat[letter], gmatinv[letter]
+        else:
+            # rebinding to the gather frees the previous depth's stack before
+            # the product, which bounds the peak memory
+            mats = mats[parent]
+            mats, logs = _rescale_batch(_times_letters(mats, letter, gmat))
+            products += len(letter)
+            if not enumerated:
+                invs = invs[parent]
+                invs, logsi = _rescale_batch(_times_letters(invs, letter, gmatinv, left=True))
+                products += len(letter)
+                for r, row_sum, row_sum_inv in zip(rows, row_lm, row_lmi):
+                    row_sum += logs[r]
+                    row_sum_inv += logsi[r]
+        if enumerated:
+            lm = glm[letter] if k == 1 else lm[parent] + glm[letter] + logs
+            l1 = _log_sigma1(mats) + lm
+            pairs.append((l1, -l1[f2_index(level[:, ::-1] ^ 1)]))
+        else:
+            reached, back = _distinct(rows.pop(0))
+            pairs.append((_log_sigma1(mats[reached])[back] + row_lm.pop(0),
+                          -(_log_sigma1(invs[reached])[back] + row_lmi.pop(0))))
+    return pairs, products
 
 
 def cartan_gap_scan(
@@ -293,7 +385,8 @@ def cartan_gap_scan(
     budget (50 000 when None), otherwise draws a seeded uniform sample per
     length.  The linear lower bound is fitted to the per-length minima of
     min(gap12, gap23).  The generator matrices stay normalized and their
-    log-scales are summed apart, so the scan works at any scale.
+    log-scales are summed apart, so the scan works at any scale; one fold
+    over the prefix tree of the words forms each distinct product once.
     """
     if max_len < 1:
         raise ValueError("max_len must be >= 1")
@@ -304,49 +397,21 @@ def cartan_gap_scan(
     enumerate_all = total <= budget
 
     gens = [rep.f2_generators()[k] for k in range(4)]  # letters 0..3
-    gmat = np.stack([g.mat for g in gens])
-    gmatinv = np.stack([g.matinv for g in gens])
-    glm = np.array([g.lm for g in gens])
-    glmi = np.array([g.lmi for g in gens])
-
-    letters: list[np.ndarray] = []
-    gap12: list[np.ndarray] = []
-    gap23: list[np.ndarray] = []
-
+    table = (np.stack([g.mat for g in gens]), np.stack([g.matinv for g in gens]),
+             np.array([g.lm for g in gens]), np.array([g.lmi for g in gens]))
     if enumerate_all:
-        mats, invs, lm, lmi = gmat, gmatinv, glm, glmi
-        for level in f2_levels(max_len):
-            if level.shape[1] > 1:
-                # row i extends row i // 3 of the previous level
-                child = level[:, -1]
-                mats = np.repeat(mats, 3, axis=0) @ gmat[child]
-                invs = gmatinv[child] @ np.repeat(invs, 3, axis=0)
-                lm = np.repeat(lm, 3) + glm[child]
-                lmi = np.repeat(lmi, 3) + glmi[child]
-            mats, lm = _rescale_batch(mats, lm)
-            invs, lmi = _rescale_batch(invs, lmi)
-            g12, g23 = _batch_gaps(mats, invs, lm, lmi)
-            letters.append(level)
-            gap12.append(g12)
-            gap23.append(g23)
+        letters = list(f2_levels(max_len))
     else:
         rng = f2_rng(seed)
         per_length = max(1, budget // max_len)
-        for n in range(1, max_len + 1):
-            level = f2_sample(rng, min(per_length, f2_count(n)), n)
-            mats = gmat[level[:, 0]]
-            invs = gmatinv[level[:, 0]]
-            lm = glm[level].sum(axis=1)
-            lmi = glmi[level].sum(axis=1)
-            for col in range(1, n):
-                mats = mats @ gmat[level[:, col]]
-                invs = gmatinv[level[:, col]] @ invs
-                mats, lm = _rescale_batch(mats, lm)
-                invs, lmi = _rescale_batch(invs, lmi)
-            g12, g23 = _batch_gaps(mats, invs, lm, lmi)
-            letters.append(level)
-            gap12.append(g12)
-            gap23.append(g23)
+        # every length is drawn before the fold, in the order of the draws
+        letters = [f2_sample(rng, min(per_length, f2_count(n)), n) for n in range(1, max_len + 1)]
+    pairs, products = _prefix_fold(letters, table, enumerate_all)
+    gap12, gap23 = [], []
+    for l1, l3 in pairs:
+        l2 = -l1 - l3
+        gap12.append(l1 - l2)
+        gap23.append(l2 - l3)
 
     per_len = [
         (level.shape[1], float(np.minimum(g12, g23).min()))
@@ -366,6 +431,7 @@ def cartan_gap_scan(
         intercept_C=float(c * n_last - y_last),
         enumerated=enumerate_all,
         seed=seed,
+        products=products,
     )
 
 

@@ -28,11 +28,15 @@ from modsym.factored import fact, fdistance
 from modsym.flats import ModelInterval
 from modsym.modgroup import (
     G1,
-    constant_generator_geodesic,
+    F2Word,
     enumerate_f2,
+    f2_count,
     f2_from_string,
+    f2_index,
     f2_inverse,
     f2_levels,
+    f2_rng,
+    f2_sample,
     random_f2_geodesic,
 )
 
@@ -147,7 +151,7 @@ def test_morse_distances_pinned():
 
 def test_midpoint_sequence_cyclic_spacing_constant():
     rep = rep_from_coords(Coordinates(0.8, 2.5, 0.9))
-    seq = midpoint_sequence(rep, constant_generator_geodesic(G1, 8))
+    seq = midpoint_sequence(rep, [F2Word((G1,) * n) for n in range(9)])
     sr = straightness_report(seq, THETA_INTERVAL)
     assert max(sr.spacings) - min(sr.spacings) < 1e-8
     d01 = fdistance(seq.midpoints[0], seq.midpoints[1])
@@ -282,6 +286,129 @@ def test_gap_scan_finite_at_large_scale(max_len, budget):
     assert r.enumerated == (budget is None)
     assert np.isfinite(r.gap12).all() and np.isfinite(r.gap23).all()
     assert np.isfinite(r.slope_c) and np.isfinite(r.intercept_C)
+
+
+# -- references for the prefix-tree fold: the two batched folds it replaced.
+# Enumerated, each level extends the previous one with the inverses folded
+# beside it; sampled, each row is folded on its own, letter by letter.
+
+
+def _reference_rescale(mats, logs):
+    s = np.max(np.abs(mats), axis=(1, 2))
+    return mats / s[:, None, None], logs + np.log(s)
+
+
+def _reference_gap_scan(rep, max_len, budget, seed):
+    """The fields of cartan_gap_scan's report, and the number of 3x3
+    products the reference formed."""
+    gens = [rep.f2_generators()[k] for k in range(4)]
+    gmat = np.stack([g.mat for g in gens])
+    gmatinv = np.stack([g.matinv for g in gens])
+    glm = np.array([g.lm for g in gens])
+    glmi = np.array([g.lmi for g in gens])
+    enumerated = sum(f2_count(n) for n in range(1, max_len + 1)) <= budget
+    folds = []
+    products = 0
+    if enumerated:
+        mats, invs, lm, lmi = gmat, gmatinv, glm, glmi
+        for level in f2_levels(max_len):
+            if level.shape[1] > 1:
+                child = level[:, -1]
+                mats = np.repeat(mats, 3, axis=0) @ gmat[child]
+                invs = gmatinv[child] @ np.repeat(invs, 3, axis=0)
+                lm = np.repeat(lm, 3) + glm[child]
+                lmi = np.repeat(lmi, 3) + glmi[child]
+                products += 2 * len(level)
+            mats, lm = _reference_rescale(mats, lm)
+            invs, lmi = _reference_rescale(invs, lmi)
+            folds.append((level, mats, invs, lm, lmi))
+    else:
+        rng = f2_rng(seed)
+        per_length = max(1, budget // max_len)
+        for n in range(1, max_len + 1):
+            level = f2_sample(rng, min(per_length, f2_count(n)), n)
+            mats, invs = gmat[level[:, 0]], gmatinv[level[:, 0]]
+            lm, lmi = glm[level].sum(axis=1), glmi[level].sum(axis=1)
+            for col in range(1, n):
+                mats = mats @ gmat[level[:, col]]
+                invs = gmatinv[level[:, col]] @ invs
+                mats, lm = _reference_rescale(mats, lm)
+                invs, lmi = _reference_rescale(invs, lmi)
+                products += 2 * len(level)
+            folds.append((level, mats, invs, lm, lmi))
+    letters, gap12, gap23 = [], [], []
+    for level, mats, invs, lm, lmi in folds:
+        l1 = anosov._log_sigma1(mats) + lm
+        l3 = -(anosov._log_sigma1(invs) + lmi)
+        l2 = -l1 - l3
+        letters.append(level)
+        gap12.append(l1 - l2)
+        gap23.append(l2 - l3)
+    per_len = tuple((level.shape[1], float(np.minimum(g12, g23).min()))
+                    for level, g12, g23 in zip(letters, gap12, gap23))
+    n_last, y_last = per_len[-1]
+    c = max(((y_last - y) / (n_last - n) for n, y in per_len[:-1]), default=0.0)
+    return {
+        "letters": letters, "gap12": np.concatenate(gap12), "gap23": np.concatenate(gap23),
+        "per_length_min": per_len, "slope_c": float(c),
+        "intercept_C": float(c * n_last - y_last), "products": products,
+    }
+
+
+REFERENCE_POINTS = [(0, 0, 0), (0.5, 1, 0.5), (1, 4, 0.5), (1, 12, 0.5), (1, 400, 0.5)]
+
+
+@pytest.mark.parametrize("max_len, budget, seed", [(9, 2000, 3), (10, 50_000, 0), (45, 900, 1)])
+@pytest.mark.parametrize("point", REFERENCE_POINTS)
+def test_sampled_gap_scan_equals_per_row_fold(point, max_len, budget, seed):
+    rep = rep_from_coords(Coordinates(*point))
+    r = cartan_gap_scan(rep, max_len, budget, seed)
+    ref = _reference_gap_scan(rep, max_len, budget, seed)
+    assert not r.enumerated
+    assert len(r.letters) == len(ref["letters"])
+    assert all(np.array_equal(a, b) for a, b in zip(r.letters, ref["letters"]))
+    assert np.array_equal(r.gap12, ref["gap12"]) and np.array_equal(r.gap23, ref["gap23"])
+    assert r.per_length_min == ref["per_length_min"]
+    assert (r.slope_c, r.intercept_C) == (ref["slope_c"], ref["intercept_C"])
+
+
+@pytest.mark.parametrize("point", [p for p in REFERENCE_POINTS if p[1] <= 12])
+def test_enumerated_gap_scan_near_per_level_fold(point):
+    """sigma_3 read off the inverse's row folds the letters in another
+    association: up to t = 12 the gaps and c move by at most 1e-10
+    relative (1.8e-11 measured at (1, 12, 0.5))."""
+    rep = rep_from_coords(Coordinates(*point))
+    r = cartan_gap_scan(rep, 8, 20_000, 0)
+    ref = _reference_gap_scan(rep, 8, 20_000, 0)
+    assert r.enumerated
+    assert all(np.array_equal(a, b) for a, b in zip(r.letters, ref["letters"]))
+    for got, want in ((r.gap12, ref["gap12"]), (r.gap23, ref["gap23"])):
+        assert np.max(np.abs(got - want) / np.maximum(1.0, np.abs(want))) <= 1e-10
+    assert r.slope_c == pytest.approx(ref["slope_c"], rel=1e-10, abs=1e-14)
+
+
+@pytest.mark.parametrize("point", REFERENCE_POINTS)
+def test_enumerated_gap23_is_gap12_of_inverse(point):
+    r = cartan_gap_scan(rep_from_coords(Coordinates(*point)), 6, None, 0)
+    start = 0
+    for level in r.letters:
+        rows = slice(start, start + len(level))
+        inverse_gap12 = r.gap12[start + f2_index(level[:, ::-1] ^ 1)]
+        tol = 4 * np.finfo(float).eps * np.maximum(1.0, np.abs(r.gap23[rows]))
+        assert np.all(np.abs(r.gap23[rows] - inverse_gap12) <= tol)
+        start += len(level)
+
+
+def test_gap_scan_counts_its_products():
+    """Enumerated, one product per word of length >= 2; sampled, at most a
+    quarter of the per-row fold's, which forms 2 (n - 1) per word."""
+    rep = rep_from_coords(Coordinates(1.0, 4.0, 0.5))
+    assert cartan_gap_scan(rep, 8, 20_000, 0).products == 13_116
+    assert _reference_gap_scan(rep, 8, 20_000, 0)["products"] == 2 * 13_116
+    r = cartan_gap_scan(rep, 10, 50_000, 0)
+    ref = _reference_gap_scan(rep, 10, 50_000, 0)
+    assert ref["products"] == 288_120
+    assert 0 < r.products <= ref["products"] / 4
 
 
 def _rescaled_stack(mats):
@@ -471,7 +598,7 @@ def test_morse_flat_check_far_point():
 
 def test_morse_flat_check_cyclic_constant_distances():
     rep = rep_from_coords(Coordinates(1.0, 6.0, 0.5))
-    rpt = morse_flat_check(rep, constant_generator_geodesic(G1, 12), THETA_INTERVAL)
+    rpt = morse_flat_check(rep, [F2Word((G1,) * n) for n in range(13)], THETA_INTERVAL)
     interior = rpt.distances[1:-1]
     assert max(interior) - min(interior) < 1e-6
 

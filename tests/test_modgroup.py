@@ -6,11 +6,12 @@ from modsym.modgroup import (
     G1,
     G1_INV,
     G2,
+    G2_INV,
     ModWord,
-    constant_generator_geodesic,
     enumerate_f2,
     f2_count,
     f2_from_string,
+    f2_index,
     f2_inverse,
     f2_levels,
     f2_mul,
@@ -208,7 +209,38 @@ def test_f2_names_spell_rows():
 
 
 def test_constant_generator_geodesic():
-    words = constant_generator_geodesic(G2, 4)
+    words = [F2Word((G2,) * n) for n in range(5)]
     assert [len(w) for w in words] == [0, 1, 2, 3, 4]
-    assert words[3].letters == (G2, G2, G2)
+    assert all(f2_mul(w, words[1]) == nxt for w, nxt in zip(words, words[1:]))
+    assert str(words[3]) == "yyy"
+
+
+@pytest.mark.parametrize("max_len", [1, 2, 7])
+def test_f2_index_of_levels_is_row_order(max_len):
+    for level in f2_levels(max_len):
+        assert f2_index(level).dtype == np.int64
+        assert np.array_equal(f2_index(level), np.arange(len(level)))
+
+
+def test_f2_index_inverse_permutation_is_an_involution():
+    for level in f2_levels(6):
+        perm = f2_index(level[:, ::-1] ^ 1)
+        assert np.array_equal(perm[perm], np.arange(len(level)))
+        assert np.array_equal(level[perm], level[:, ::-1] ^ 1)
+
+
+def test_f2_index_of_prefixes():
+    n = 30
+    level = f2_sample(f2_rng(5), 400, n)
+    index = f2_index(level)
+    for k in range(1, n + 1):
+        assert np.array_equal(f2_index(level[:, :k]), index // 3 ** (n - k))
+
+
+def test_f2_index_stops_at_int64():
+    """The last word of length 39 has index f2_count(39) - 1 < 2^63; the
+    words of length 40 outrun int64."""
+    assert f2_index(np.full((1, 39), G2_INV))[0] == f2_count(39) - 1
+    with pytest.raises(ValueError, match="int64"):
+        f2_index(np.full((1, 40), G2_INV))
 
