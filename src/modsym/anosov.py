@@ -22,6 +22,7 @@ from .charvar import (
     BABA,
     Coordinates,
     Representation,
+    f2_fisometries,
     f2_fisometry,
     matrix_of,
     rep_from_coords,
@@ -29,8 +30,10 @@ from .charvar import (
 from .errors import (
     DegenerateTriangleError,
     DomainError,
+    GeometryError,
     PreconditionError,
     RegularityError,
+    raise_first,
 )
 from .factored import (
     FIsometry,
@@ -44,7 +47,9 @@ from .factored import (
     fflat_project,
     finverse,
     fmidpoint,
-    fzeta_angle,
+    frows,
+    fstack,
+    fzeta_direction,
     seg_lambdas,
 )
 from .flats import Flat, ModelInterval, chamber_angle, flat_from_flags
@@ -60,6 +65,7 @@ from .modgroup import (
     f2_sample,
     random_f2_geodesic,
 )
+from .symspace import _any, _norm, matrix_angle
 
 
 # -- orbit triangle ----------------------------------------------------------
@@ -121,27 +127,44 @@ class MidpointSequence:
         )
 
 
+def _row_major(run, rows: int):
+    """``run(rows)``, where ``run(n)`` makes one stacked pass over the first
+    n rows of a loop whose rows are independent.  The pass meets its stages
+    in turn, where the loop would meet its rows in turn: when a stage fails
+    at row r, the rows before r may fail a later stage, and the loop would
+    raise that first.  So they run again, and the row-r error stands only
+    if they pass."""
+    try:
+        return run(rows)
+    except GeometryError as exc:
+        error = exc
+    if error.row:
+        _row_major(run, error.row)
+    raise error
+
+
+def _local_midpoints(x: FIsometry, steps: FIsometry):
+    """mid(x, step x) for each step of a stack, with its distances to both
+    ends."""
+    y = fact(steps, x)
+    mids = fmidpoint(x, y)
+    return mids, fdistance(mids, x), fdistance(mids, y)
+
+
 def midpoint_sequence(rep: Representation, window: Sequence[F2Word]) -> MidpointSequence:
     words = tuple(window)
     if len(words) < 3:
         raise ValueError("geodesic window must contain at least 3 words")
-    steps = [FIsometry.identity()]
-    for w_prev, w_next in zip(words, words[1:]):
-        steps.append(f2_fisometry(rep, f2_mul(f2_inverse(w_prev), w_next)))
-    local_mids = [rep.fx]
-    defect = 0.0
-    for step in steps[1:]:
-        y = fact(step, rep.fx)
-        local_mids.append(fmidpoint(rep.fx, y))
-        dp = fdistance(local_mids[-1], rep.fx)
-        dq = fdistance(local_mids[-1], y)
-        defect = max(defect, abs(dp - dq) / max(1.0, dp))
+    step_words = [f2_mul(f2_inverse(w_prev), w_next) for w_prev, w_next in zip(words, words[1:])]
+    n = len(step_words)
+    steps = _row_major(lambda k: f2_fisometries(rep, step_words[:k]), n)
+    mids, dp, dq = _row_major(lambda k: _local_midpoints(rep.fx, steps[:k]), n)
     return MidpointSequence(
         rep=rep,
         words=words,
-        steps=tuple(steps),
-        local_mids=tuple(local_mids),
-        equidistance_defect=defect,
+        steps=(FIsometry.identity(), *frows(steps)),
+        local_mids=(rep.fx, *frows(mids)),
+        equidistance_defect=max([0.0, *(np.abs(dp - dq) / np.fmax(1.0, dp)).tolist()]),
     )
 
 
@@ -159,31 +182,42 @@ class StraightnessReport:
     spacings: tuple[float, ...]
 
 
+def _segments(steps: FIsometry, mids: FIsometry, count: int):
+    """Segments n < count, from m_n to m_{n+1}, both in the chart of g_n:
+    the next midpoint in that chart, the log-eigenvalues and the spacing."""
+    nxt = fact(steps[1:count + 1], mids[2:count + 2])
+    lam = seg_lambdas(mids[1:count + 1], nxt)
+    spacing = _norm(lam)
+    coincident = spacing < 1e-12
+    if _any(coincident):
+        raise_first([(coincident, lambda i: RegularityError(
+            f"midpoint segment {i[0]}: segment type undefined for coincident points"))])
+    return nxt, lam, spacing
+
+
+def _vertex_angles(steps: FIsometry, mids: FIsometry, nxt: FIsometry, count: int):
+    """zeta-angles at m_n for 1 <= n <= count, between the segments back to
+    m_{n-1} and on to m_{n+1}: both frames of a vertex in one stack."""
+    prev = fact(finverse(steps[1:count + 1]), mids[1:count + 1])
+    ends = fstack([prev, nxt[1:count + 1]], axis=1)
+    try:
+        directions = fzeta_direction(mids[2:count + 2, None], ends)
+    except (RegularityError, DomainError) as exc:
+        wrapped = RegularityError(f"midpoint vertex {exc.row + 1}: {exc}")
+        wrapped.row = exc.row
+        raise wrapped from exc
+    return matrix_angle(directions[:, 0], directions[:, 1])
+
+
 def straightness_report(seq: MidpointSequence, theta: ModelInterval) -> StraightnessReport:
     n_mid = len(seq.words) - 1
     if n_mid < 3:
         raise ValueError("straightness needs at least 3 midpoints")
-    # segment n runs from m_n to m_{n+1}, both in the chart of g_n
-    nxts = []
-    spacings = []
-    types = []
-    for n in range(n_mid - 1):
-        nxt = fact(seq.steps[n + 1], seq.local_mids[n + 2])
-        lam = seg_lambdas(seq.local_mids[n + 1], nxt)
-        spacing = float(np.linalg.norm(lam))
-        if spacing < 1e-12:
-            raise RegularityError(
-                f"midpoint segment {n}: segment type undefined for coincident points")
-        nxts.append(nxt)
-        spacings.append(spacing)
-        types.append(chamber_angle(lam))
-    zeta_angles = []
-    for n in range(1, n_mid - 1):
-        prev = fact(finverse(seq.steps[n]), seq.local_mids[n])
-        try:
-            zeta_angles.append(fzeta_angle(seq.local_mids[n + 1], prev, nxts[n]))
-        except (RegularityError, DomainError) as exc:
-            raise RegularityError(f"midpoint vertex {n}: {exc}") from exc
+    steps, mids = fstack(seq.steps), fstack(seq.local_mids)
+    nxt, lam, spacing = _row_major(lambda k: _segments(steps, mids, k), n_mid - 1)
+    zeta_angles = _row_major(lambda k: _vertex_angles(steps, mids, nxt, k), n_mid - 2).tolist()
+    spacings = spacing.tolist()
+    types = chamber_angle(lam).tolist()
     return StraightnessReport(
         min_zeta_angle=min(zeta_angles),
         min_spacing=min(spacings),
@@ -530,6 +564,9 @@ class MorseFlatReport:
     monotone: bool
     violations: int
     flat: Flat
+    # Newton steps of the flat projections at each midpoint: (centre, next
+    # midpoint); the last midpoint has no next one
+    iterations: tuple[tuple[int, int | None], ...]
 
 
 def morse_flat_check(
@@ -565,6 +602,7 @@ def morse_flat_check(
 
     dists = []
     proj_pairs = []
+    iterations = []
     flat0 = None
     origin = FIsometry.identity()
     for n in range(n_mid):
@@ -588,14 +626,16 @@ def morse_flat_check(
         flat = flat_from_flags(f_minus, f_plus)
         if flat0 is None:
             flat0 = flat
-        a, b, d = fflat_project(origin, flat)
+        a, b, d, steps = fflat_project(origin, flat)
         dists.append(d)
+        next_steps = None
         if n < n_mid - 1:
             # coordinate-grade projection of the next midpoint in this
             # chart: only the chart coordinates (order ~ spacing) matter
             nxt = fact(to_chart, fact(seq.steps[n + 1], seq.local_mids[n + 2]))
-            a2, b2, _ = fflat_project(nxt, flat, noise_cap=1.0)
+            a2, b2, _, next_steps = fflat_project(nxt, flat, noise_cap=1.0)
             proj_pairs.append(((a, b), (a2, b2)))
+        iterations.append((steps, next_steps))
 
     violations = 0
     deltas = []
@@ -620,6 +660,7 @@ def morse_flat_check(
         monotone=violations == 0,
         violations=violations,
         flat=flat0,
+        iterations=tuple(iterations),
     )
 
 
@@ -672,6 +713,7 @@ def anosov_verdict(c: Coordinates, config: VerdictConfig | None = None) -> Anoso
     try:
         words = random_f2_geodesic(cfg.window, cfg.seed)
         seq = midpoint_sequence(rep, words)
+        stats["equidistance_defect"] = seq.equidistance_defect
         straight = straightness_report(seq, ModelInterval.symmetric(cfg.theta_halfwidth))
         stats["min_zeta_angle"] = straight.min_zeta_angle
         stats["min_spacing"] = straight.min_spacing

@@ -18,11 +18,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
+from typing import Sequence
 
 import numpy as np
 
 from .errors import DomainError, ParityError, PreconditionError
-from .factored import FIsometry, fcompose
+from .factored import FIsometry, fcompose, fstack
 from .flats import ParallelCoords, coords_from_point
 from .modgroup import _F2_SUBSTITUTION, F2Word, ModWord, normalize, parity_abelianization
 from .symspace import Isometry, Point, compose, inversion_at, rotation
@@ -207,9 +208,26 @@ def evaluate(rep: Representation, w: ModWord) -> Isometry:
     return reduce(compose, (table[syll] for syll in w.syllables), Isometry.identity())
 
 
-def f2_fisometry(rep: Representation, w: F2Word) -> FIsometry:
+def f2_fisometries(rep: Representation, words: Sequence[F2Word]) -> FIsometry:
+    """The factored isometries of the words, as one stack.  The words are
+    folded together letter by letter from the left, starting at the
+    identity, so each entry is its own fold by ``fcompose`` bit for bit."""
     gens = rep.f2_generators()
-    return reduce(fcompose, (gens[k] for k in w.letters), FIsometry.identity())
+    table = fstack(gens[k] for k in range(4))
+    n = len(words)
+    mat, matinv = np.tile(np.eye(3), (n, 1, 1)), np.tile(np.eye(3), (n, 1, 1))
+    lm, lmi = np.zeros(n), np.zeros(n)
+    for depth in range(max((len(w.letters) for w in words), default=0)):
+        rows = [i for i, w in enumerate(words) if len(w.letters) > depth]
+        step = fcompose(FIsometry(mat[rows], matinv[rows], False, lm[rows], lmi[rows]),
+                        table[[words[i].letters[depth] for i in rows]])
+        mat[rows], matinv[rows], lm[rows], lmi[rows] = step.mat, step.matinv, step.lm, step.lmi
+    mat.flags.writeable = matinv.flags.writeable = False
+    return FIsometry(mat, matinv, False, lm, lmi)
+
+
+def f2_fisometry(rep: Representation, w: F2Word) -> FIsometry:
+    return f2_fisometries(rep, [w])[0]
 
 
 def _generators_ld(rep: Representation):

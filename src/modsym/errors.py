@@ -1,8 +1,15 @@
 """Exception types shared across the package."""
 
+import numpy as np
+
 
 class GeometryError(Exception):
-    """Base class for all numerical-geometry errors raised by modsym."""
+    """Base class for all numerical-geometry errors raised by modsym.
+
+    ``row`` is set by a call on stacked inputs: the index, along the first
+    stack axis, of the entry that failed (see ``raise_first``)."""
+
+    row: int | None = None
 
 
 class DomainError(GeometryError):
@@ -47,3 +54,23 @@ class ConvergenceError(GeometryError):
         super().__init__(message)
         self.iterations = iterations
         self.grad_norm = grad_norm
+
+
+def raise_first(checks) -> None:
+    """Raise the error of the first entry of a stack that fails a check.
+
+    ``checks`` lists ``(failed, error)`` pairs in the order an unstacked
+    call makes them: ``failed`` is a boolean array over the leading stack
+    axes (0-d for an unstacked call), and ``error(index)`` builds the
+    exception of the entry at ``index``.  The first entry in C order that
+    fails any check raises the error of the first check it fails, with
+    ``row`` set to the entry's index along the first stack axis.
+    """
+    failed = np.stack([f for f, _ in checks], axis=-1)
+    flat = failed.reshape(-1, len(checks))
+    entry = int(np.flatnonzero(flat.any(axis=1))[0])
+    index = tuple(int(k) for k in np.unravel_index(entry, failed.shape[:-1]))
+    exc = checks[int(np.flatnonzero(flat[entry])[0])][1](index)
+    if index:
+        exc.row = index[0]
+    raise exc

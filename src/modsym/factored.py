@@ -13,6 +13,15 @@ extracts a small singular value from an explicit matrix: for a segment
 p -> q with G = F_p^{-1} F_q, the relative log-eigenvalues come from the
 top singular values of G and of G^{-1} (duality), and the middle one
 from the trace-zero constraint.  Frames use only top singular vectors.
+
+The segment primitives (``seg_lambdas``, ``seg_frame``, ``fmidpoint``,
+``fzeta_direction``, ``fzeta_angle``) and the products under them take
+leading stack axes: an FIsometry may hold (..., 3, 3) factors with
+(...)-shaped log-scales, and one call then does one batched matmul or SVD
+per step for the whole stack.  Each entry equals the unstacked call bit
+for bit; an unstacked call is the zero-axis case of the same code.  A
+check that fails on a stack raises the error of its first failing entry
+(``errors.raise_first``).
 """
 
 from __future__ import annotations
@@ -21,18 +30,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, RegularityError
+from .errors import DomainError, RegularityError, raise_first
 from .flats import Flag, Flat, _check_regular, _flat_minimize
-from .symspace import Point, matrix_angle
+from .symspace import Point, _any, _cross, _dot, _norm, _unstacked, matrix_angle
 
 
-def _rescaled(m: np.ndarray, logscale: float):
-    s = float(np.max(np.abs(m)))
-    if not np.isfinite(s):
-        raise DomainError("factor matrix is outside the float64 range")
-    if s == 0.0:
-        raise DomainError("degenerate factor matrix")
-    return m / s, logscale + float(np.log(s))
+def _rescaled(m: np.ndarray, logscale):
+    """Each 3x3 matrix of ``m`` over its max |entry|, and ``logscale``
+    plus the log of that divisor."""
+    s = np.abs(m).max(axis=(-2, -1))
+    finite = np.isfinite(s)
+    if _any(~finite | (s == 0.0)):
+        raise_first([(~finite, lambda i: DomainError("factor matrix is outside the float64 range")),
+                     (s == 0.0, lambda i: DomainError("degenerate factor matrix"))])
+    return m / s[..., None, None], logscale + _unstacked(np.log(s))
 
 
 @dataclass(frozen=True)
@@ -42,7 +53,9 @@ class FIsometry:
 
     A point p is the orientation-preserving isometry that takes the
     identity to it: ``mat e^{lm}`` is a factor F of p = F F^T and
-    ``matinv e^{lmi}`` is F^{-1}."""
+    ``matinv e^{lmi}`` is F^{-1}.  A stack of isometries of one parity
+    holds (..., 3, 3) matrices and (...)-shaped log-scales; indexing it
+    gives views, and one entry comes back unstacked."""
 
     mat: np.ndarray
     matinv: np.ndarray
@@ -58,6 +71,12 @@ class FIsometry:
         matinv.flags.writeable = False
         return cls(mat=mat, matinv=matinv, reversing=reversing, lm=lm, lmi=lmi)
 
+    def __getitem__(self, index) -> "FIsometry":
+        lm, lmi = self.lm[index], self.lmi[index]
+        if lm.ndim == 0:
+            lm, lmi = float(lm), float(lmi)
+        return FIsometry(self.mat[index], self.matinv[index], self.reversing, lm, lmi)
+
     @classmethod
     def identity(cls) -> "FIsometry":
         return cls.from_pair(np.eye(3), np.eye(3), False)
@@ -72,10 +91,25 @@ class FIsometry:
         return Point((self.mat @ self.mat.T) * np.exp(2.0 * self.lm))
 
 
+def fstack(isometries, axis: int = 0) -> FIsometry:
+    """Isometries of one parity stacked along a new axis."""
+    gs = list(isometries)
+    return FIsometry(
+        np.stack([g.mat for g in gs], axis), np.stack([g.matinv for g in gs], axis),
+        gs[0].reversing, np.stack([g.lm for g in gs], axis), np.stack([g.lmi for g in gs], axis),
+    )
+
+
+def frows(g: FIsometry) -> tuple[FIsometry, ...]:
+    """The entries of a stack along its first axis, as unstacked views."""
+    return tuple(g[k] for k in range(len(g.lm)))
+
+
 def _product(g: FIsometry, h: FIsometry):
     """Unscaled factor pair of g h: (mat, matinv, lm, lmi)."""
     if g.reversing:
-        return g.mat @ h.matinv.T, h.mat.T @ g.matinv, g.lm + h.lmi, h.lm + g.lmi
+        return (g.mat @ h.matinv.swapaxes(-1, -2), h.mat.swapaxes(-1, -2) @ g.matinv,
+                g.lm + h.lmi, h.lm + g.lmi)
     return g.mat @ h.mat, h.matinv @ g.matinv, g.lm + h.lm, h.lmi + g.lmi
 
 
@@ -90,7 +124,7 @@ def finverse(g: FIsometry) -> FIsometry:
     isometry (A, -): p -> A p^{-1} A^T is its own kind: (A, -)^{-1} =
     (A^{*-1}, -) = (A^T, -).  The factors are already unit-scaled."""
     if g.reversing:
-        return FIsometry(g.mat.T, g.matinv.T, True, g.lm, g.lmi)
+        return FIsometry(g.mat.swapaxes(-1, -2), g.matinv.swapaxes(-1, -2), True, g.lm, g.lmi)
     return FIsometry(g.matinv, g.mat, False, g.lmi, g.lm)
 
 
@@ -101,16 +135,27 @@ def fact(g: FIsometry, p: FIsometry) -> FIsometry:
     return FIsometry.from_pair(mat, matinv, False, lm, lmi)
 
 
+def _lambdas(sg, sgi, lg, lgi) -> np.ndarray:
+    """(l1, l2, l3) from the singular values of G and G^{-1} and their
+    log-scales: l1 from sigma_1(G), l3 from sigma_1(G^{-1}), l2 = -l1 - l3."""
+    l1 = 2.0 * (np.log(sg[..., 0]) + lg)
+    l3 = -2.0 * (np.log(sgi[..., 0]) + lgi)
+    lam = np.empty(l1.shape + (3,))
+    lam[..., 0] = l1
+    lam[..., 1] = -l1 - l3
+    lam[..., 2] = l3
+    return lam
+
+
 def seg_lambdas(p: FIsometry, q: FIsometry) -> np.ndarray:
     """Descending log-eigenvalues of the segment pq, by duality."""
     g, gi, lg, lgi = _product(finverse(p), q)
-    l1 = 2.0 * (float(np.log(np.linalg.svd(g, compute_uv=False)[0])) + lg)
-    l3 = -2.0 * (float(np.log(np.linalg.svd(gi, compute_uv=False)[0])) + lgi)
-    return np.array([l1, -l1 - l3, l3])
+    return _lambdas(np.linalg.svd(g, compute_uv=False), np.linalg.svd(gi, compute_uv=False),
+                    lg, lgi)
 
 
-def fdistance(p: FIsometry, q: FIsometry) -> float:
-    return float(np.linalg.norm(seg_lambdas(p, q)))
+def fdistance(p: FIsometry, q: FIsometry):
+    return _unstacked(_norm(seg_lambdas(p, q)))
 
 
 def seg_frame(p: FIsometry, q: FIsometry):
@@ -121,26 +166,23 @@ def seg_frame(p: FIsometry, q: FIsometry):
     g, gi, lg, lgi = _product(finverse(p), q)
     ug, sg, _ = np.linalg.svd(g)
     _, sgi, vgi = np.linalg.svd(gi)
-    l1 = 2.0 * (float(np.log(sg[0])) + lg)
-    l3 = -2.0 * (float(np.log(sgi[0])) + lgi)
-    lam = np.array([l1, -l1 - l3, l3])
-    _check_regular(lam)
-    u1 = ug[:, 0]
-    u3 = vgi[0, :]
-    u3 = u3 - (u3 @ u1) * u1
-    n3 = np.linalg.norm(u3)
-    if n3 < 1e-8:
-        raise RegularityError("degenerate frame in segment decomposition")
-    u3 = u3 / n3
-    u2 = np.cross(u3, u1)
-    u2 = u2 / np.linalg.norm(u2)
-    return lam, np.column_stack([u1, u2, u3])
+    lam = _lambdas(sg, sgi, lg, lgi)
+    u1 = ug[..., :, 0]
+    u3 = vgi[..., 0, :]
+    u3 = u3 - _dot(u3, u1)[..., None] * u1
+    n3 = _norm(u3)
+    _check_regular(lam, (n3 < 1e-8, lambda i: RegularityError(
+        "degenerate frame in segment decomposition")))
+    u3 = u3 / n3[..., None]
+    u2 = _cross(u3, u1)
+    u2 = u2 / _norm(u2)[..., None]
+    return lam, np.stack([u1, u2, u3], axis=-1)
 
 
 def seg_log_vector(p: FIsometry, q: FIsometry) -> np.ndarray:
     """log(p^{-1/2} q p^{-1/2}) as an explicit symmetric matrix."""
     lam, u = seg_frame(p, q)
-    return (u * lam) @ u.T
+    return (u * lam[..., None, :]) @ u.swapaxes(-1, -2)
 
 
 def fangle(p: FIsometry, q: FIsometry, r: FIsometry) -> float:
@@ -154,18 +196,20 @@ def fangle(p: FIsometry, q: FIsometry, r: FIsometry) -> float:
 
 def fzeta_direction(p: FIsometry, q: FIsometry) -> np.ndarray:
     _, u = seg_frame(p, q)
-    return np.outer(u[:, 0], u[:, 0]) - np.outer(u[:, 2], u[:, 2])
+    u1, u3 = u[..., :, 0], u[..., :, 2]
+    return u1[..., :, None] * u1[..., None, :] - u3[..., :, None] * u3[..., None, :]
 
 
-def fzeta_angle(p: FIsometry, q: FIsometry, q2: FIsometry) -> float:
+def fzeta_angle(p: FIsometry, q: FIsometry, q2: FIsometry):
     return matrix_angle(fzeta_direction(p, q), fzeta_direction(p, q2))
 
 
 def fmidpoint(p: FIsometry, q: FIsometry) -> FIsometry:
     """Geodesic midpoint as a factored point: F_m = F_p (G G^T)^{1/4}."""
     lam, u = seg_frame(p, q)
-    quarter = (u * np.exp(lam / 4.0)) @ u.T
-    quarter_inv = (u * np.exp(-lam / 4.0)) @ u.T
+    ut = u.swapaxes(-1, -2)
+    quarter = (u * np.exp(lam / 4.0)[..., None, :]) @ ut
+    quarter_inv = (u * np.exp(-lam / 4.0)[..., None, :]) @ ut
     return FIsometry.from_pair(
         p.mat @ quarter, quarter_inv @ p.matinv, False, p.lm, p.lmi,
     )
@@ -195,12 +239,12 @@ def fflag_of_sector_opposite(p: FIsometry, q: FIsometry) -> Flag:
 
 
 def fflat_project(p: FIsometry, flat: Flat, noise_cap: float = 1e-6):
-    """Nearest point on the flat from a factored point; (a, b, distance).
+    """Nearest point on the flat from a factored point; (a, b, distance,
+    Newton steps taken).
 
     Newton steps on the closed-form Hessian, as ``flats._flat_minimize``.
     ``noise_cap`` is the largest gradient at which a stalled solve still
     returns: coordinate-grade projections of far-away points pass 1.0.
     """
-    a, b, dist, _ = _flat_minimize(flat, p.mat, p.matinv, p.lm, p.lmi, noise_cap)
-    return a, b, dist
+    return _flat_minimize(flat, p.mat, p.matinv, p.lm, p.lmi, noise_cap)
 

@@ -14,7 +14,9 @@ diag(b, C) with C a 2x2 SPD block and b det(C) = 1.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -23,13 +25,18 @@ from .errors import (
     DomainError,
     OppositionError,
     RegularityError,
+    raise_first,
 )
 from .symspace import (
     F1,
     P0,
     P1,
     Point,
+    _any,
+    _dot,
+    _norm,
     _sym_func,
+    _unstacked,
     check_symmetric,
     matrix_angle,
     rotation,
@@ -67,14 +74,19 @@ def cartan_projection(g: np.ndarray) -> np.ndarray:
     return np.sort(lam)[::-1]
 
 
-def chamber_angle(v: np.ndarray) -> float:
-    """Type angle in [0, pi/3] of a sorted trace-free triple."""
+def _chamber_phi(v: np.ndarray) -> np.ndarray:
+    """Chamber angle of each sorted trace-free triple of a stack, unchecked."""
+    return np.clip(np.arctan2(_dot(v, _E2), _dot(v, _E1)) + ZETA, 0.0, CHAMBER_MAX)
+
+
+def chamber_angle(v: np.ndarray):
+    """Type angle in [0, pi/3] of a sorted trace-free triple; leading stack
+    axes give one angle per triple."""
     v = np.asarray(v, dtype=float)
-    n = np.linalg.norm(v)
-    if n < 1e-300:
-        raise DomainError("chamber angle of the zero vector is undefined")
-    phi = float(np.arctan2(v @ _E2, v @ _E1)) + ZETA
-    return float(np.clip(phi, 0.0, CHAMBER_MAX))
+    zero = _norm(v) < 1e-300
+    if _any(zero):
+        raise_first([(zero, lambda i: DomainError("chamber angle of the zero vector is undefined"))])
+    return _unstacked(_chamber_phi(v))
 
 
 def iota(phi: float) -> float:
@@ -224,16 +236,22 @@ def coords_from_point(p: Point) -> ParallelCoords:
 # -- zeta angles -------------------------------------------------------------
 
 
-def _check_regular(lam: np.ndarray) -> None:
+def _check_regular(lam: np.ndarray, *more) -> None:
     """Reject a segment with descending log-eigenvalues ``lam`` that is
-    degenerate, at or too near a wall, or numerically tied."""
-    if np.linalg.norm(lam) < 1e-12:
-        raise DomainError("segment undefined for coincident points")
-    phi = chamber_angle(lam)
-    if min(phi, CHAMBER_MAX - phi) < REGULARITY_WALL_TOL:
-        raise RegularityError(f"segment type {phi:.3e} is too close to a wall")
-    if lam[0] - lam[1] < EIGEN_TIE_TOL or lam[1] - lam[2] < EIGEN_TIE_TOL:
-        raise RegularityError("eigenvalue tie: segment is numerically singular")
+    degenerate, at or too near a wall, or numerically tied; ``more`` adds
+    (failed, error) checks made after these (see ``errors.raise_first``).
+    Leading stack axes of ``lam`` check one segment each."""
+    phi = _chamber_phi(lam)
+    checks = [
+        (_norm(lam) < 1e-12, lambda i: DomainError("segment undefined for coincident points")),
+        (np.minimum(phi, CHAMBER_MAX - phi) < REGULARITY_WALL_TOL,
+         lambda i: RegularityError(f"segment type {phi[i]:.3e} is too close to a wall")),
+        ((lam[..., 0] - lam[..., 1] < EIGEN_TIE_TOL) | (lam[..., 1] - lam[..., 2] < EIGEN_TIE_TOL),
+         lambda i: RegularityError("eigenvalue tie: segment is numerically singular")),
+        *more,
+    ]
+    if _any(reduce(operator.or_, (failed for failed, _ in checks))):
+        raise_first(checks)
 
 
 def _regular_frame(p: Point, q: Point):

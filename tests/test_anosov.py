@@ -1,5 +1,6 @@
 import math
 import warnings
+from functools import reduce
 
 import mpmath
 import numpy as np
@@ -7,6 +8,8 @@ import pytest
 
 from modsym import anosov, highprec
 from modsym.anosov import (
+    MidpointSequence,
+    StraightnessReport,
     VerdictConfig,
     anosov_verdict,
     cartan_gap_scan,
@@ -20,14 +23,27 @@ from modsym.anosov import (
 from modsym.charvar import BABA, Coordinates, f2_fisometry, rep_from_coords, schwartz_t
 from modsym.errors import (
     DegenerateTriangleError,
+    DomainError,
+    GeometryError,
     OppositionError,
     PreconditionError,
     RegularityError,
+    raise_first,
 )
-from modsym.factored import fact, fdistance
-from modsym.flats import ModelInterval
+from modsym.factored import (
+    FIsometry,
+    fact,
+    fcompose,
+    fdistance,
+    finverse,
+    fmidpoint,
+    fzeta_angle,
+    seg_lambdas,
+)
+from modsym.flats import ModelInterval, chamber_angle
 from modsym.modgroup import (
     G1,
+    G2_INV,
     F2Word,
     enumerate_f2,
     f2_count,
@@ -35,6 +51,7 @@ from modsym.modgroup import (
     f2_index,
     f2_inverse,
     f2_levels,
+    f2_mul,
     f2_rng,
     f2_sample,
     random_f2_geodesic,
@@ -147,6 +164,194 @@ def test_morse_distances_pinned():
         0.0015921825437521008, 0.14474901598905313, 0.0013890312497956256,
         8.308148362110449e-16,
     )
+
+
+# -- references for the stacked window: the per-step loops it replaced.
+# Each step, midpoint, segment and vertex is formed on its own, in the
+# order the stacked stages must keep for their errors.
+
+
+def _reference_midpoint_sequence(rep, window):
+    words = tuple(window)
+    gens = rep.f2_generators()
+    steps = [FIsometry.identity()]
+    for w_prev, w_next in zip(words, words[1:]):
+        step = f2_mul(f2_inverse(w_prev), w_next)
+        steps.append(reduce(fcompose, (gens[k] for k in step.letters), FIsometry.identity()))
+    local_mids = [rep.fx]
+    defect = 0.0
+    for step in steps[1:]:
+        y = fact(step, rep.fx)
+        local_mids.append(fmidpoint(rep.fx, y))
+        dp = fdistance(local_mids[-1], rep.fx)
+        dq = fdistance(local_mids[-1], y)
+        defect = max(defect, abs(dp - dq) / max(1.0, dp))
+    return MidpointSequence(rep=rep, words=words, steps=tuple(steps),
+                            local_mids=tuple(local_mids), equidistance_defect=defect)
+
+
+def _reference_straightness_report(seq, theta):
+    n_mid = len(seq.words) - 1
+    nxts, spacings, types = [], [], []
+    for n in range(n_mid - 1):
+        nxt = fact(seq.steps[n + 1], seq.local_mids[n + 2])
+        lam = seg_lambdas(seq.local_mids[n + 1], nxt)
+        spacing = float(np.linalg.norm(lam))
+        if spacing < 1e-12:
+            raise RegularityError(
+                f"midpoint segment {n}: segment type undefined for coincident points")
+        nxts.append(nxt)
+        spacings.append(spacing)
+        types.append(chamber_angle(lam))
+    zeta_angles = []
+    for n in range(1, n_mid - 1):
+        prev = fact(finverse(seq.steps[n]), seq.local_mids[n])
+        try:
+            zeta_angles.append(fzeta_angle(seq.local_mids[n + 1], prev, nxts[n]))
+        except (RegularityError, DomainError) as exc:
+            raise RegularityError(f"midpoint vertex {n}: {exc}") from exc
+    return StraightnessReport(
+        min_zeta_angle=min(zeta_angles), min_spacing=min(spacings),
+        type_min=min(types), type_max=max(types), theta_interval=theta,
+        all_types_within=all(theta.contains(t) for t in types),
+        zeta_angles=tuple(zeta_angles), spacings=tuple(spacings),
+    )
+
+
+def _outcome(call):
+    try:
+        return call()
+    except GeometryError as exc:
+        return type(exc), str(exc)
+
+
+def _fields(g):
+    return g.mat.tobytes(), g.matinv.tobytes(), g.reversing, g.lm, g.lmi
+
+
+def _assert_window_matches_reference(rep, window):
+    seq = _outcome(lambda: midpoint_sequence(rep, window))
+    ref = _outcome(lambda: _reference_midpoint_sequence(rep, window))
+    if isinstance(ref, tuple):
+        assert seq == ref
+        return
+    assert seq.words == ref.words and seq.rep is ref.rep
+    assert [_fields(g) for g in seq.steps] == [_fields(g) for g in ref.steps]
+    assert [_fields(g) for g in seq.local_mids] == [_fields(g) for g in ref.local_mids]
+    assert all(type(g.lm) is float for g in seq.steps + seq.local_mids)
+    assert seq.equidistance_defect == ref.equidistance_defect
+    assert (_outcome(lambda: straightness_report(seq, THETA_INTERVAL))
+            == _outcome(lambda: _reference_straightness_report(ref, THETA_INTERVAL)))
+
+
+def _geodesic_windows(count, seed):
+    """Seeded windows of 3 to 12 letters, a third of them starting past e."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        s, t, theta = rng.uniform(0.3, 2.5), rng.uniform(0.5, 14.0), rng.uniform(0.0, 3.0)
+        length, start = int(rng.integers(3, 13)), int(rng.integers(0, 3))
+        words = random_f2_geodesic(length + start, int(rng.integers(2**31)))[start:]
+        yield (s, t, theta), words
+
+
+def _walk_windows(count, seed):
+    """Windows that stall or backtrack: equal neighbours and cancelling
+    letters make coincident midpoints and wall-type vertices, so errors
+    meet at different rows and stages."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        s, t, theta = rng.uniform(0.3, 2.5), rng.uniform(0.5, 14.0), rng.uniform(0.0, 3.0)
+        w = F2Word(())
+        words = [w]
+        for _ in range(int(rng.integers(3, 10))):
+            if rng.uniform() >= 0.15:
+                w = f2_mul(w, F2Word((int(rng.integers(4)),)))
+            words.append(w)
+        yield (s, t, theta), words
+
+
+def _constant_windows():
+    for point in [(0.8, 2.5, 0.9), (1.0, 6.0, 0.5), (0.5, 1.0, 2.0)]:
+        for letter, n in [(G1, 4), (G1, 9), (G2_INV, 13)]:
+            yield point, [F2Word((letter,) * k) for k in range(n)]
+
+
+@pytest.mark.parametrize("windows", [
+    pytest.param(lambda: _geodesic_windows(220, 12), id="geodesic"),
+    pytest.param(lambda: _walk_windows(120, 9), id="walks"),
+    pytest.param(_constant_windows, id="constant"),
+])
+def test_stacked_window_equals_per_step_loops(windows):
+    for point, window in windows():
+        _assert_window_matches_reference(rep_from_coords(Coordinates(*point)), window)
+
+
+def test_walk_windows_meet_errors_at_every_stage():
+    """The walks exercise the error order: coincident midpoints, coincident
+    segments and wall-type vertices past the first row."""
+    messages = set()
+    for point, window in _walk_windows(120, 9):
+        rep = rep_from_coords(Coordinates(*point))
+        seq = _outcome(lambda: midpoint_sequence(rep, window))
+        out = seq if isinstance(seq, tuple) else _outcome(
+            lambda: straightness_report(seq, THETA_INTERVAL))
+        if isinstance(out, tuple):
+            messages.add(out[1].split(":")[0])
+    assert {"segment undefined for coincident points", "midpoint segment 1",
+            "midpoint vertex 2"} <= messages
+
+
+@pytest.mark.parametrize("point, length, seed", [((0.0, 0.0, 0.0), 8, 0), ((1.0, 0.05, 0.4), 8, 1)])
+def test_stacked_window_errors_match_reference(point, length, seed):
+    rep = rep_from_coords(Coordinates(*point))
+    window = random_f2_geodesic(length, seed)
+    _assert_window_matches_reference(rep, window)
+    if point == (0.0, 0.0, 0.0):
+        with pytest.raises(DomainError, match="segment undefined for coincident points"):
+            midpoint_sequence(rep, window)
+
+
+def test_row_major_meets_errors_in_loop_order():
+    """A stacked pass meets one stage on every row before the next stage;
+    the loop it replaces meets every stage of a row before the next row,
+    so a later stage failing at an earlier row must win."""
+    def stage(name, failing_row, n):
+        failed = np.arange(n) == failing_row
+        if failed.any():
+            raise_first([(failed, lambda i: DomainError(f"{name} at row {i[0]}"))])
+
+    def run(first_bad, second_bad):
+        def rows(n):
+            stage("first stage", first_bad, n)
+            stage("second stage", second_bad, n)
+            return n
+        return rows
+
+    with pytest.raises(DomainError, match="second stage at row 1"):
+        anosov._row_major(run(3, 1), 5)
+    with pytest.raises(DomainError, match="first stage at row 1"):
+        anosov._row_major(run(1, 3), 5)
+    with pytest.raises(DomainError, match="first stage at row 3"):
+        anosov._row_major(run(3, 4), 5)
+    assert anosov._row_major(run(3, 1), 1) == 1
+
+
+def test_verdict_stats_carry_the_equidistance_defect():
+    cfg = VerdictConfig()
+    for point in [(1.0, 4.0, 0.5), (1.2, 12.0, 0.55)]:
+        v = anosov_verdict(Coordinates(*point), cfg)
+        seq = midpoint_sequence(rep_from_coords(Coordinates(*point)),
+                                random_f2_geodesic(cfg.window, cfg.seed))
+        assert v.stats["equidistance_defect"] == seq.equidistance_defect
+
+
+def test_morse_reports_newton_iterations():
+    rep = rep_from_coords(Coordinates(1.0, 4.0, 0.5))
+    rpt = morse_flat_check(rep, random_f2_geodesic(10, seed=0), THETA_INTERVAL)
+    assert len(rpt.iterations) == len(rpt.distances)
+    assert all(isinstance(c, int) and c >= 0 for c, _ in rpt.iterations)
+    assert all(isinstance(n, int) and n >= 0 for _, n in rpt.iterations[:-1])
+    assert rpt.iterations[-1][1] is None
 
 
 def test_midpoint_sequence_cyclic_spacing_constant():

@@ -5,20 +5,27 @@ from hypothesis import strategies as st
 
 from modsym import symspace
 from modsym.charvar import Coordinates, f2_fisometry, rep_from_coords
+from modsym.errors import DomainError, GeometryError, RegularityError
 from modsym.factored import (
     FIsometry,
+    _rescaled,
     fact,
     fangle,
     fcompose,
     fdistance,
     finverse,
     fmidpoint,
+    frows,
+    fstack,
     fzeta_angle,
+    fzeta_direction,
+    seg_frame,
     seg_lambdas,
     seg_log_vector,
 )
 from modsym.flats import chamber_angle, segment_type, zeta_angle
 from modsym.modgroup import f2_from_string
+from modsym.symspace import _cross, _dot, _frobenius, _norm, matrix_angle
 from modsym.verify import random_isometry, random_point
 
 
@@ -159,3 +166,142 @@ def test_factored_operations_property_equivariance(seed):
     d = fdistance(p, q)
     assert abs(fdistance(fact(g, p), fact(g, q)) - d) <= 1e-9 * max(1.0, d)
     assert fdistance(fact(fcompose(g, h), p), fact(g, fact(h, p))) <= 1e-9
+
+
+# -- stacks: every entry of a stacked call equals the unstacked call --------
+
+
+def _stack_points(rng, n, scale=0.7):
+    return fstack(FIsometry.from_point(random_point(rng, scale)) for _ in range(n))
+
+
+def _assert_rows_match(stacked_call, scalar_call, n):
+    """stacked_call() row by row equals scalar_call(k); where a scalar call
+    raises, the stacked call raises that of the first failing row."""
+    expected, first_error = [], None
+    for k in range(n):
+        try:
+            expected.append(scalar_call(k))
+        except GeometryError as exc:
+            first_error = (k, exc)
+            break
+    if first_error is not None:
+        k, exc = first_error
+        with pytest.raises(type(exc)) as info:
+            stacked_call()
+        assert str(info.value) == str(exc) and info.value.row == k
+        return
+    got = stacked_call()
+    for k, want in enumerate(expected):
+        row = tuple(part[k] for part in got) if isinstance(got, tuple) else got[k]
+        if isinstance(want, FIsometry):
+            assert _bits(row) == _bits(want)
+        elif isinstance(want, tuple):
+            assert all(np.array_equal(a, b) for a, b in zip(row, want))
+        else:
+            assert np.array_equal(row, want)
+
+
+_SEEDS = st.integers(min_value=0, max_value=2**32 - 1)
+
+
+@settings(derandomize=True, deadline=None)
+@given(_SEEDS, st.integers(min_value=1, max_value=6))
+def test_rescaled_stack_property(seed, n):
+    rng = np.random.default_rng(seed)
+    mats = rng.normal(size=(n, 3, 3)) * np.exp(rng.uniform(-30, 30, size=(n, 1, 1)))
+    logs = rng.uniform(-5, 5, size=n)
+    _assert_rows_match(lambda: _rescaled(mats, logs),
+                       lambda k: _rescaled(mats[k], float(logs[k])), n)
+    # an unstacked log-scale broadcasts over the stack
+    _assert_rows_match(lambda: _rescaled(mats, 0.5), lambda k: _rescaled(mats[k], 0.5), n)
+
+
+@settings(derandomize=True, deadline=None)
+@given(_SEEDS, st.integers(min_value=1, max_value=6))
+def test_segment_primitives_stack_property(seed, n):
+    rng = np.random.default_rng(seed)
+    p, q, q2 = (_stack_points(rng, n) for _ in range(3))
+    _assert_rows_match(lambda: seg_lambdas(p, q), lambda k: seg_lambdas(p[k], q[k]), n)
+    _assert_rows_match(lambda: seg_frame(p, q), lambda k: seg_frame(p[k], q[k]), n)
+    _assert_rows_match(lambda: fmidpoint(p, q), lambda k: fmidpoint(p[k], q[k]), n)
+    _assert_rows_match(lambda: fzeta_angle(p, q, q2),
+                       lambda k: fzeta_angle(p[k], q[k], q2[k]), n)
+    # one unstacked end broadcasts against a stack, as the orbit window uses it
+    _assert_rows_match(lambda: fmidpoint(p[0], q), lambda k: fmidpoint(p[0], q[k]), n)
+
+
+@settings(derandomize=True, deadline=None)
+@given(_SEEDS, st.integers(min_value=1, max_value=4))
+def test_paired_stack_axes_property(seed, n):
+    """A (n, 2) stack against a (n, 1) one: the window's backward and
+    forward frames of one vertex, in C order."""
+    rng = np.random.default_rng(seed)
+    centre = _stack_points(rng, n)
+    ends = fstack([_stack_points(rng, n), _stack_points(rng, n)], axis=1)
+    _assert_rows_match(lambda: fzeta_direction(centre[:, None], ends),
+                       lambda k: np.stack([fzeta_direction(centre[k], ends[k, j])
+                                           for j in range(2)]), n)
+
+
+@settings(derandomize=True, deadline=None)
+@given(_SEEDS, st.integers(min_value=1, max_value=6))
+def test_products_stack_property(seed, n):
+    rng = np.random.default_rng(seed)
+    reversing = bool(rng.integers(2))
+    gs = [_factored(symspace.Isometry(random_isometry(rng).mat, reversing)) for _ in range(n)]
+    g = fstack(gs)
+    p = _stack_points(rng, n)
+    _assert_rows_match(lambda: fcompose(g, p), lambda k: fcompose(g[k], p[k]), n)
+    _assert_rows_match(lambda: fact(g, p), lambda k: fact(g[k], p[k]), n)
+    _assert_rows_match(lambda: finverse(g), lambda k: finverse(g[k]), n)
+    _assert_rows_match(lambda: fdistance(g, p), lambda k: fdistance(g[k], p[k]), n)
+    rows = frows(g)
+    assert [_bits(row) for row in rows] == [_bits(h) for h in gs]
+    assert all(row.reversing == reversing and type(row.lm) is float for row in rows)
+
+
+@settings(derandomize=True, deadline=None)
+@given(_SEEDS, st.integers(min_value=1, max_value=6))
+def test_chamber_and_matrix_angle_stack_property(seed, n):
+    rng = np.random.default_rng(seed)
+    v = np.sort(rng.normal(size=(n, 3)), axis=1)[:, ::-1]
+    v = v - v.mean(axis=1, keepdims=True)
+    _assert_rows_match(lambda: chamber_angle(v), lambda k: chamber_angle(v[k]), n)
+    a, b = rng.normal(size=(2, n, 3, 3)) * np.exp(rng.uniform(-5, 5, size=(2, n, 1, 1)))
+    _assert_rows_match(lambda: matrix_angle(a, b), lambda k: matrix_angle(a[k], b[k]), n)
+
+
+@settings(derandomize=True, deadline=None)
+@given(_SEEDS)
+def test_stacked_norm_and_dot_are_the_unstacked_ones(seed):
+    """The matmul form of the inner product sums in ndarray.dot's order,
+    which np.linalg.norm(x, axis=-1) does not."""
+    rng = np.random.default_rng(seed)
+    scale = np.exp(rng.uniform(-20, 20, size=(50, 1)))
+    x, y = rng.normal(size=(2, 50, 3)) * scale
+    m = rng.normal(size=(50, 3, 3)) * scale[:, :, None]
+    for k in range(50):
+        assert _dot(x, y)[k] == x[k].dot(y[k]) == _dot(x[k], y[k])
+        assert _norm(x)[k] == np.linalg.norm(x[k]) == _norm(x[k])
+        assert _frobenius(m)[k] == np.linalg.norm(m[k]) == _frobenius(m[k])
+        assert np.array_equal(_cross(x, y)[k], np.cross(x[k], y[k]))
+
+
+def test_stacked_check_raises_for_the_first_failing_entry():
+    """Each entry meets the checks in the unstacked order (coincident, wall,
+    tie); the stack raises the first failing entry's error, with its row."""
+    def at(*logs):
+        return FIsometry.from_point(symspace.Point(np.diag(np.exp(logs))))
+
+    origin = fstack([FIsometry.identity()] * 3)
+    regular, wall, same = at(1.0, 0.2, -1.2), at(1.0, 1.0, -2.0), FIsometry.identity()
+    with pytest.raises(RegularityError, match="too close to a wall") as info:
+        seg_frame(origin, fstack([regular, wall, same]))
+    assert info.value.row == 1
+    with pytest.raises(DomainError, match="coincident points") as info:
+        seg_frame(origin, fstack([regular, same, wall]))
+    assert info.value.row == 1
+    with pytest.raises(DomainError, match="coincident points") as info:
+        seg_frame(FIsometry.identity(), same)
+    assert info.value.row is None
