@@ -23,7 +23,6 @@ from .charvar import (
     Coordinates,
     Representation,
     f2_fisometries,
-    f2_fisometry,
     matrix_of,
     rep_from_coords,
 )
@@ -47,7 +46,6 @@ from .factored import (
     fflat_project,
     finverse,
     fmidpoint,
-    frows,
     fstack,
     fzeta_direction,
     seg_lambdas,
@@ -104,27 +102,24 @@ def triangle_report(rep: Representation) -> TriangleReport:
 class MidpointSequence:
     """Midpoints m_n = mid(x_n, x_{n+1}) of the orbit points x_n = rho(g_n) x.
 
-    The midpoints are stored in local form: ``local_mids[k]`` is
-    mid(x, rho(step_k) x), so that m_n = rho(g_n) local_mids[n + 1];
-    ``midpoints`` builds the global ones on first read.  Everything
-    measured between nearby midpoints is computed in the chart of the
-    common orbit prefix: a product mat @ matinv of one large word never
-    appears, which keeps the small relative eigenvalues meaningful at any
-    scale.
+    The midpoints are stored in local form, one stack entry per midpoint:
+    ``local_mids[n]`` is mid(x, rho(steps[n]) x), so that m_n = rho(g_n)
+    local_mids[n]; ``midpoints`` builds the global ones on first read.
+    Everything measured between nearby midpoints is computed in the chart
+    of the common orbit prefix: a product mat @ matinv of one large word
+    never appears, which keeps the small relative eigenvalues meaningful
+    at any scale.
     """
 
     rep: Representation
     words: tuple[F2Word, ...]
-    steps: tuple[FIsometry, ...]        # steps[k] = rho(g_{k-1}^{-1} g_k)
-    local_mids: tuple[FIsometry, ...]   # local_mids[k] = mid(x, steps[k] x)
+    steps: FIsometry        # steps[n] = rho(g_n^{-1} g_{n+1})
+    local_mids: FIsometry   # local_mids[n] = mid(x, steps[n] x)
     equidistance_defect: float
 
     @cached_property
     def midpoints(self) -> tuple[FIsometry, ...]:
-        return tuple(
-            fact(f2_fisometry(self.rep, w), self.local_mids[n + 1])
-            for n, w in enumerate(self.words[:-1])
-        )
+        return tuple(fact(f2_fisometries(self.rep, self.words[:-1]), self.local_mids))
 
 
 def _row_major(run, rows: int):
@@ -160,10 +155,7 @@ def midpoint_sequence(rep: Representation, window: Sequence[F2Word]) -> Midpoint
     steps = _row_major(lambda k: f2_fisometries(rep, step_words[:k]), n)
     mids, dp, dq = _row_major(lambda k: _local_midpoints(rep.fx, steps[:k]), n)
     return MidpointSequence(
-        rep=rep,
-        words=words,
-        steps=(FIsometry.identity(), *frows(steps)),
-        local_mids=(rep.fx, *frows(mids)),
+        rep=rep, words=words, steps=steps, local_mids=mids,
         equidistance_defect=max([0.0, *(np.abs(dp - dq) / np.fmax(1.0, dp)).tolist()]),
     )
 
@@ -185,8 +177,8 @@ class StraightnessReport:
 def _segments(steps: FIsometry, mids: FIsometry, count: int):
     """Segments n < count, from m_n to m_{n+1}, both in the chart of g_n:
     the next midpoint in that chart, the log-eigenvalues and the spacing."""
-    nxt = fact(steps[1:count + 1], mids[2:count + 2])
-    lam = seg_lambdas(mids[1:count + 1], nxt)
+    nxt = fact(steps[:count], mids[1:count + 1])
+    lam = seg_lambdas(mids[:count], nxt)
     spacing = _norm(lam)
     coincident = spacing < 1e-12
     if _any(coincident):
@@ -198,10 +190,10 @@ def _segments(steps: FIsometry, mids: FIsometry, count: int):
 def _vertex_angles(steps: FIsometry, mids: FIsometry, nxt: FIsometry, count: int):
     """zeta-angles at m_n for 1 <= n <= count, between the segments back to
     m_{n-1} and on to m_{n+1}: both frames of a vertex in one stack."""
-    prev = fact(finverse(steps[1:count + 1]), mids[1:count + 1])
+    prev = fact(finverse(steps[:count]), mids[:count])
     ends = fstack([prev, nxt[1:count + 1]], axis=1)
     try:
-        directions = fzeta_direction(mids[2:count + 2, None], ends)
+        directions = fzeta_direction(mids[1:count + 1, None], ends)
     except (RegularityError, DomainError) as exc:
         wrapped = RegularityError(f"midpoint vertex {exc.row + 1}: {exc}")
         wrapped.row = exc.row
@@ -213,7 +205,7 @@ def straightness_report(seq: MidpointSequence, theta: ModelInterval) -> Straight
     n_mid = len(seq.words) - 1
     if n_mid < 3:
         raise ValueError("straightness needs at least 3 midpoints")
-    steps, mids = fstack(seq.steps), fstack(seq.local_mids)
+    steps, mids = seq.steps, seq.local_mids
     nxt, lam, spacing = _row_major(lambda k: _segments(steps, mids, k), n_mid - 1)
     zeta_angles = _row_major(lambda k: _vertex_angles(steps, mids, nxt, k), n_mid - 2).tolist()
     spacings = spacing.tolist()
@@ -303,11 +295,14 @@ def _rescale_batch(mats: np.ndarray):
     """Divide each matrix of a fresh (m, 3, 3) stack in place by its max
     |entry|; return the stack and the log of each divisor.  The max runs
     over the nine entries as columns, which numpy reduces several times
-    faster than the trailing axes of the stack."""
+    faster than the trailing axes of the stack.  A product that underflowed
+    to 0 has no scale."""
     entries = mats.reshape(-1, 9)
     s = np.abs(entries[:, 0])
     for j in range(1, 9):
         np.maximum(s, np.abs(entries[:, j]), out=s)
+    if not s.all():
+        raise DomainError("word product underflows the float64 range")
     mats /= s[:, None, None]
     return mats, np.log(s)
 
@@ -430,9 +425,6 @@ def cartan_gap_scan(
     total = sum(f2_count(n) for n in range(1, max_len + 1))
     enumerate_all = total <= budget
 
-    gens = [rep.f2_generators()[k] for k in range(4)]  # letters 0..3
-    table = (np.stack([g.mat for g in gens]), np.stack([g.matinv for g in gens]),
-             np.array([g.lm for g in gens]), np.array([g.lmi for g in gens]))
     if enumerate_all:
         letters = list(f2_levels(max_len))
     else:
@@ -440,7 +432,8 @@ def cartan_gap_scan(
         per_length = max(1, budget // max_len)
         # every length is drawn before the fold, in the order of the draws
         letters = [f2_sample(rng, min(per_length, f2_count(n)), n) for n in range(1, max_len + 1)]
-    pairs, products = _prefix_fold(letters, table, enumerate_all)
+    g = rep.f2_generators()
+    pairs, products = _prefix_fold(letters, (g.mat, g.matinv, g.lm, g.lmi), enumerate_all)
     gap12, gap23 = [], []
     for l1, l3 in pairs:
         l2 = -l1 - l3
@@ -472,8 +465,7 @@ def cartan_gap_scan(
 def word_cartan(rep: Representation, w: F2Word) -> np.ndarray:
     """Cartan vector of one reduced word, by the forward/inverse duality
     (accurate for all three entries at any word length)."""
-    g = f2_fisometry(rep, w)
-    gi = f2_fisometry(rep, f2_inverse(w))
+    g, gi = f2_fisometries(rep, [w, f2_inverse(w)])
     l1, l3 = _cartan_pair(g.mat, gi.mat, g.lm, gi.lm)
     return np.array([l1, -l1 - l3, l3])
 
@@ -591,14 +583,14 @@ def morse_flat_check(
     """
     seq = midpoint_sequence(rep, window)
     n_mid = len(seq.words) - 1
-    # forward[n] = rho(g_n^{-1} g_{last mid}): fold of steps n+1 .. n_mid-1
+    # forward[n] = rho(g_n^{-1} g_{last mid}): fold of steps n .. n_mid-2
     forward = [FIsometry.identity() for _ in range(n_mid)]
     for n in range(n_mid - 2, -1, -1):
-        forward[n] = fcompose(seq.steps[n + 1], forward[n + 1])
-    # backward[n] = rho(g_n^{-1} g_0) = steps[n]^{-1} backward[n-1]
+        forward[n] = fcompose(seq.steps[n], forward[n + 1])
+    # backward[n] = rho(g_n^{-1} g_0) = steps[n-1]^{-1} backward[n-1]
     backward = [FIsometry.identity() for _ in range(n_mid)]
     for n in range(1, n_mid):
-        backward[n] = fcompose(finverse(seq.steps[n]), backward[n - 1])
+        backward[n] = fcompose(finverse(seq.steps[n - 1]), backward[n - 1])
 
     dists = []
     proj_pairs = []
@@ -609,12 +601,12 @@ def morse_flat_check(
         # everything is measured in the factor chart of the midpoint,
         # where it is the identity and both flag directions stay
         # O(1)-separated no matter how deep in the orbit the window sits
-        to_chart = finverse(seq.local_mids[n + 1])
+        to_chart = finverse(seq.local_mids[n])
         fwd = back = None
         if n < n_mid - 1:
-            fwd = fact(to_chart, fact(forward[n], seq.local_mids[n_mid]))
+            fwd = fact(to_chart, fact(forward[n], seq.local_mids[n_mid - 1]))
         if n > 0:
-            back = fact(to_chart, fact(backward[n], seq.local_mids[1]))
+            back = fact(to_chart, fact(backward[n], seq.local_mids[0]))
         if fwd is not None:
             f_plus = fflag_of_sector(origin, fwd)
         else:
@@ -632,7 +624,7 @@ def morse_flat_check(
         if n < n_mid - 1:
             # coordinate-grade projection of the next midpoint in this
             # chart: only the chart coordinates (order ~ spacing) matter
-            nxt = fact(to_chart, fact(seq.steps[n + 1], seq.local_mids[n + 2]))
+            nxt = fact(to_chart, fact(seq.steps[n], seq.local_mids[n + 1]))
             a2, b2, _, next_steps = fflat_project(nxt, flat, noise_cap=1.0)
             proj_pairs.append(((a, b), (a2, b2)))
         iterations.append((steps, next_steps))

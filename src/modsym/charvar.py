@@ -124,7 +124,7 @@ class Representation:
             "b": FIsometry.from_pair(rot_mat, rot_mat.T, False),
             "B": FIsometry.from_pair(rot_mat.T, rot_mat, False),
         }
-        self._f2_gens: dict[int, FIsometry] | None = None
+        self._f2_gens: FIsometry | None = None
         self._x: Point | None = None
         self._rho_a: Isometry | None = None
 
@@ -143,15 +143,18 @@ class Representation:
     def letter(self, syllable: str) -> FIsometry:
         return self._letters[syllable]
 
-    def f2_generators(self) -> dict[int, FIsometry]:
+    def f2_generators(self) -> FIsometry:
         """Factored isometries of the four free generators of the
-        index-six subgroup."""
+        index-six subgroup, as one read-only stack in letter order."""
         if self._f2_gens is None:
-            self._f2_gens = {
-                k: reduce(fcompose, (self._letters[syll] for syll in sylls),
-                          FIsometry.identity())
-                for k, sylls in _F2_SUBSTITUTION.items()
-            }
+            gens = fstack(
+                reduce(fcompose, (self._letters[syll] for syll in _F2_SUBSTITUTION[k]),
+                       FIsometry.identity())
+                for k in range(4)
+            )
+            for a in (gens.mat, gens.matinv, gens.lm, gens.lmi):
+                a.flags.writeable = False
+            self._f2_gens = gens
         return self._f2_gens
 
     def validate(self, tol: float = 1e-10) -> bool:
@@ -212,8 +215,7 @@ def f2_fisometries(rep: Representation, words: Sequence[F2Word]) -> FIsometry:
     """The factored isometries of the words, as one stack.  The words are
     folded together letter by letter from the left, starting at the
     identity, so each entry is its own fold by ``fcompose`` bit for bit."""
-    gens = rep.f2_generators()
-    table = fstack(gens[k] for k in range(4))
+    table = rep.f2_generators()
     n = len(words)
     mat, matinv = np.tile(np.eye(3), (n, 1, 1)), np.tile(np.eye(3), (n, 1, 1))
     lm, lmi = np.zeros(n), np.zeros(n)

@@ -54,8 +54,8 @@ class FIsometry:
     A point p is the orientation-preserving isometry that takes the
     identity to it: ``mat e^{lm}`` is a factor F of p = F F^T and
     ``matinv e^{lmi}`` is F^{-1}.  A stack of isometries of one parity
-    holds (..., 3, 3) matrices and (...)-shaped log-scales; indexing it
-    gives views, and one entry comes back unstacked."""
+    holds (..., 3, 3) matrices and (...)-shaped log-scales; indexing or
+    iterating it gives views, and one entry comes back unstacked."""
 
     mat: np.ndarray
     matinv: np.ndarray
@@ -100,11 +100,6 @@ def fstack(isometries, axis: int = 0) -> FIsometry:
     )
 
 
-def frows(g: FIsometry) -> tuple[FIsometry, ...]:
-    """The entries of a stack along its first axis, as unstacked views."""
-    return tuple(g[k] for k in range(len(g.lm)))
-
-
 def _product(g: FIsometry, h: FIsometry):
     """Unscaled factor pair of g h: (mat, matinv, lm, lmi)."""
     if g.reversing:
@@ -137,7 +132,12 @@ def fact(g: FIsometry, p: FIsometry) -> FIsometry:
 
 def _lambdas(sg, sgi, lg, lgi) -> np.ndarray:
     """(l1, l2, l3) from the singular values of G and G^{-1} and their
-    log-scales: l1 from sigma_1(G), l3 from sigma_1(G^{-1}), l2 = -l1 - l3."""
+    log-scales: l1 from sigma_1(G), l3 from sigma_1(G^{-1}), l2 = -l1 - l3.
+    A product whose top singular value underflowed to 0 has no logarithm."""
+    under = ~((sg[..., 0] > 0.0) & (sgi[..., 0] > 0.0))
+    if _any(under):
+        raise_first([(under, lambda i: DomainError(
+            "relative factor product underflows the float64 range"))])
     l1 = 2.0 * (np.log(sg[..., 0]) + lg)
     l3 = -2.0 * (np.log(sgi[..., 0]) + lgi)
     lam = np.empty(l1.shape + (3,))

@@ -154,12 +154,6 @@ def straightness_stats(s, t, theta, window: list[F2Word], dps: int | None = None
     return {"deficits": deficits, "spacings": spacings, "types": types}
 
 
-def min_zeta_deficit(s, t, theta, window: list[F2Word], dps: int | None = None) -> float:
-    """max over interior vertices of pi - zeta-angle (the straightness
-    deficit of the worst vertex)."""
-    return max(straightness_stats(s, t, theta, window, dps)["deficits"])
-
-
 def triangle_angle(s, t, theta, dps: int | None = None) -> float:
     """Vertex angle at x of the orbit triangle (x, bx, b^2 x)."""
     if dps is None:

@@ -192,7 +192,7 @@ def test_criterion_08_asymptotic_angles():
         deficits = []
         for t in (2.0, 4.0, 8.0, 16.0):
             angles.append(highprec.triangle_angle(s, t, theta))
-            deficits.append(highprec.min_zeta_deficit(s, t, theta, words))
+            deficits.append(max(highprec.straightness_stats(s, t, theta, words)["deficits"]))
         dec_a = all(a > b for a, b in zip(angles, angles[1:]))
         dec_d = all(a > b for a, b in zip(deficits, deficits[1:]))
         final_ok = deficits[-1] < 0.2

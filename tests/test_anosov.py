@@ -110,7 +110,7 @@ def test_midpoints_are_global_translates_of_local_midpoints():
     seq = midpoint_sequence(rep, window)
     assert len(seq.midpoints) == len(window) - 1
     for n, m in enumerate(seq.midpoints):
-        ref = fact(f2_fisometry(rep, window[n]), seq.local_mids[n + 1])
+        ref = fact(f2_fisometry(rep, window[n]), seq.local_mids[n])
         assert np.array_equal(m.mat, ref.mat) and np.array_equal(m.matinv, ref.matinv)
         assert (m.lm, m.lmi) == (ref.lm, ref.lmi)
 
@@ -174,13 +174,13 @@ def test_morse_distances_pinned():
 def _reference_midpoint_sequence(rep, window):
     words = tuple(window)
     gens = rep.f2_generators()
-    steps = [FIsometry.identity()]
+    steps = []
     for w_prev, w_next in zip(words, words[1:]):
         step = f2_mul(f2_inverse(w_prev), w_next)
         steps.append(reduce(fcompose, (gens[k] for k in step.letters), FIsometry.identity()))
-    local_mids = [rep.fx]
+    local_mids = []
     defect = 0.0
-    for step in steps[1:]:
+    for step in steps:
         y = fact(step, rep.fx)
         local_mids.append(fmidpoint(rep.fx, y))
         dp = fdistance(local_mids[-1], rep.fx)
@@ -194,8 +194,8 @@ def _reference_straightness_report(seq, theta):
     n_mid = len(seq.words) - 1
     nxts, spacings, types = [], [], []
     for n in range(n_mid - 1):
-        nxt = fact(seq.steps[n + 1], seq.local_mids[n + 2])
-        lam = seg_lambdas(seq.local_mids[n + 1], nxt)
+        nxt = fact(seq.steps[n], seq.local_mids[n + 1])
+        lam = seg_lambdas(seq.local_mids[n], nxt)
         spacing = float(np.linalg.norm(lam))
         if spacing < 1e-12:
             raise RegularityError(
@@ -205,9 +205,9 @@ def _reference_straightness_report(seq, theta):
         types.append(chamber_angle(lam))
     zeta_angles = []
     for n in range(1, n_mid - 1):
-        prev = fact(finverse(seq.steps[n]), seq.local_mids[n])
+        prev = fact(finverse(seq.steps[n - 1]), seq.local_mids[n - 1])
         try:
-            zeta_angles.append(fzeta_angle(seq.local_mids[n + 1], prev, nxts[n]))
+            zeta_angles.append(fzeta_angle(seq.local_mids[n], prev, nxts[n]))
         except (RegularityError, DomainError) as exc:
             raise RegularityError(f"midpoint vertex {n}: {exc}") from exc
     return StraightnessReport(
@@ -238,7 +238,7 @@ def _assert_window_matches_reference(rep, window):
     assert seq.words == ref.words and seq.rep is ref.rep
     assert [_fields(g) for g in seq.steps] == [_fields(g) for g in ref.steps]
     assert [_fields(g) for g in seq.local_mids] == [_fields(g) for g in ref.local_mids]
-    assert all(type(g.lm) is float for g in seq.steps + seq.local_mids)
+    assert all(type(g.lm) is float for g in (*seq.steps, *seq.local_mids))
     assert seq.equidistance_defect == ref.equidistance_defect
     assert (_outcome(lambda: straightness_report(seq, THETA_INTERVAL))
             == _outcome(lambda: _reference_straightness_report(ref, THETA_INTERVAL)))
@@ -270,6 +270,15 @@ def _walk_windows(count, seed):
         yield (s, t, theta), words
 
 
+def _far_walk_windows():
+    """The walks on the type-I locus far out in t, where relative factor
+    products underflow: the stages fail at different rows, and only the
+    rerun of ``_row_major`` gives the loop's error."""
+    for t in (280.0, 400.0, 600.0):
+        for _, window in _walk_windows(120, 9):
+            yield (0.0, t, 0.7), window
+
+
 def _constant_windows():
     for point in [(0.8, 2.5, 0.9), (1.0, 6.0, 0.5), (0.5, 1.0, 2.0)]:
         for letter, n in [(G1, 4), (G1, 9), (G2_INV, 13)]:
@@ -279,6 +288,7 @@ def _constant_windows():
 @pytest.mark.parametrize("windows", [
     pytest.param(lambda: _geodesic_windows(220, 12), id="geodesic"),
     pytest.param(lambda: _walk_windows(120, 9), id="walks"),
+    pytest.param(_far_walk_windows, id="far-walks"),
     pytest.param(_constant_windows, id="constant"),
 ])
 def test_stacked_window_equals_per_step_loops(windows):
@@ -309,6 +319,17 @@ def test_stacked_window_errors_match_reference(point, length, seed):
     if point == (0.0, 0.0, 0.0):
         with pytest.raises(DomainError, match="segment undefined for coincident points"):
             midpoint_sequence(rep, window)
+
+
+def test_window_underflow_raises_without_warnings():
+    """On the type-I locus far out in t a segment's relative factor
+    product underflows; the window says so instead of taking log(0)."""
+    rep = rep_from_coords(Coordinates(0.0, 300.0, 0.7))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        seq = midpoint_sequence(rep, random_f2_geodesic(10, seed=0))
+        with pytest.raises(DomainError, match="relative factor product underflows"):
+            straightness_report(seq, THETA_INTERVAL)
 
 
 def test_row_major_meets_errors_in_loop_order():
@@ -491,6 +512,17 @@ def test_gap_scan_finite_at_large_scale(max_len, budget):
     assert r.enumerated == (budget is None)
     assert np.isfinite(r.gap12).all() and np.isfinite(r.gap23).all()
     assert np.isfinite(r.slope_c) and np.isfinite(r.intercept_C)
+
+
+@pytest.mark.parametrize("max_len, budget", [(4, None), (6, 200)])
+def test_gap_scan_underflow_raises_without_warnings(max_len, budget):
+    """At s = 0, t = 400 a word product underflows to 0 in both modes; the
+    scan raises rather than divide by its zero scale and report c = nan."""
+    rep = rep_from_coords(Coordinates(0.0, 400.0, 0.7))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="word product underflows the float64 range"):
+            cartan_gap_scan(rep, max_len, budget)
 
 
 # -- references for the prefix-tree fold: the two batched folds it replaced.

@@ -144,6 +144,9 @@ def _same_fisometry(g, h):
 def test_f2_fisometry_is_the_fcompose_loop():
     rep = rep_from_coords(Coordinates(1.0, 6.0, 0.5))
     gens = rep.f2_generators()
+    assert gens is rep.f2_generators()
+    assert gens.mat.shape == (4, 3, 3) and gens.lm.shape == (4,)
+    assert not any(a.flags.writeable for a in (gens.mat, gens.matinv, gens.lm, gens.lmi))
     for k, sylls in _F2_SUBSTITUTION.items():
         assert _same_fisometry(gens[k], _fcompose_chain(rep.letter(s) for s in sylls))
     for name in ("x", "Y", "xyXY", "yyxYxxyX"):

@@ -344,6 +344,27 @@ def test_anosov_scan_completes_at_large_scale(tmp_path):
     assert np.isfinite(float(row[4]))
 
 
+def test_anosov_scan_window_underflow_keeps_the_row_and_a_json_summary(capsys):
+    """At (0, 300, 0.7) the window underflows: the row keeps nan for its
+    angle and spacing, and nothing but the summary reaches stderr."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli(["anosov-scan", "--grid", "0:0:1,300:300:1,0.7:0.7:1"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out.splitlines()[1] == (
+        "0,300,0.69999999999999996,inconclusive,299.85615896377408,nan,nan")
+    assert json.loads(captured.err)["rows"] == 1
+
+
+def test_anosov_scan_gap_underflow_is_one_line(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["anosov-scan", "--grid", "0:0:1,400:400:1,0.7:0.7:1", "--max-len", "4",
+                 "--samples", "500", "--window", "6"])
+    assert str(exc.value) == (
+        "anosov-scan at 0,400,0.69999999999999996: word product underflows the float64 range")
+    assert capsys.readouterr().out == ""
+
+
 @pytest.mark.parametrize("extra", [["--jobs", "1"], ["--jobs", "2"], ["--gap-table"]])
 def test_anosov_scan_point_error_is_one_line(extra, tmp_path, capsys):
     if extra == ["--gap-table"]:

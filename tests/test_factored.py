@@ -15,7 +15,6 @@ from modsym.factored import (
     fdistance,
     finverse,
     fmidpoint,
-    frows,
     fstack,
     fzeta_angle,
     fzeta_direction,
@@ -151,7 +150,7 @@ def test_chart_by_the_inverse_is_the_chart_point_formula(rand_point):
 
 def test_finverse_is_an_involution(rand_isometry):
     rep = rep_from_coords(Coordinates(1.0, 6.0, 0.5))
-    far = [rep.letter("a"), *rep.f2_generators().values()]
+    far = [rep.letter("a"), *rep.f2_generators()]
     for g in [_factored(rand_isometry()) for _ in range(20)] + far:
         back = finverse(finverse(g))
         assert _bits(back) == _bits(g) and back.reversing == g.reversing
@@ -256,7 +255,7 @@ def test_products_stack_property(seed, n):
     _assert_rows_match(lambda: fact(g, p), lambda k: fact(g[k], p[k]), n)
     _assert_rows_match(lambda: finverse(g), lambda k: finverse(g[k]), n)
     _assert_rows_match(lambda: fdistance(g, p), lambda k: fdistance(g[k], p[k]), n)
-    rows = frows(g)
+    rows = tuple(g)
     assert [_bits(row) for row in rows] == [_bits(h) for h in gs]
     assert all(row.reversing == reversing and type(row.lm) is float for row in rows)
 
@@ -286,6 +285,18 @@ def test_stacked_norm_and_dot_are_the_unstacked_ones(seed):
         assert _norm(x)[k] == np.linalg.norm(x[k]) == _norm(x[k])
         assert _frobenius(m)[k] == np.linalg.norm(m[k]) == _frobenius(m[k])
         assert np.array_equal(_cross(x, y)[k], np.cross(x[k], y[k]))
+
+
+def test_underflowed_relative_product_raises_with_its_row():
+    """A relative factor product whose entries all underflowed to 0 has no
+    log-eigenvalues: the stack names its row instead of taking log(0)."""
+    p = FIsometry.from_pair(np.diag([0.0, 1.0, 1.0]), np.diag([1.0, 0.0, 0.0]), False)
+    assert not (finverse(p).mat @ p.mat).any()
+    origin = fstack([FIsometry.identity(), p])
+    regular = FIsometry.from_point(symspace.Point(np.diag(np.exp([1.0, 0.2, -1.2]))))
+    with pytest.raises(DomainError, match="relative factor product underflows") as info:
+        seg_lambdas(origin, fstack([regular, p]))
+    assert info.value.row == 1
 
 
 def test_stacked_check_raises_for_the_first_failing_entry():

@@ -28,7 +28,7 @@ def test_triangle_angle_matches_fast_path():
 
 def test_deficit_resolves_below_double_precision():
     words = random_f2_geodesic(6, seed=0)
-    d = highprec.min_zeta_deficit(0.5, 16.0, 0.5, words)
+    d = max(highprec.straightness_stats(0.5, 16.0, 0.5, words)["deficits"])
     assert 0.0 < d < 1e-10
 
 
