@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import accumulate
 from typing import Sequence
 
 import numpy as np
@@ -38,19 +39,18 @@ from .factored import (
     FIsometry,
     _rescaled,
     fact,
-    fangle,
     fcompose,
     fdistance,
-    fflag_of_sector,
-    fflag_of_sector_opposite,
     fflat_project,
     finverse,
     fmidpoint,
     fstack,
     fzeta_direction,
+    seg_frame,
     seg_lambdas,
+    seg_log_vector,
 )
-from .flats import Flat, ModelInterval, chamber_angle, flat_from_flags
+from .flats import Flag, Flat, ModelInterval, chamber_angle, flat_from_flags
 from .modgroup import (
     F2Word,
     f2_count,
@@ -63,7 +63,7 @@ from .modgroup import (
     f2_sample,
     random_f2_geodesic,
 )
-from .symspace import _any, _norm, matrix_angle
+from .symspace import _any, _dot, _norm, matrix_angle
 
 
 # -- orbit triangle ----------------------------------------------------------
@@ -81,17 +81,17 @@ def triangle_report(rep: Representation) -> TriangleReport:
     x = rep.fx
     b = rep.letter("b")
     y = fact(b, x)
-    z = fact(b, y)
-    d_xy = fdistance(x, y)
-    d_yz = fdistance(y, z)
-    d_zx = fdistance(z, x)
-    if min(d_xy, d_yz, d_zx) < 1e-8:
+    vertices = fstack([x, y, fact(b, y)])
+    sides = fdistance(vertices, vertices[[1, 2, 0]]).tolist()
+    if min(sides) < 1e-8:
         raise DegenerateTriangleError(
             "orbit triangle collapses: the rotation fixes the inversion center"
         )
+    # at each vertex, the segments toward the next vertex and the one after
+    logs = seg_log_vector(vertices[:, None], vertices[[[1, 2], [2, 0], [0, 1]]])
     return TriangleReport(
-        sides=(d_xy, d_yz, d_zx),
-        angles=(fangle(x, y, z), fangle(y, z, x), fangle(z, x, y)),
+        sides=tuple(sides),
+        angles=tuple(matrix_angle(logs[:, 0], logs[:, 1]).tolist()),
     )
 
 
@@ -576,62 +576,77 @@ def morse_flat_check(
     within e^{-gap * k}, far below the reported digits.  Monotonicity is
     checked on consecutive projection steps; since the type-restricted
     Weyl sector is a convex cone, consecutive steps inside the cone imply
-    the same for all forward pairs.  Raises OppositionError when flags
-    fail to be in general position, and the flat projection's
-    ConvergenceError or DomainError when a projection stalls above its
-    noise floor or meets a degenerate relative matrix.
+    the same for all forward pairs.
+
+    Each stage runs on the stack of all midpoints: the charted window
+    ends, their sector frames (``seg_frame``) and the charted next
+    midpoints; the flags, the flat and its two projections are made per
+    midpoint.  The first error is the one a per-midpoint loop meets
+    first (``_row_major``); a stage's error carries the midpoint as
+    ``row``.  Raises:
+
+    - DomainError from a chart product that leaves the float64 range or
+      degenerates, and from a sector frame whose relative factor product
+      underflows or whose ends coincide;
+    - RegularityError from a sector frame whose segment lies too close
+      to a wall, has tied eigenvalues or a degenerate frame;
+    - OppositionError when the flags fail to be in general position;
+    - the flat projection's ConvergenceError or DomainError when a
+      projection stalls above its noise floor or meets a degenerate
+      relative matrix.
     """
     seq = midpoint_sequence(rep, window)
     n_mid = len(seq.words) - 1
-    # forward[n] = rho(g_n^{-1} g_{last mid}): fold of steps n .. n_mid-2
-    forward = [FIsometry.identity() for _ in range(n_mid)]
-    for n in range(n_mid - 2, -1, -1):
-        forward[n] = fcompose(seq.steps[n], forward[n + 1])
-    # backward[n] = rho(g_n^{-1} g_0) = steps[n-1]^{-1} backward[n-1]
-    backward = [FIsometry.identity() for _ in range(n_mid)]
-    for n in range(1, n_mid):
-        backward[n] = fcompose(finverse(seq.steps[n - 1]), backward[n - 1])
-
-    dists = []
-    proj_pairs = []
-    iterations = []
-    flat0 = None
+    last = n_mid - 1
+    steps, mids = seq.steps, seq.local_mids
+    # ahead[n] = rho(g_n^{-1} g_last) = steps[n] ahead[n+1], and
+    # behind[n] = rho(g_n^{-1} g_0) = steps[n-1]^{-1} behind[n-1]
+    ahead = list(accumulate(range(last - 1, -1, -1), lambda g, n: fcompose(steps[n], g),
+                            initial=FIsometry.identity()))[::-1]
+    behind = list(accumulate(range(1, n_mid), lambda g, n: fcompose(finverse(steps[n - 1]), g),
+                             initial=FIsometry.identity()))
+    # slot 0 of a midpoint holds the window end ahead, slot 1 the end
+    # behind; the first and last midpoints have one end, which fills both
+    # slots, and the slot of the missing end reads the opposite sector
+    opposite = np.zeros((n_mid, 2), dtype=bool)
+    opposite[0, 1] = opposite[last, 0] = True
+    from_behind = opposite != [False, True]
+    folds = fstack(ahead + behind)[np.arange(n_mid)[:, None] + n_mid * from_behind]
+    ends = mids[np.where(from_behind, 0, last)]
     origin = FIsometry.identity()
-    for n in range(n_mid):
+
+    def rows(count):
         # everything is measured in the factor chart of the midpoint,
         # where it is the identity and both flag directions stay
         # O(1)-separated no matter how deep in the orbit the window sits
-        to_chart = finverse(seq.local_mids[n])
-        fwd = back = None
-        if n < n_mid - 1:
-            fwd = fact(to_chart, fact(forward[n], seq.local_mids[n_mid - 1]))
-        if n > 0:
-            back = fact(to_chart, fact(backward[n], seq.local_mids[0]))
-        if fwd is not None:
-            f_plus = fflag_of_sector(origin, fwd)
-        else:
-            f_plus = fflag_of_sector_opposite(origin, back)
-        if back is not None:
-            f_minus = fflag_of_sector(origin, back)
-        else:
-            f_minus = fflag_of_sector_opposite(origin, fwd)
-        flat = flat_from_flags(f_minus, f_plus)
-        if flat0 is None:
-            flat0 = flat
-        a, b, d, steps = fflat_project(origin, flat)
-        dists.append(d)
-        next_steps = None
-        if n < n_mid - 1:
-            # coordinate-grade projection of the next midpoint in this
-            # chart: only the chart coordinates (order ~ spacing) matter
-            nxt = fact(to_chart, fact(seq.steps[n], seq.local_mids[n + 1]))
-            a2, b2, _, next_steps = fflat_project(nxt, flat, noise_cap=1.0)
-            proj_pairs.append(((a, b), (a2, b2)))
-        iterations.append((steps, next_steps))
+        to_chart = finverse(mids[:count])
+        _, u = seg_frame(origin, fact(to_chart[:, None], fact(folds[:count], ends[:count])))
+        # a sector's flag is (u1, u3) of its frame, the opposite one's (u3, u1)
+        u = np.where(opposite[:count, :, None, None], u[..., ::-1], u)
+        point = u[..., 0] / _norm(u[..., 0])[..., None]
+        # re-project onto the incidence condition, which the frame only
+        # satisfies up to rounding
+        line = u[..., 2] - _dot(u[..., 2], point)[..., None] * point
+        # coordinate-grade projections of the next midpoint in each chart:
+        # only the chart coordinates (order ~ spacing) matter
+        ahead_count = min(count, last)
+        nxt = fact(to_chart[:ahead_count], fact(steps[:ahead_count], mids[1:ahead_count + 1]))
+        out = []
+        for n in range(count):
+            f_plus = Flag(point=point[n, 0], line=line[n, 0])
+            flat = flat_from_flags(Flag(point=point[n, 1], line=line[n, 1]), f_plus)
+            a, b, d, centre_steps = fflat_project(origin, flat)
+            pair = next_steps = None
+            if n < last:
+                a2, b2, _, next_steps = fflat_project(nxt[n], flat, noise_cap=1.0)
+                pair = ((a, b), (a2, b2))
+            out.append((flat, d, pair, (centre_steps, next_steps)))
+        return out
 
+    row_flats, dists, pairs, iterations = zip(*_row_major(rows, n_mid))
     violations = 0
     deltas = []
-    for (a, b), (a2, b2) in proj_pairs:
+    for (a, b), (a2, b2) in pairs[:last]:
         da, db = a2 - a, b2 - b
         dc = -da - db
         deltas.append((da, db))
@@ -647,12 +662,12 @@ def morse_flat_check(
         proj.append((proj[-1][0] + da, proj[-1][1] + db))
     return MorseFlatReport(
         max_distance=max(dists),
-        distances=tuple(dists),
+        distances=dists,
         projections=tuple(proj),
         monotone=violations == 0,
         violations=violations,
-        flat=flat0,
-        iterations=tuple(iterations),
+        flat=row_flats[0],
+        iterations=iterations,
     )
 
 

@@ -21,7 +21,11 @@ leading stack axes: an FIsometry may hold (..., 3, 3) factors with
 per step for the whole stack.  Each entry equals the unstacked call bit
 for bit; an unstacked call is the zero-axis case of the same code.  A
 check that fails on a stack raises the error of its first failing entry
-(``errors.raise_first``).
+(``errors.raise_first``).  The orbit layer calls them on stacks only:
+the midpoint window, the Morse flat check (the sector frames of all
+window ends in one ``seg_frame``) and the orbit triangle (its three
+sides in one ``fdistance``, its six segment logs in one
+``seg_log_vector``).
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, RegularityError, raise_first
-from .flats import Flag, Flat, _check_regular, _flat_minimize
+from .flats import Flat, _check_regular, _flat_minimize
 from .symspace import Point, _any, _cross, _dot, _norm, _unstacked, matrix_angle
 
 
@@ -185,15 +189,6 @@ def seg_log_vector(p: FIsometry, q: FIsometry) -> np.ndarray:
     return (u * lam[..., None, :]) @ u.swapaxes(-1, -2)
 
 
-def fangle(p: FIsometry, q: FIsometry, r: FIsometry) -> float:
-    """Riemannian angle at p between the segments toward q and r."""
-    v = seg_log_vector(p, q)
-    w = seg_log_vector(p, r)
-    if np.linalg.norm(v) < 1e-14 or np.linalg.norm(w) < 1e-14:
-        raise DomainError("angle undefined at coincident points")
-    return matrix_angle(v, w)
-
-
 def fzeta_direction(p: FIsometry, q: FIsometry) -> np.ndarray:
     _, u = seg_frame(p, q)
     u1, u3 = u[..., :, 0], u[..., :, 2]
@@ -213,29 +208,6 @@ def fmidpoint(p: FIsometry, q: FIsometry) -> FIsometry:
     return FIsometry.from_pair(
         p.mat @ quarter, quarter_inv @ p.matinv, False, p.lm, p.lmi,
     )
-
-
-def _flag_from_frame(p: FIsometry, u_top: np.ndarray, u_bot: np.ndarray) -> Flag:
-    point = p.mat @ u_top
-    point = point / np.linalg.norm(point)
-    # re-project onto the incidence condition, which the factor pair
-    # only satisfies up to its consistency drift
-    line = p.matinv.T @ u_bot
-    line = line - (line @ point) * point
-    return Flag(point=point, line=line)
-
-
-def fflag_of_sector(p: FIsometry, q: FIsometry) -> Flag:
-    """Sector flag at p toward q, in factored arithmetic."""
-    _, u = seg_frame(p, q)
-    return _flag_from_frame(p, u[:, 0], u[:, 2])
-
-
-def fflag_of_sector_opposite(p: FIsometry, q: FIsometry) -> Flag:
-    """Flag of the sector at p opposite to the one toward q (the chamber
-    of the reversed geodesic)."""
-    _, u = seg_frame(p, q)
-    return _flag_from_frame(p, u[:, 2], u[:, 0])
 
 
 def fflat_project(p: FIsometry, flat: Flat, noise_cap: float = 1e-6):

@@ -108,15 +108,14 @@ def default_dps(s: float, t: float) -> int:
     return int(6.0 * (s + t)) + 80
 
 
-def straightness_stats(s, t, theta, window: list[F2Word], dps: int | None = None):
+def straightness_stats(s, t, theta, window: list[F2Word]):
     """Deficits pi - zeta-angle, spacings and types of the midpoint
-    sequence along the window, via local midpoint triples in mpmath.
+    sequence along the window, via local midpoint triples in mpmath at
+    ``default_dps(s, t)``.
 
     Returns a dict of float lists: deficits, spacings, types.
     """
-    if dps is None:
-        dps = default_dps(s, t)
-    with mp.workdps(dps):
+    with mp.workdps(default_dps(s, t)):
         x, xinv = _x_pair(s, t, theta)
         rot = _rotation(2 * mp.pi / 3)
         rot2 = rot.T
@@ -154,11 +153,10 @@ def straightness_stats(s, t, theta, window: list[F2Word], dps: int | None = None
     return {"deficits": deficits, "spacings": spacings, "types": types}
 
 
-def triangle_angle(s, t, theta, dps: int | None = None) -> float:
-    """Vertex angle at x of the orbit triangle (x, bx, b^2 x)."""
-    if dps is None:
-        dps = default_dps(s, t)
-    with mp.workdps(dps):
+def triangle_angle(s, t, theta) -> float:
+    """Vertex angle at x of the orbit triangle (x, bx, b^2 x), at
+    ``default_dps(s, t)``."""
+    with mp.workdps(default_dps(s, t)):
         x, _ = _x_pair(s, t, theta)
         rot = _rotation(2 * mp.pi / 3)
         y = rot * x * rot.T

@@ -134,10 +134,12 @@ class F2Word:
 
 
 def f2_from_string(s: str) -> F2Word:
-    lookup = {name: k for k, name in enumerate(F2_LETTER_NAMES)}
     if s == "e":
         return F2Word()
-    return F2Word(tuple(lookup[ch] for ch in s))
+    for ch in s:
+        if ch not in F2_LETTER_NAMES:
+            raise ValueError(f"invalid letter {ch!r}; alphabet is x, X, y, Y")
+    return F2Word(tuple(F2_LETTER_NAMES.index(ch) for ch in s))
 
 
 def f2_mul(w1: F2Word, w2: F2Word) -> F2Word:

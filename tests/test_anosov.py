@@ -6,9 +6,10 @@ import mpmath
 import numpy as np
 import pytest
 
-from modsym import anosov, highprec
+from modsym import anosov, highprec, symspace
 from modsym.anosov import (
     MidpointSequence,
+    MorseFlatReport,
     StraightnessReport,
     VerdictConfig,
     anosov_verdict,
@@ -22,6 +23,7 @@ from modsym.anosov import (
 )
 from modsym.charvar import BABA, Coordinates, f2_fisometry, rep_from_coords, schwartz_t
 from modsym.errors import (
+    ConvergenceError,
     DegenerateTriangleError,
     DomainError,
     GeometryError,
@@ -35,12 +37,15 @@ from modsym.factored import (
     fact,
     fcompose,
     fdistance,
+    fflat_project,
     finverse,
     fmidpoint,
     fzeta_angle,
+    seg_frame,
     seg_lambdas,
+    seg_log_vector,
 )
-from modsym.flats import ModelInterval, chamber_angle
+from modsym.flats import Flag, ModelInterval, chamber_angle, flat_from_flags
 from modsym.modgroup import (
     G1,
     G2_INV,
@@ -56,6 +61,7 @@ from modsym.modgroup import (
     f2_sample,
     random_f2_geodesic,
 )
+from modsym.symspace import matrix_angle
 
 THETA_INTERVAL = ModelInterval.symmetric(np.pi / 8)
 
@@ -84,6 +90,18 @@ def test_triangle_angle_decreases_in_t():
         rpt = triangle_report(rep_from_coords(Coordinates(1.0, t, 0.8)))
         angles.append(rpt.angles[0])
     assert angles[0] > angles[1] > angles[2]
+
+
+@pytest.mark.parametrize("point", [(0.5, 2.0, 0.7), (1.0, 1.0, 0.3)])
+def test_triangle_angles_match_explicit_points(point):
+    """The stacked segment logs against the explicit kernel's angle at x,
+    bx and b^2 x, at scales where explicit points hold."""
+    rep = rep_from_coords(Coordinates(*point))
+    x = rep.x
+    y = symspace.act(rep.rot, x)
+    z = symspace.act(rep.rot, y)
+    explicit = (symspace.angle_at(x, y, z), symspace.angle_at(y, z, x), symspace.angle_at(z, x, y))
+    assert triangle_report(rep).angles == pytest.approx(explicit, abs=1e-9)
 
 
 def test_triangle_degenerate():
@@ -218,6 +236,98 @@ def _reference_straightness_report(seq, theta):
     )
 
 
+def _at_row(n, call):
+    """``call()``, with an error it raises set to ``row`` n, as a stage of
+    the stacked pass sets it."""
+    try:
+        return call()
+    except GeometryError as exc:
+        exc.row = n
+        raise
+
+
+def _reference_sector_flag(n, p, q, opposite=False):
+    """Flag of the sector at p toward q, or of the sector opposite to it
+    (the chamber of the reversed geodesic)."""
+    _, u = _at_row(n, lambda: seg_frame(p, q))
+    top, bottom = (u[:, 2], u[:, 0]) if opposite else (u[:, 0], u[:, 2])
+    point = p.mat @ top
+    point = point / np.linalg.norm(point)
+    line = p.matinv.T @ bottom
+    line = line - (line @ point) * point
+    return Flag(point=point, line=line)
+
+
+def _reference_morse_flat_check(rep, window, theta_prime):
+    seq = midpoint_sequence(rep, window)
+    n_mid = len(seq.words) - 1
+    forward = [FIsometry.identity() for _ in range(n_mid)]
+    for n in range(n_mid - 2, -1, -1):
+        forward[n] = fcompose(seq.steps[n], forward[n + 1])
+    backward = [FIsometry.identity() for _ in range(n_mid)]
+    for n in range(1, n_mid):
+        backward[n] = fcompose(finverse(seq.steps[n - 1]), backward[n - 1])
+    dists, proj_pairs, iterations, flat0 = [], [], [], None
+    origin = FIsometry.identity()
+    for n in range(n_mid):
+        to_chart = finverse(seq.local_mids[n])
+        fwd = back = None
+        if n < n_mid - 1:
+            fwd = _at_row(n, lambda: fact(to_chart, fact(forward[n], seq.local_mids[n_mid - 1])))
+        if n > 0:
+            back = _at_row(n, lambda: fact(to_chart, fact(backward[n], seq.local_mids[0])))
+        if fwd is not None:
+            f_plus = _reference_sector_flag(n, origin, fwd)
+        else:
+            f_plus = _reference_sector_flag(n, origin, back, opposite=True)
+        if back is not None:
+            f_minus = _reference_sector_flag(n, origin, back)
+        else:
+            f_minus = _reference_sector_flag(n, origin, fwd, opposite=True)
+        flat = flat_from_flags(f_minus, f_plus)
+        if flat0 is None:
+            flat0 = flat
+        a, b, d, steps = fflat_project(origin, flat)
+        dists.append(d)
+        next_steps = None
+        if n < n_mid - 1:
+            nxt = _at_row(n, lambda: fact(to_chart, fact(seq.steps[n], seq.local_mids[n + 1])))
+            a2, b2, _, next_steps = fflat_project(nxt, flat, noise_cap=1.0)
+            proj_pairs.append(((a, b), (a2, b2)))
+        iterations.append((steps, next_steps))
+    violations = 0
+    proj = [(0.0, 0.0)]
+    for (a, b), (a2, b2) in proj_pairs:
+        da, db = a2 - a, b2 - b
+        dc = -da - db
+        proj.append((proj[-1][0] + da, proj[-1][1] + db))
+        slack = 1e-9 * max(1.0, abs(da) + abs(db))
+        if not (da >= db - slack and db >= dc - slack):
+            violations += 1
+        elif not theta_prime.contains(chamber_angle(np.sort([da, db, dc])[::-1])):
+            violations += 1
+    return MorseFlatReport(
+        max_distance=max(dists), distances=tuple(dists), projections=tuple(proj),
+        monotone=violations == 0, violations=violations, flat=flat0,
+        iterations=tuple(iterations),
+    )
+
+
+def _reference_triangle_report(rep):
+    x = rep.fx
+    b = rep.letter("b")
+    y = fact(b, x)
+    z = fact(b, y)
+    sides = (fdistance(x, y), fdistance(y, z), fdistance(z, x))
+    if min(sides) < 1e-8:
+        raise DegenerateTriangleError(
+            "orbit triangle collapses: the rotation fixes the inversion center")
+    angles = []
+    for p, q, r in [(x, y, z), (y, z, x), (z, x, y)]:
+        angles.append(matrix_angle(seg_log_vector(p, q), seg_log_vector(p, r)))
+    return anosov.TriangleReport(sides=sides, angles=tuple(angles))
+
+
 def _outcome(call):
     try:
         return call()
@@ -294,6 +404,47 @@ def _constant_windows():
 def test_stacked_window_equals_per_step_loops(windows):
     for point, window in windows():
         _assert_window_matches_reference(rep_from_coords(Coordinates(*point)), window)
+
+
+def _stratified_windows(count, seed):
+    """Geodesic windows of 10 words with t stratified over [1, 20]: the
+    far ones stall the flat projection or lose the flags' opposition."""
+    rng = np.random.default_rng(seed)
+    for i in range(count):
+        s, theta = rng.uniform(0.6, 1.6), rng.uniform(0.3, 1.3)
+        t = 1.0 + 19.0 * (i + rng.uniform()) / count
+        yield (s, t, theta), random_f2_geodesic(10, int(rng.integers(2**31)))
+
+
+def _morse_outcome(call):
+    try:
+        rpt = call()
+    except GeometryError as exc:
+        return type(exc), str(exc), exc.row
+    return (rpt.max_distance, rpt.distances, rpt.projections, rpt.monotone, rpt.violations,
+            rpt.flat.frame.tobytes(), rpt.iterations)
+
+
+@pytest.mark.parametrize("windows, errors", [
+    pytest.param(lambda: _walk_windows(120, 9), {DomainError, RegularityError}, id="walks"),
+    pytest.param(_far_walk_windows, {DomainError, OppositionError}, id="far-walks"),
+    pytest.param(lambda: _stratified_windows(60, 8), {ConvergenceError, OppositionError},
+                 id="stratified"),
+])
+def test_stacked_morse_and_triangle_equal_loops(windows, errors):
+    """Morse's stacked stages and the stacked triangle give the reports and
+    the first errors of the per-midpoint and per-vertex loops."""
+    met = set()
+    for point, window in windows():
+        rep = rep_from_coords(Coordinates(*point))
+        out = _morse_outcome(lambda: morse_flat_check(rep, window, THETA_INTERVAL))
+        assert out == _morse_outcome(
+            lambda: _reference_morse_flat_check(rep, window, THETA_INTERVAL))
+        if len(out) == 3:
+            met.add(out[0])
+        assert _outcome(lambda: triangle_report(rep)) == _outcome(
+            lambda: _reference_triangle_report(rep))
+    assert errors <= met
 
 
 def test_walk_windows_meet_errors_at_every_stage():

@@ -10,7 +10,6 @@ from modsym.factored import (
     FIsometry,
     _rescaled,
     fact,
-    fangle,
     fcompose,
     fdistance,
     finverse,
@@ -54,7 +53,6 @@ def test_zeta_matches_explicit(rand_point):
         p, q, r = rand_point(), rand_point(), rand_point()
         fp, fq, fr = (FIsometry.from_point(x) for x in (p, q, r))
         assert fzeta_angle(fp, fq, fr) == pytest.approx(zeta_angle(p, q, r), abs=1e-9)
-        assert fangle(fp, fq, fr) == pytest.approx(symspace.angle_at(p, q, r), abs=1e-9)
 
 
 def test_fcompose_matches_compose(rand_isometry, rand_point):

@@ -134,6 +134,12 @@ def test_f2_inverse_and_mul():
     assert str(f2_inverse(w)) == "xYX"
 
 
+@pytest.mark.parametrize("word", ["xq", "a", "x y"])
+def test_f2_from_string_rejects_foreign_letters(word):
+    with pytest.raises(ValueError, match="alphabet is x, X, y, Y"):
+        f2_from_string(word)
+
+
 def test_random_geodesic_prefixes():
     words = random_f2_geodesic(7, seed=42)
     assert len(words) == 8
