@@ -79,7 +79,7 @@ class TriangleReport:
 
 def triangle_report(rep: Representation) -> TriangleReport:
     x = rep.fx
-    b = rep.letter("b")
+    b = rep._letters["b"][0]
     y = fact(b, x)
     vertices = fstack([x, y, fact(b, y)])
     sides = fdistance(vertices, vertices[[1, 2, 0]]).tolist()

@@ -16,6 +16,7 @@ to ~1e-10 absolute even where the entries reach 1e10.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import reduce
 from typing import Sequence
@@ -113,17 +114,16 @@ class Representation:
     range of ``x`` fits in double precision.
     """
 
-    def __init__(self, coords: Coordinates | None, fx: FIsometry,
-                 letter_a: FIsometry):
+    def __init__(self, coords: Coordinates | None, fx: FIsometry, x_pair: FIsometry):
         self.coords = coords
         self.fx = fx
         rot_mat = rotation(2.0 * np.pi / 3.0)
         self.rot = Isometry(rot_mat, reversing=False)
-        self._letters = {
-            "a": letter_a,
-            "b": FIsometry.from_pair(rot_mat, rot_mat.T, False),
-            "B": FIsometry.from_pair(rot_mat.T, rot_mat, False),
-        }
+        # _fold's letter table in factored form: "a" holds x as a linear map
+        # and its contragredient; the fold carries rho(a)'s orientation
+        self._letters = _letter_table(
+            x_pair, FIsometry(x_pair.matinv.T, x_pair.mat.T, x_pair.lmi, x_pair.lm),
+            FIsometry.from_pair(rot_mat, rot_mat.T), FIsometry.from_pair(rot_mat.T, rot_mat))
         self._f2_gens: FIsometry | None = None
         self._x: Point | None = None
         self._rho_a: Isometry | None = None
@@ -140,18 +140,12 @@ class Representation:
             self._rho_a = inversion_at(self.x)
         return self._rho_a
 
-    def letter(self, syllable: str) -> FIsometry:
-        return self._letters[syllable]
-
     def f2_generators(self) -> FIsometry:
         """Factored isometries of the four free generators of the
         index-six subgroup, as one read-only stack in letter order."""
         if self._f2_gens is None:
-            gens = fstack(
-                reduce(fcompose, (self._letters[syll] for syll in _F2_SUBSTITUTION[k]),
-                       FIsometry.identity())
-                for k in range(4)
-            )
+            gens = fstack(_fold(self._letters, _F2_SUBSTITUTION[k], FIsometry.identity(), fcompose)
+                          for k in range(4))
             for a in (gens.mat, gens.matinv, gens.lm, gens.lmi):
                 a.flags.writeable = False
             self._f2_gens = gens
@@ -175,16 +169,13 @@ def rep_from_coords(c: Coordinates) -> Representation:
         f, finv = S @ expw(1.0), expw(-1.0) @ Si
         x_mat, x_inv = S @ expw(2.0) @ S, Si @ expw(-2.0) @ Si
     # _rescaled rejects the overflowed (inf or NaN) factors
-    fx = FIsometry.from_pair(f, finv, False)
-    letter_a = FIsometry.from_pair(x_mat, x_inv, True)
-    return Representation(c, fx, letter_a)
+    fx = FIsometry.from_pair(f, finv)
+    return Representation(c, fx, FIsometry.from_pair(x_mat, x_inv))
 
 
 def rep_from_point(x: Point) -> Representation:
     """Representation with inversion center at an explicit point."""
-    fx = FIsometry.from_point(x)
-    letter_a = FIsometry.from_pair(x.mat, x.inv(), True)
-    return Representation(None, fx, letter_a)
+    return Representation(None, FIsometry.from_point(x), FIsometry.from_pair(x.mat, x.inv()))
 
 
 def coords_from_rep(rep: Representation) -> Coordinates:
@@ -221,11 +212,11 @@ def f2_fisometries(rep: Representation, words: Sequence[F2Word]) -> FIsometry:
     lm, lmi = np.zeros(n), np.zeros(n)
     for depth in range(max((len(w.letters) for w in words), default=0)):
         rows = [i for i, w in enumerate(words) if len(w.letters) > depth]
-        step = fcompose(FIsometry(mat[rows], matinv[rows], False, lm[rows], lmi[rows]),
+        step = fcompose(FIsometry(mat[rows], matinv[rows], lm[rows], lmi[rows]),
                         table[[words[i].letters[depth] for i in rows]])
         mat[rows], matinv[rows], lm[rows], lmi[rows] = step.mat, step.matinv, step.lm, step.lmi
     mat.flags.writeable = matinv.flags.writeable = False
-    return FIsometry(mat, matinv, False, lm, lmi)
+    return FIsometry(mat, matinv, lm, lmi)
 
 
 def f2_fisometry(rep: Representation, w: F2Word) -> FIsometry:
@@ -243,24 +234,30 @@ def _generators_ld(rep: Representation):
     return rep.x.mat.astype(ld), rep.x.inv().astype(ld), r, r.T.copy()
 
 
-def _fold(table, w: ModWord) -> np.ndarray:
-    """Fold the syllables of ``w`` left to right over ``table``, which maps
-    each syllable to its (plain, starred) matrices, the starred one being
-    the closed-form contragredient.  A pending orientation reversal
-    replaces each incoming generator by its contragredient.  The number
-    type and any leading stack axes are those of the table's matrices."""
-    out = np.eye(3, dtype=table["b"][0].dtype)
-    reversed_state = False
-    for syll in w.syllables:
+def _fold(table, syllables, one, mul=operator.matmul):
+    """Fold ``syllables`` left to right over ``table`` with the product
+    ``mul``, starting at ``one``.  The table maps each syllable to its
+    (plain, starred) generators, the starred one being the closed-form
+    contragredient; a pending orientation reversal (an odd number of
+    ``a`` so far) replaces each incoming generator by its contragredient.
+    Outside the explicit reference ``evaluate``, the orientation of
+    rho(a) lives only here.
+
+    The number type is the table's: extended-precision matrices with
+    ``@`` (``matrix_of``, ``matrices_at``, any leading stack axes being
+    the table's), or factored isometries with ``fcompose``
+    (``Representation.f2_generators``)."""
+    out, reversed_state = one, False
+    for syll in syllables:
         plain, starred = table[syll]
-        out = out @ (starred if reversed_state else plain)
-        if syll == "a":
-            reversed_state = not reversed_state
+        out = mul(out, starred if reversed_state else plain)
+        reversed_state ^= syll == "a"
     return out
 
 
-def _letter_table(x, xinv, r, r2) -> dict:
-    return {"a": (x, xinv), "b": (r, r), "B": (r2, r2)}
+def _letter_table(x, xstar, r, r2) -> dict:
+    """(plain, starred) generators; a rotation is its own contragredient."""
+    return {"a": (x, xstar), "b": (r, r), "B": (r2, r2)}
 
 
 def _even_word(w) -> ModWord:
@@ -278,7 +275,8 @@ def matrix_of(rep: Representation, w) -> np.ndarray:
 
     Raises ParityError on words with odd inversion count.
     """
-    return _fold(_letter_table(*_generators_ld(rep)), _even_word(w))
+    return _fold(_letter_table(*_generators_ld(rep)), _even_word(w).syllables,
+                 np.eye(3, dtype=np.longdouble))
 
 
 def matrices_at(s, t, theta, w) -> np.ndarray:
@@ -290,7 +288,8 @@ def matrices_at(s, t, theta, w) -> np.ndarray:
 
     Raises ParityError on words with odd inversion count.
     """
-    return _fold(_letter_table(*generators_at(s, t, theta)), _even_word(w))
+    return _fold(_letter_table(*generators_at(s, t, theta)), _even_word(w).syllables,
+                 np.eye(3, dtype=np.longdouble))
 
 
 def _as_double(x, what: str) -> np.ndarray:

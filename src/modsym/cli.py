@@ -99,6 +99,8 @@ def _emit(lines: list[str], out_path: str | None) -> None:
 
 
 def cmd_verify(args) -> int:
+    if args.seed < 0:
+        raise SystemExit(f"bad --seed {args.seed}; expected seed >= 0")
     results = verify.run_suites(args.filter, args.tol, args.seed)
     if not results:
         print(f"no suite named {args.filter!r}", file=sys.stderr)

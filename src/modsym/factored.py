@@ -8,17 +8,21 @@ group orbits.  This module keeps every point as a factor pair
 
 with F, Fi unit-scaled 3x3 matrices and explicit log-scales.  That pair
 is the orientation-preserving isometry (F, +) taking the identity to p,
-so points and isometries are one type with one product.  The module never
+so points and isometries are one type with one product: ``fact`` is
+``fcompose``.  There is no orientation-reversing case: the orbit
+computations run on the free subgroup F2, whose elements all preserve
+orientation, and the inversion rho(a) inside its generators is folded
+away by ``charvar._fold``.  The module never
 extracts a small singular value from an explicit matrix: for a segment
 p -> q with G = F_p^{-1} F_q, the relative log-eigenvalues come from the
 top singular values of G and of G^{-1} (duality), and the middle one
 from the trace-zero constraint.  Frames use only top singular vectors.
 
 The segment primitives (``seg_lambdas``, ``seg_frame``, ``fmidpoint``,
-``fzeta_direction``, ``fzeta_angle``) and the products under them take
-leading stack axes: an FIsometry may hold (..., 3, 3) factors with
-(...)-shaped log-scales, and one call then does one batched matmul or SVD
-per step for the whole stack.  Each entry equals the unstacked call bit
+``fzeta_direction``) and the products under them take leading stack
+axes: an FIsometry may hold (..., 3, 3) factors with (...)-shaped
+log-scales, and one call then does one batched matmul or SVD per step
+for the whole stack.  Each entry equals the unstacked call bit
 for bit; an unstacked call is the zero-axis case of the same code.  A
 check that fails on a stack raises the error of its first failing entry
 (``errors.raise_first``).  The orbit layer calls them on stacks only:
@@ -36,7 +40,7 @@ import numpy as np
 
 from .errors import DomainError, RegularityError, raise_first
 from .flats import Flat, _check_regular, _flat_minimize
-from .symspace import Point, _any, _cross, _dot, _norm, _unstacked, matrix_angle
+from .symspace import Point, _any, _cross, _dot, _norm, _unstacked
 
 
 def _rescaled(m: np.ndarray, logscale):
@@ -52,42 +56,42 @@ def _rescaled(m: np.ndarray, logscale):
 
 @dataclass(frozen=True)
 class FIsometry:
-    """Isometry with an explicitly maintained inverse matrix, so that
-    orbit translates of factored points never invert numerically.
+    """Orientation-preserving isometry with an explicitly maintained
+    inverse matrix, so that orbit translates of factored points never
+    invert numerically.
 
-    A point p is the orientation-preserving isometry that takes the
-    identity to it: ``mat e^{lm}`` is a factor F of p = F F^T and
-    ``matinv e^{lmi}`` is F^{-1}.  A stack of isometries of one parity
-    holds (..., 3, 3) matrices and (...)-shaped log-scales; indexing or
-    iterating it gives views, and one entry comes back unstacked."""
+    A point p is the isometry that takes the identity to it: ``mat e^{lm}``
+    is a factor F of p = F F^T and ``matinv e^{lmi}`` is F^{-1}.  A stack
+    of isometries holds (..., 3, 3) matrices and (...)-shaped log-scales;
+    indexing or iterating it gives views, and one entry comes back
+    unstacked."""
 
     mat: np.ndarray
     matinv: np.ndarray
-    reversing: bool
     lm: float = 0.0
     lmi: float = 0.0
 
     @classmethod
-    def from_pair(cls, mat, matinv, reversing, lm=0.0, lmi=0.0) -> "FIsometry":
+    def from_pair(cls, mat, matinv, lm=0.0, lmi=0.0) -> "FIsometry":
         mat, lm = _rescaled(np.asarray(mat, dtype=float), lm)
         matinv, lmi = _rescaled(np.asarray(matinv, dtype=float), lmi)
         mat.flags.writeable = False
         matinv.flags.writeable = False
-        return cls(mat=mat, matinv=matinv, reversing=reversing, lm=lm, lmi=lmi)
+        return cls(mat=mat, matinv=matinv, lm=lm, lmi=lmi)
 
     def __getitem__(self, index) -> "FIsometry":
         lm, lmi = self.lm[index], self.lmi[index]
         if lm.ndim == 0:
             lm, lmi = float(lm), float(lmi)
-        return FIsometry(self.mat[index], self.matinv[index], self.reversing, lm, lmi)
+        return FIsometry(self.mat[index], self.matinv[index], lm, lmi)
 
     @classmethod
     def identity(cls) -> "FIsometry":
-        return cls.from_pair(np.eye(3), np.eye(3), False)
+        return cls.from_pair(np.eye(3), np.eye(3))
 
     @classmethod
     def from_point(cls, p: Point) -> "FIsometry":
-        return cls.from_pair(p.sqrt(), p.inv_sqrt(), False)
+        return cls.from_pair(p.sqrt(), p.inv_sqrt())
 
     def to_point(self) -> Point:
         """The image of the identity as an explicit Point; only valid at
@@ -96,42 +100,33 @@ class FIsometry:
 
 
 def fstack(isometries, axis: int = 0) -> FIsometry:
-    """Isometries of one parity stacked along a new axis."""
+    """Isometries stacked along a new axis."""
     gs = list(isometries)
     return FIsometry(
         np.stack([g.mat for g in gs], axis), np.stack([g.matinv for g in gs], axis),
-        gs[0].reversing, np.stack([g.lm for g in gs], axis), np.stack([g.lmi for g in gs], axis),
+        np.stack([g.lm for g in gs], axis), np.stack([g.lmi for g in gs], axis),
     )
 
 
 def _product(g: FIsometry, h: FIsometry):
     """Unscaled factor pair of g h: (mat, matinv, lm, lmi)."""
-    if g.reversing:
-        return (g.mat @ h.matinv.swapaxes(-1, -2), h.mat.swapaxes(-1, -2) @ g.matinv,
-                g.lm + h.lmi, h.lm + g.lmi)
     return g.mat @ h.mat, h.matinv @ g.matinv, g.lm + h.lm, h.lmi + g.lmi
 
 
 def fcompose(g: FIsometry, h: FIsometry) -> FIsometry:
-    """Group law matching symspace.compose, with maintained inverses."""
-    mat, matinv, lm, lmi = _product(g, h)
-    return FIsometry.from_pair(mat, matinv, g.reversing != h.reversing, lm, lmi)
+    """Group law matching symspace.compose, with maintained inverses.  On
+    a factored point p, ``fcompose(g, p)`` is g(p)."""
+    return FIsometry.from_pair(*_product(g, h))
 
 
 def finverse(g: FIsometry) -> FIsometry:
-    """Inverse isometry.  (A, +)^{-1} = (A^{-1}, +) and a reversing
-    isometry (A, -): p -> A p^{-1} A^T is its own kind: (A, -)^{-1} =
-    (A^{*-1}, -) = (A^T, -).  The factors are already unit-scaled."""
-    if g.reversing:
-        return FIsometry(g.mat.swapaxes(-1, -2), g.matinv.swapaxes(-1, -2), True, g.lm, g.lmi)
-    return FIsometry(g.matinv, g.mat, False, g.lmi, g.lm)
+    """Inverse isometry: (A, +)^{-1} = (A^{-1}, +).  The factors are
+    already unit-scaled."""
+    return FIsometry(g.matinv, g.mat, g.lmi, g.lm)
 
 
-def fact(g: FIsometry, p: FIsometry) -> FIsometry:
-    """Apply an isometry to a factored point: g p, which takes the
-    identity to g(p), kept orientation-preserving."""
-    mat, matinv, lm, lmi = _product(g, p)
-    return FIsometry.from_pair(mat, matinv, False, lm, lmi)
+# the action on factored points is the group law
+fact = fcompose
 
 
 def _lambdas(sg, sgi, lg, lgi) -> np.ndarray:
@@ -195,10 +190,6 @@ def fzeta_direction(p: FIsometry, q: FIsometry) -> np.ndarray:
     return u1[..., :, None] * u1[..., None, :] - u3[..., :, None] * u3[..., None, :]
 
 
-def fzeta_angle(p: FIsometry, q: FIsometry, q2: FIsometry):
-    return matrix_angle(fzeta_direction(p, q), fzeta_direction(p, q2))
-
-
 def fmidpoint(p: FIsometry, q: FIsometry) -> FIsometry:
     """Geodesic midpoint as a factored point: F_m = F_p (G G^T)^{1/4}."""
     lam, u = seg_frame(p, q)
@@ -206,7 +197,7 @@ def fmidpoint(p: FIsometry, q: FIsometry) -> FIsometry:
     quarter = (u * np.exp(lam / 4.0)[..., None, :]) @ ut
     quarter_inv = (u * np.exp(-lam / 4.0)[..., None, :]) @ ut
     return FIsometry.from_pair(
-        p.mat @ quarter, quarter_inv @ p.matinv, False, p.lm, p.lmi,
+        p.mat @ quarter, quarter_inv @ p.matinv, p.lm, p.lmi,
     )
 
 

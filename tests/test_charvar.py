@@ -16,6 +16,7 @@ from modsym.charvar import (
     is_reducible,
     matrix_of,
     rep_from_coords,
+    rep_from_point,
     schwartz_t,
     trace_b2aba_bound_check,
     trace_baba_closed_form,
@@ -24,8 +25,16 @@ from modsym.charvar import (
 )
 from modsym.errors import DomainError, ParityError, PreconditionError
 from modsym.factored import FIsometry, fcompose
-from modsym.modgroup import _F2_SUBSTITUTION, f2_from_string, normalize, parity_abelianization
+from modsym.modgroup import (
+    _F2_SUBSTITUTION,
+    F2Word,
+    f2_from_string,
+    f2_to_mod,
+    normalize,
+    parity_abelianization,
+)
 from modsym.symspace import Isometry, compose, rotation
+from modsym.verify import random_point
 
 LOG3_HALF = float(np.log(3.0) / 2.0)
 
@@ -138,7 +147,53 @@ def _fcompose_chain(isometries):
 
 def _same_fisometry(g, h):
     return (np.array_equal(g.mat, h.mat) and np.array_equal(g.matinv, h.matinv)
-            and (g.lm, g.lmi, g.reversing) == (h.lm, h.lmi, h.reversing))
+            and (g.lm, g.lmi) == (h.lm, h.lmi))
+
+
+def _reference_f2_generators(x_mat, x_inv):
+    """The four F2 generators by the parity fold over factored letters that
+    ``charvar._fold`` replaced: rho(a) is the reversing isometry (x, -),
+    each letter carries its parity, and a reversing left factor g composes
+    with the transposed inverse factors of the right one,
+    g h = (G H^{-T}, H^T G^{-1})."""
+    rot = rotation(2.0 * np.pi / 3.0)
+    letters = {"a": (FIsometry.from_pair(x_mat, x_inv), True),
+               "b": (FIsometry.from_pair(rot, rot.T), False),
+               "B": (FIsometry.from_pair(rot.T, rot), False)}
+    gens = []
+    for k in range(4):
+        g, reversing = FIsometry.identity(), False
+        for syll in _F2_SUBSTITUTION[k]:
+            h, h_reversing = letters[syll]
+            if reversing:
+                pair = (g.mat @ h.matinv.swapaxes(-1, -2), h.mat.swapaxes(-1, -2) @ g.matinv,
+                        g.lm + h.lmi, h.lm + g.lmi)
+            else:
+                pair = (g.mat @ h.mat, h.matinv @ g.matinv, g.lm + h.lm, h.lmi + g.lmi)
+            g, reversing = FIsometry.from_pair(*pair), reversing != h_reversing
+        assert not reversing
+        gens.append(g)
+    return gens
+
+
+@pytest.mark.parametrize("t", [1.0, 6.0, 16.0, 100.0, 300.0])
+@pytest.mark.parametrize("s", [0.0, 0.4, 2.0])
+def test_f2_generators_are_the_parity_fold(s, t):
+    for theta in (0.0, 0.5, 1.3, 2.9):
+        c = Coordinates(s, t, theta)
+        S, Si, expw = charvar._halfangle_blocks(c.s, c.t, c.theta / 2.0, np.float64)
+        ref = _reference_f2_generators(S @ expw(2.0) @ S, Si @ expw(-2.0) @ Si)
+        gens = rep_from_coords(c).f2_generators()
+        for k in range(4):
+            assert _same_fisometry(gens[k], ref[k]), (theta, k)
+
+
+def test_f2_generators_from_a_point_are_the_parity_fold(rng):
+    for _ in range(10):
+        x = random_point(rng, 1.5)
+        gens = rep_from_point(x).f2_generators()
+        ref = _reference_f2_generators(x.mat, x.inv())
+        assert all(_same_fisometry(gens[k], ref[k]) for k in range(4))
 
 
 def test_f2_fisometry_is_the_fcompose_loop():
@@ -147,11 +202,23 @@ def test_f2_fisometry_is_the_fcompose_loop():
     assert gens is rep.f2_generators()
     assert gens.mat.shape == (4, 3, 3) and gens.lm.shape == (4,)
     assert not any(a.flags.writeable for a in (gens.mat, gens.matinv, gens.lm, gens.lmi))
-    for k, sylls in _F2_SUBSTITUTION.items():
-        assert _same_fisometry(gens[k], _fcompose_chain(rep.letter(s) for s in sylls))
     for name in ("x", "Y", "xyXY", "yyxYxxyX"):
         w = f2_from_string(name)
         assert _same_fisometry(f2_fisometry(rep, w), _fcompose_chain(gens[k] for k in w.letters))
+
+
+@pytest.mark.parametrize("s", [0.0, 0.7, 2.0])
+@pytest.mark.parametrize("t", [0.5, 3.0, 8.0, 20.0])
+def test_f2_generators_are_the_matrices_of_their_words(s, t):
+    """The one word fold in its two number types: the factored generators
+    and the extended-precision matrices of the same words."""
+    for theta in (0.0, 0.8, 2.2):
+        rep = rep_from_coords(Coordinates(s, t, theta))
+        gens = rep.f2_generators()
+        for k in range(4):
+            want = np.asarray(matrix_of(rep, f2_to_mod(F2Word((k,)))), dtype=float)
+            got = gens.mat[k] * np.exp(gens.lm[k])
+            assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want), (theta, k)
 
 
 def test_matrix_of_b_is_rotation(rng):

@@ -47,6 +47,14 @@ def test_verify_unknown_filter(capsys):
     assert run_cli(["verify", "--filter", "nonsense"]) == 2
 
 
+@pytest.mark.parametrize("extra", [[], ["--filter", "anosov"]])
+def test_verify_rejects_a_negative_seed(extra, capsys):
+    """Every suite, including one that draws no random numbers."""
+    with pytest.raises(SystemExit, match=r"^bad --seed -1; expected seed >= 0$"):
+        run_cli(["verify", "--seed", "-1", *extra])
+    assert capsys.readouterr().out == ""
+
+
 def test_trace_table_single_point(tmp_path, capsys):
     out = tmp_path / "t.csv"
     code = run_cli(["trace-table", "--coords", f"0,{np.log(3) / 2},0",
