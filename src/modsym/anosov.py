@@ -12,7 +12,7 @@ matrices can hold.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import accumulate
 from typing import Sequence
 
@@ -265,18 +265,19 @@ _SCALAR_SPREAD = 1e-8
 
 
 def _log_sigma1(mats: np.ndarray) -> np.ndarray:
-    """log of the top singular value of each matrix of a (..., 3, 3)
-    stack, as half the log of the top eigenvalue of G G^T.  The entries
-    must be rescaled to max |entry| 1, so that G G^T cannot overflow.
+    """log of the top singular value of each matrix of a planar (3, 3, ...)
+    stack, where ``mats[i, j]`` holds entry (i, j) of every matrix, as half
+    the log of the top eigenvalue of G G^T.  The entries must be rescaled
+    to max |entry| 1, so that G G^T cannot overflow.
 
     The eigenvalue is the closed form q + 2 p cos(arccos(r) / 3) of a
     symmetric 3x3 matrix (O. K. Smith, CACM 4(4), 1961), from the six
     distinct entries of G G^T; rows near a top tie or a scalar Gram take
     ``eigvalsh`` instead (see _TIE_MARGIN)."""
-    m = mats.reshape(-1, 3, 3)
-    r0, r1, r2 = m[:, 0], m[:, 1], m[:, 2]
-    a, d, f, b, c, e = (np.einsum("ij,ij->i", u, v) for u, v in (
-        (r0, r0), (r1, r1), (r2, r2), (r0, r1), (r0, r2), (r1, r2)))
+    m = mats.reshape(3, 3, -1)
+    # the Gram entries, as dot products of rows summed plane by plane
+    a, d, f, b, c, e = (m[i, 0] * m[j, 0] + m[i, 1] * m[j, 1] + m[i, 2] * m[j, 2]
+                        for i, j in ((0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2)))
     q = (a + d + f) / 3
     a, d, f = a - q, d - q, f - q
     p = np.sqrt((a * a + d * d + f * f + 2 * (b * b + c * c + e * e)) / 6)
@@ -286,42 +287,54 @@ def _log_sigma1(mats: np.ndarray) -> np.ndarray:
     lam = q + 2 * p * np.cos(np.arccos(np.clip(r, -1.0, 1.0)) / 3)
     fallback = scalar | (1 + r < _TIE_MARGIN)
     if fallback.any():
-        g = m[fallback]
+        g = np.ascontiguousarray(np.moveaxis(m[:, :, fallback], -1, 0))
         lam[fallback] = np.linalg.eigvalsh(g @ np.swapaxes(g, -1, -2))[:, -1]
-    return 0.5 * np.log(lam).reshape(mats.shape[:-2])
+    return 0.5 * np.log(lam).reshape(mats.shape[2:])
 
 
 def _rescale_batch(mats: np.ndarray):
-    """Divide each matrix of a fresh (m, 3, 3) stack in place by its max
-    |entry|; return the stack and the log of each divisor.  The max runs
-    over the nine entries as columns, which numpy reduces several times
-    faster than the trailing axes of the stack.  A product that underflowed
-    to 0 has no scale."""
-    entries = mats.reshape(-1, 9)
-    s = np.abs(entries[:, 0])
-    for j in range(1, 9):
-        np.maximum(s, np.abs(entries[:, j]), out=s)
+    """Divide each matrix of a fresh planar (3, 3, m) stack in place by its
+    max |entry|; return the stack and the log of each divisor.  A product
+    that underflowed to 0 has no scale."""
+    planes = mats.reshape(9, -1)
+    s = np.abs(planes[0])
+    for plane in planes[1:]:
+        np.maximum(s, np.abs(plane), out=s)
     if not s.all():
         raise DomainError("word product underflows the float64 range")
-    mats /= s[:, None, None]
+    mats /= s
     return mats, np.log(s)
 
 
 def _cartan_pair(mats, invs, lm, lmi):
     """(log sigma_1, log sigma_3) of each word, from the normalized
-    matrices of the words and of their inverses with their log-scales:
-    sigma_3(g) = 1 / sigma_1(g^-1)."""
-    return _log_sigma1(mats) + lm, -(_log_sigma1(invs) + lmi)
+    (..., 3, 3) matrices of the words and of their inverses with their
+    log-scales: sigma_3(g) = 1 / sigma_1(g^-1)."""
+    l1 = _log_sigma1(np.moveaxis(mats, (-2, -1), (0, 1))) + lm
+    return l1, -(_log_sigma1(np.moveaxis(invs, (-2, -1), (0, 1))) + lmi)
+
+
+def _letter_planes(table: np.ndarray, letter: np.ndarray) -> np.ndarray:
+    """The planar (3, 3, m) stack of table[letter[i]] for a (4, 3, 3) table."""
+    return table.reshape(len(table), 9).T.take(letter, axis=1).reshape(3, 3, -1)
 
 
 def _times_letters(mats: np.ndarray, letter: np.ndarray, table: np.ndarray, left: bool = False):
-    """mats[i] @ table[letter[i]] (table[letter[i]] @ mats[i] when left)
-    for a fresh (m, 3, 3) stack, in place, one letter at a time: a
-    product by one broadcast matrix needs no gathered copy of the table,
-    and numpy forms it about twice as fast."""
-    for k, g in enumerate(table):
-        these = letter == k
-        mats[these] = g @ mats[these] if left else mats[these] @ g
+    """mats[..., i] @ table[letter[i]] (table[letter[i]] @ mats[..., i] when
+    left) for a fresh planar (3, 3, m) stack, in place.  Each result row
+    (column when left) is three multiply-adds over whole planes, summed in
+    index order, and is written back once its three products are formed.
+    Rounds like a per-matrix product with no fused multiply-add, so it can
+    differ from ``matmul`` by a few ulp of the largest entry."""
+    g = _letter_planes(table, letter)
+    # the left product forms the rows of (mats^T g^T), i.e. the columns
+    a, b = (mats.transpose(1, 0, 2), g.transpose(1, 0, 2)) if left else (mats, g)
+    acc, term = np.empty((2, 3, mats.shape[2]))
+    for row in a:
+        np.multiply(row[0], b[0], out=acc)
+        acc += np.multiply(row[1], b[1], out=term)
+        np.multiply(row[2], b[2], out=term)
+        np.add(acc, term, out=row)
     return mats
 
 
@@ -337,26 +350,44 @@ def _distinct(values: np.ndarray):
     return distinct, place[values]
 
 
-def _prefix_fold(levels, gens, enumerated):
+@lru_cache(maxsize=4)
+def _enumerated_tables(max_len: int):
+    """The complete levels ``f2_levels(max_len)`` and, per level, the row of
+    each word's inverse, as read-only arrays shared by every scan.  Row i
+    of a level extends row i // 3 of the one before, so every level is a
+    strided view of the deepest, and only that one is held."""
+    *_, deepest = f2_levels(max_len)
+    deepest.setflags(write=False)
+    levels = tuple(deepest[::3 ** (max_len - n), :n] for n in range(1, max_len + 1))
+    inverse_rows = tuple(f2_index(level[:, ::-1] ^ 1) for level in levels)
+    for rows in inverse_rows:
+        rows.setflags(write=False)
+    return levels, inverse_rows
+
+
+def _prefix_fold(levels, gens, inverse_rows):
     """(log sigma_1, log sigma_3) of the rows of each level, where
     ``levels[i]`` holds words of length i + 1, and the number of 3x3
-    products formed.
+    products formed.  The levels are complete when ``inverse_rows`` gives
+    the row of each word's inverse, and sampled when it is None.
 
     The words form one prefix tree.  A node at depth k is a distinct pair
     (node at depth k - 1, last letter), and its normalized matrix is its
     parent's times the letter's, rescaled: it is formed once, however
-    many rows pass through it, and only the previous depth is kept.
+    many rows pass through it, and only the previous depth is kept, as a
+    planar (3, 3, nodes) stack.
 
     Enumerated levels are complete, so their rows are the nodes (row i
     extends row i // 3), a row's log-scale is its parent's plus its own,
-    and sigma_3(w) = 1 / sigma_1(w^-1) is read off the row of w^-1 that
-    ``f2_index`` gives.  Sampled rows keep the arithmetic of a per-row
-    fold bit for bit: the inverses w^-1 are folded beside the words, a
-    row's log-scale sums the generators' along the row first and then the
-    rescale of each of its prefixes in depth order, and sigma_1 is taken
-    once per distinct node that a level's rows reach.
+    and sigma_3(w) = 1 / sigma_1(w^-1) is read off the row of w^-1.
+    Sampled rows keep the arithmetic of a per-row fold bit for bit: the
+    inverses w^-1 are folded beside the words, a row's log-scale sums the
+    generators' along the row first and then the rescale of each of its
+    prefixes in depth order, and sigma_1 is taken once per distinct node
+    that a level's rows reach.
     """
     gmat, gmatinv, glm, glmi = gens
+    enumerated = inverse_rows is not None
     if not enumerated:
         # per live level (rows of length >= k): each row's log-scales and
         # its node at the current depth
@@ -367,7 +398,7 @@ def _prefix_fold(levels, gens, enumerated):
     products = 0
     for k, level in enumerate(levels, 1):
         if enumerated:
-            letter, parent = level[:, -1], np.arange(len(level)) // 3
+            letter = level[:, -1]
         else:
             # the nodes at depth k are the distinct (parent, letter) keys of
             # the live rows
@@ -377,28 +408,28 @@ def _prefix_fold(levels, gens, enumerated):
             parent, letter = np.divmod(nodes, 4)
             rows = np.split(place, np.cumsum([len(lv) for lv in live[:-1]]))
         if k == 1:
-            mats, invs = gmat[letter], gmatinv[letter]
+            mats, invs = _letter_planes(gmat, letter), _letter_planes(gmatinv, letter)
         else:
             # rebinding to the gather frees the previous depth's stack before
             # the product, which bounds the peak memory
-            mats = mats[parent]
+            mats = np.repeat(mats, 3, axis=2) if enumerated else mats.take(parent, axis=2)
             mats, logs = _rescale_batch(_times_letters(mats, letter, gmat))
             products += len(letter)
             if not enumerated:
-                invs = invs[parent]
+                invs = invs.take(parent, axis=2)
                 invs, logsi = _rescale_batch(_times_letters(invs, letter, gmatinv, left=True))
                 products += len(letter)
                 for r, row_sum, row_sum_inv in zip(rows, row_lm, row_lmi):
                     row_sum += logs[r]
                     row_sum_inv += logsi[r]
         if enumerated:
-            lm = glm[letter] if k == 1 else lm[parent] + glm[letter] + logs
+            lm = glm[letter] if k == 1 else np.repeat(lm, 3) + glm[letter] + logs
             l1 = _log_sigma1(mats) + lm
-            pairs.append((l1, -l1[f2_index(level[:, ::-1] ^ 1)]))
+            pairs.append((l1, -l1[inverse_rows[k - 1]]))
         else:
             reached, back = _distinct(rows.pop(0))
-            pairs.append((_log_sigma1(mats[reached])[back] + row_lm.pop(0),
-                          -(_log_sigma1(invs[reached])[back] + row_lmi.pop(0))))
+            pairs.append((_log_sigma1(mats.take(reached, axis=2))[back] + row_lm.pop(0),
+                          -(_log_sigma1(invs.take(reached, axis=2))[back] + row_lmi.pop(0))))
     return pairs, products
 
 
@@ -425,15 +456,16 @@ def cartan_gap_scan(
     total = sum(f2_count(n) for n in range(1, max_len + 1))
     enumerate_all = total <= budget
 
+    inverse_rows = None
     if enumerate_all:
-        letters = list(f2_levels(max_len))
+        letters, inverse_rows = _enumerated_tables(max_len)
     else:
         rng = f2_rng(seed)
         per_length = max(1, budget // max_len)
         # every length is drawn before the fold, in the order of the draws
         letters = [f2_sample(rng, min(per_length, f2_count(n)), n) for n in range(1, max_len + 1)]
     g = rep.f2_generators()
-    pairs, products = _prefix_fold(letters, (g.mat, g.matinv, g.lm, g.lmi), enumerate_all)
+    pairs, products = _prefix_fold(letters, (g.mat, g.matinv, g.lm, g.lmi), inverse_rows)
     gap12, gap23 = [], []
     for l1, l3 in pairs:
         l2 = -l1 - l3

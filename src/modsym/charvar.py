@@ -440,17 +440,3 @@ def trace_b2aba_bound_check(rep: Representation) -> TraceReport:
     if abs(tr) < B2ABA_TRACE_BOUND - 1e-6:
         raise DomainError(f"surface trace bound violated: tr(b2aba) = {tr!r}")
     return TraceReport(word=B2ABA, numeric_trace=tr)
-
-
-def char_poly_coeffs(m: np.ndarray) -> np.ndarray:
-    """Coefficients (1, c2, c1, c0) of det(xI - m) for a 3x3 matrix.
-    Dtype preserving, so extended-precision inputs keep their accuracy."""
-    m = np.asarray(m)
-    tr = np.trace(m)
-    e2 = 0.5 * (tr**2 - np.trace(m @ m))
-    det = (
-        m[0, 0] * (m[1, 1] * m[2, 2] - m[1, 2] * m[2, 1])
-        - m[0, 1] * (m[1, 0] * m[2, 2] - m[1, 2] * m[2, 0])
-        + m[0, 2] * (m[1, 0] * m[2, 1] - m[1, 1] * m[2, 0])
-    )
-    return np.array([m.dtype.type(1), -tr, e2, -det])

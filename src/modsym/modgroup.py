@@ -98,11 +98,6 @@ def mod_mul(w1: ModWord, w2: ModWord) -> ModWord:
     return normalize(w1.syllables + w2.syllables)
 
 
-def mod_inverse(w: ModWord) -> ModWord:
-    inv = {_A: _A, _B: _B2, _B2: _B}
-    return ModWord(tuple(inv[s] for s in reversed(w.syllables)))
-
-
 def parity_abelianization(w: ModWord) -> tuple[int, int]:
     """Exponent sums modulo (2, 3); (0, *) detects the index-two subgroup,
     (0, 0) the free rank-two subgroup."""
@@ -233,12 +228,15 @@ def f2_sample(rng: np.random.Generator, m: int, n: int) -> np.ndarray:
     """m uniformly random reduced words of length n as an int64 letter
     array of shape (m, n), drawn column by column: the first letters by
     one ``rng.integers(4, size=m)``, each later column by one
-    ``rng.integers(3, size=m)`` over the allowed continuations."""
+    ``rng.integers(3, size=m)`` over the allowed continuations: after a
+    letter p, the draw r stands for r below p ^ 1 and for r + 1 from it
+    on, which skips the inverse p ^ 1."""
     level = np.empty((m, n), dtype=np.int64)
     if n:
         level[:, 0] = rng.integers(4, size=m)
     for col in range(1, n):
-        level[:, col] = _ALLOWED[level[:, col - 1], rng.integers(3, size=m)]
+        r = rng.integers(3, size=m)
+        level[:, col] = r + (r >= level[:, col - 1] ^ 1)
     return level
 
 

@@ -12,7 +12,6 @@ from modsym import anosov, flats, highprec, symspace, verify
 from modsym.charvar import (
     BABA,
     Coordinates,
-    char_poly_coeffs,
     is_reducible,
     matrix_of,
     rep_from_coords,
@@ -93,7 +92,7 @@ def test_criterion_04_surface_residual_and_symmetry():
     "trace is 3.  The square of the peripheral matrix is the genuinely "
     "unipotent element; see test_criterion_05_square_is_unipotent.",
 )
-def test_criterion_05_unipotency_as_stated():
+def test_criterion_05_unipotency_as_stated(char_poly_coeffs):
     """char poly of rho(baba) vs (x-1)^3 at 100 surface points."""
     rng = np.random.default_rng(303)
     worst = 0.0
@@ -106,7 +105,7 @@ def test_criterion_05_unipotency_as_stated():
     report(5, worst < 1e-6, f"max |char(baba) - (x-1)^3| = {worst:.3e} (< 1e-6)")
 
 
-def test_criterion_05_square_is_unipotent():
+def test_criterion_05_square_is_unipotent(char_poly_coeffs):
     """Attainable form: char(baba) = (x-1)(x+1)^2 and char(baba^2) = (x-1)^3
     coefficientwise to 1e-6, with baba^2 a nontrivial unipotent.  Sampled
     over s in [0, 2], where extended precision resolves the coefficient

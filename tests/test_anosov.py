@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 import warnings
 from functools import reduce
 
@@ -683,14 +686,24 @@ def test_gap_scan_underflow_raises_without_warnings(max_len, budget):
 # beside it; sampled, each row is folded on its own, letter by letter.
 
 
-def _reference_rescale(mats, logs):
-    s = np.max(np.abs(mats), axis=(1, 2))
-    return mats / s[:, None, None], logs + np.log(s)
+def _reference_rescale(mats, logs, axes=(1, 2)):
+    """Each matrix of a stack divided by its max |entry|, whose axes are
+    ``axes``, (0, 1) for a planar stack; the logs gain its log."""
+    s = np.max(np.abs(mats), axis=axes, keepdims=True)
+    return mats / s, logs + np.log(s).reshape(-1)
 
 
-def _reference_gap_scan(rep, max_len, budget, seed):
+def _planar(mats):
+    """The planar (3, 3, m) view of an (m, 3, 3) stack."""
+    return np.moveaxis(mats, 0, -1)
+
+
+def _reference_gap_scan(rep, max_len, budget, seed, kernel="matmul"):
     """The fields of cartan_gap_scan's report, and the number of 3x3
-    products the reference formed."""
+    products the reference formed.  The per-level fold forms its products
+    by matmul; the per-row fold by matmul on (m, 3, 3) stacks, or, with
+    ``kernel="planar"``, by the scan's own anosov._times_letters on planar
+    (3, 3, m) stacks."""
     gens = [rep.f2_generators()[k] for k in range(4)]
     gmat = np.stack([g.mat for g in gens])
     gmatinv = np.stack([g.matinv for g in gens])
@@ -711,20 +724,31 @@ def _reference_gap_scan(rep, max_len, budget, seed):
                 products += 2 * len(level)
             mats, lm = _reference_rescale(mats, lm)
             invs, lmi = _reference_rescale(invs, lmi)
-            folds.append((level, mats, invs, lm, lmi))
+            folds.append((level, _planar(mats), _planar(invs), lm, lmi))
     else:
+        planar = kernel == "planar"
+        axes = (0, 1) if planar else (1, 2)
         rng = f2_rng(seed)
         per_length = max(1, budget // max_len)
         for n in range(1, max_len + 1):
             level = f2_sample(rng, min(per_length, f2_count(n)), n)
             mats, invs = gmat[level[:, 0]], gmatinv[level[:, 0]]
+            if planar:
+                mats, invs = _planar(mats).copy(), _planar(invs).copy()
             lm, lmi = glm[level].sum(axis=1), glmi[level].sum(axis=1)
             for col in range(1, n):
-                mats = mats @ gmat[level[:, col]]
-                invs = gmatinv[level[:, col]] @ invs
-                mats, lm = _reference_rescale(mats, lm)
-                invs, lmi = _reference_rescale(invs, lmi)
+                letter = level[:, col]
+                if planar:
+                    mats = anosov._times_letters(mats, letter, gmat)
+                    invs = anosov._times_letters(invs, letter, gmatinv, left=True)
+                else:
+                    mats = mats @ gmat[letter]
+                    invs = gmatinv[letter] @ invs
+                mats, lm = _reference_rescale(mats, lm, axes)
+                invs, lmi = _reference_rescale(invs, lmi, axes)
                 products += 2 * len(level)
+            if not planar:
+                mats, invs = _planar(mats), _planar(invs)
             folds.append((level, mats, invs, lm, lmi))
     letters, gap12, gap23 = [], [], []
     for level, mats, invs, lm, lmi in folds:
@@ -753,13 +777,35 @@ REFERENCE_POINTS = [(0, 0, 0), (0.5, 1, 0.5), (1, 4, 0.5), (1, 12, 0.5), (1, 400
 def test_sampled_gap_scan_equals_per_row_fold(point, max_len, budget, seed):
     rep = rep_from_coords(Coordinates(*point))
     r = cartan_gap_scan(rep, max_len, budget, seed)
-    ref = _reference_gap_scan(rep, max_len, budget, seed)
+    ref = _reference_gap_scan(rep, max_len, budget, seed, kernel="planar")
     assert not r.enumerated
     assert len(r.letters) == len(ref["letters"])
     assert all(np.array_equal(a, b) for a, b in zip(r.letters, ref["letters"]))
     assert np.array_equal(r.gap12, ref["gap12"]) and np.array_equal(r.gap23, ref["gap23"])
     assert r.per_length_min == ref["per_length_min"]
     assert (r.slope_c, r.intercept_C) == (ref["slope_c"], ref["intercept_C"])
+
+
+@pytest.mark.parametrize("max_len, budget, seed", [(9, 2000, 3), (10, 50_000, 0), (45, 900, 1)])
+@pytest.mark.parametrize("point", REFERENCE_POINTS)
+def test_sampled_gap_scan_near_matmul_fold(point, max_len, budget, seed):
+    """The planar products differ from matmul's by a few ulp: up to t = 12
+    the gaps move by at most 1e-10 max(1, |gap|) and c by 1e-10 relative,
+    the bound of the enumerated scan against its per-level fold.  At
+    t = 400 cancelling words lose most digits in either association, so
+    both folds need only be finite there."""
+    rep = rep_from_coords(Coordinates(*point))
+    r = cartan_gap_scan(rep, max_len, budget, seed)
+    ref = _reference_gap_scan(rep, max_len, budget, seed)
+    assert all(np.array_equal(a, b) for a, b in zip(r.letters, ref["letters"]))
+    if point[1] > 12:
+        for values in (r.gap12, r.gap23, ref["gap12"], ref["gap23"]):
+            assert np.isfinite(values).all()
+        assert np.isfinite([r.slope_c, ref["slope_c"]]).all()
+        return
+    for got, want in ((r.gap12, ref["gap12"]), (r.gap23, ref["gap23"])):
+        assert np.max(np.abs(got - want) / np.maximum(1.0, np.abs(want))) <= 1e-10
+    assert r.slope_c == pytest.approx(ref["slope_c"], rel=1e-10, abs=1e-14)
 
 
 @pytest.mark.parametrize("point", [p for p in REFERENCE_POINTS if p[1] <= 12])
@@ -801,6 +847,66 @@ def test_gap_scan_counts_its_products():
     assert 0 < r.products <= ref["products"] / 4
 
 
+def _letter_stacks(m, seed):
+    """m rescaled N(0, 1) matrices, the (4, 3, 3) letter table of a
+    rescaled N(0, 1) draw and m letters."""
+    rng = np.random.default_rng(seed)
+    return (_rescaled_stack(rng.normal(size=(m, 3, 3))),
+            _rescaled_stack(rng.normal(size=(4, 3, 3))), rng.integers(4, size=m))
+
+
+@pytest.mark.parametrize("left", [False, True], ids=["right", "left"])
+@pytest.mark.parametrize("m, seed", [(1, 0), (7, 1), (5000, 2)])
+def test_times_letters_is_the_ordered_product(left, m, seed):
+    """The planar product sums each entry's three terms in index order with
+    no fused multiply-add, bit for bit, in place; against matmul it stays
+    within 4 eps of sum_k |a_ik| |b_kj|, twice the rounding bound of a
+    three-term dot product."""
+    mats, table, letter = _letter_stacks(m, seed)
+    a, b = (table[letter], mats) if left else (mats, table[letter])
+    ordered = sum(a[:, :, k, None] * b[:, None, k, :] for k in range(3))
+    planar = _planar(mats).copy()
+    got = anosov._times_letters(planar, letter, table, left=left)
+    assert got is planar
+    assert np.array_equal(got, _planar(ordered))
+    bound = 4 * np.finfo(float).eps * (np.abs(a) @ np.abs(b))
+    assert np.all(np.abs(_planar(a @ b) - got) <= _planar(bound))
+
+
+def test_rescale_batch_is_the_max_entry_division():
+    rng = np.random.default_rng(4)
+    mats = rng.normal(size=(300, 3, 3)) * 10.0 ** rng.uniform(-200, 200, size=(300, 1, 1))
+    planar = _planar(mats).copy()
+    got, logs = anosov._rescale_batch(planar)
+    scale = np.max(np.abs(mats), axis=(1, 2))
+    assert got is planar
+    assert np.array_equal(got, _planar(mats / scale[:, None, None]))
+    assert np.array_equal(logs, np.log(scale))
+
+
+def test_enumerated_tables_are_shared_read_only_levels():
+    levels, inverse_rows = anosov._enumerated_tables(6)
+    assert anosov._enumerated_tables(6)[0] is levels
+    assert len(levels) == len(inverse_rows) == 6
+    for level, rows, want in zip(levels, inverse_rows, f2_levels(6)):
+        assert np.array_equal(level, want)
+        assert np.array_equal(rows, f2_index(want[:, ::-1] ^ 1))
+        assert not level.flags.writeable and not rows.flags.writeable
+    r = cartan_gap_scan(rep_from_coords(Coordinates(0.8, 2.0, 0.9)), 6, None, seed=3)
+    assert r.letters == levels
+    with pytest.raises(ValueError, match="read-only"):
+        r.letters[2][0, 0] = 1
+
+
+def test_enumerated_tables_are_built_on_first_scan():
+    out = subprocess.run(
+        [sys.executable, "-c", "import modsym; "
+         "print(modsym.anosov._enumerated_tables.cache_info().currsize)"],
+        capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+    assert out.stdout.strip() == "0"
+
+
 def _rescaled_stack(mats):
     return mats / np.max(np.abs(mats), axis=(1, 2))[:, None, None]
 
@@ -819,7 +925,7 @@ def _sigma1_cases():
 @pytest.mark.parametrize("mats", [pytest.param(m, id=name) for name, m in _sigma1_cases()])
 def test_log_sigma1_matches_svd(mats):
     ref = np.linalg.svd(mats, compute_uv=False)[:, 0]
-    got = np.exp(anosov._log_sigma1(mats))
+    got = np.exp(anosov._log_sigma1(_planar(mats)))
     assert np.max(np.abs(got - ref) / ref) < 1e-14
 
 
@@ -842,7 +948,7 @@ def test_log_sigma1_top_gap_sweep(delta):
     margin and eigvalsh past it both stay within 1e-14 of the SVD."""
     mats = _with_singular_values([1.0, 1.0 - delta, 1e-3])
     ref = np.linalg.svd(mats, compute_uv=False)[:, 0]
-    got = np.exp(anosov._log_sigma1(mats))
+    got = np.exp(anosov._log_sigma1(_planar(mats)))
     assert np.max(np.abs(got - ref) / ref) < 1e-14
 
 
@@ -851,10 +957,10 @@ def test_log_sigma1_scalar_and_triple_ties():
     identity = np.tile(np.eye(3), (4, 1, 1))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert np.array_equal(anosov._log_sigma1(identity), np.zeros(4))
+        assert np.array_equal(anosov._log_sigma1(_planar(identity)), np.zeros(4))
         for spread in (1e-15, 1e-12, 1e-7):
             mats = _with_singular_values([1.0, 1.0 - spread, 1.0 - 2 * spread], n=50)
-            got = anosov._log_sigma1(mats)
+            got = anosov._log_sigma1(_planar(mats))
             assert np.max(np.abs(got - _svd_log_sigma1(mats))) < 1e-14
 
 
@@ -883,11 +989,11 @@ def test_log_sigma1_fallback_rows_go_to_eigvalsh(monkeypatch):
         return eigvalsh(a)
 
     monkeypatch.setattr(np.linalg, "eigvalsh", spy)
-    got = anosov._log_sigma1(mats)
+    got = anosov._log_sigma1(_planar(mats))
     assert len(sent) == 1 and np.array_equal(sent[0], grams[fallback])
     assert np.array_equal(got[fallback], reference[fallback])
     sent.clear()
-    anosov._log_sigma1(spread)
+    anosov._log_sigma1(_planar(spread))
     assert sent == []
 
 

@@ -8,7 +8,6 @@ from modsym.charvar import (
     BABA,
     Coordinates,
     TraceReport,
-    char_poly_coeffs,
     coords_from_rep,
     evaluate,
     f2_fisometry,
@@ -319,7 +318,7 @@ def test_trace_b2aba_off_surface_rejected():
         trace_b2aba_bound_check(rep)
 
 
-def test_peripheral_spectrum_on_surface(rng):
+def test_peripheral_spectrum_on_surface(rng, char_poly_coeffs):
     """tr = tr^{-1} = -1 forces eigenvalues (1, -1, -1); the square is
     unipotent with a nontrivial Jordan block."""
     for _ in range(20):

@@ -19,7 +19,6 @@ from modsym.modgroup import (
     f2_rng,
     f2_sample,
     f2_to_mod,
-    mod_inverse,
     mod_mul,
     normalize,
     parity_abelianization,
@@ -57,6 +56,11 @@ def test_normalize_associativity(rng):
                 for _ in range(3)]
         u, v, w = (normalize(r) for r in raws)
         assert mod_mul(mod_mul(u, v), w) == mod_mul(u, mod_mul(v, w))
+
+
+def mod_inverse(w: ModWord) -> ModWord:
+    inv = {"a": "a", "b": "B", "B": "b"}
+    return ModWord(tuple(inv[s] for s in reversed(w.syllables)))
 
 
 def test_mod_inverse(rng):
@@ -192,6 +196,25 @@ def test_f2_sample_draws_reduced_words():
     assert level.shape == (300, 7) and level.dtype == np.int64
     assert ((level[:, 1:] ^ 1) != level[:, :-1]).all()
     assert f2_sample(f2_rng(5), 4, 0).shape == (4, 0)
+
+
+def _gather_sample(rng, m, n):
+    """f2_sample as it was drawn before: each later column gathered from
+    the table of allowed continuations."""
+    allowed = np.array([[k for k in range(4) if k != p ^ 1] for p in range(4)])
+    level = np.empty((m, n), dtype=np.int64)
+    if n:
+        level[:, 0] = rng.integers(4, size=m)
+    for col in range(1, n):
+        level[:, col] = allowed[level[:, col - 1], rng.integers(3, size=m)]
+    return level
+
+
+@pytest.mark.parametrize("seed", [0, 3, 11, 2**40 + 1])
+def test_f2_sample_is_the_gather_sampler(seed):
+    rng, ref = f2_rng(seed), f2_rng(seed)
+    for m, n in [(1, 1), (7, 5), (333, 9), (1000, 2), (4, 0), (4999, 10), (1, 31)]:
+        assert np.array_equal(f2_sample(rng, m, n), _gather_sample(ref, m, n))
 
 
 @pytest.mark.parametrize("max_len", range(7))
