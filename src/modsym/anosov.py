@@ -319,21 +319,19 @@ def _letter_planes(table: np.ndarray, letter: np.ndarray) -> np.ndarray:
     return table.reshape(len(table), 9).T.take(letter, axis=1).reshape(3, 3, -1)
 
 
-def _times_letters(mats: np.ndarray, letter: np.ndarray, table: np.ndarray, left: bool = False):
-    """mats[..., i] @ table[letter[i]] (table[letter[i]] @ mats[..., i] when
-    left) for a fresh planar (3, 3, m) stack, in place.  Each result row
-    (column when left) is three multiply-adds over whole planes, summed in
-    index order, and is written back once its three products are formed.
-    Rounds like a per-matrix product with no fused multiply-add, so it can
-    differ from ``matmul`` by a few ulp of the largest entry."""
+def _times_letters(mats: np.ndarray, letter: np.ndarray, table: np.ndarray):
+    """mats[..., i] @ table[letter[i]] for a fresh planar (3, 3, m) stack,
+    in place.  Each result row is three multiply-adds over whole planes,
+    summed in index order, and is written back once its three products
+    are formed.  Rounds like a per-matrix product with no fused
+    multiply-add, so it can differ from ``matmul`` by a few ulp of the
+    largest entry."""
     g = _letter_planes(table, letter)
-    # the left product forms the rows of (mats^T g^T), i.e. the columns
-    a, b = (mats.transpose(1, 0, 2), g.transpose(1, 0, 2)) if left else (mats, g)
     acc, term = np.empty((2, 3, mats.shape[2]))
-    for row in a:
-        np.multiply(row[0], b[0], out=acc)
-        acc += np.multiply(row[1], b[1], out=term)
-        np.multiply(row[2], b[2], out=term)
+    for row in mats:
+        np.multiply(row[0], g[0], out=acc)
+        acc += np.multiply(row[1], g[1], out=term)
+        np.multiply(row[2], g[2], out=term)
         np.add(acc, term, out=row)
     return mats
 
@@ -352,85 +350,77 @@ def _distinct(values: np.ndarray):
 
 @lru_cache(maxsize=4)
 def _enumerated_tables(max_len: int):
-    """The complete levels ``f2_levels(max_len)`` and, per level, the row of
-    each word's inverse, as read-only arrays shared by every scan.  Row i
-    of a level extends row i // 3 of the one before, so every level is a
-    strided view of the deepest, and only that one is held."""
+    """The complete levels ``f2_levels(max_len)``, their prefix tree and,
+    per level, the row of each word's inverse, as read-only arrays shared
+    by every scan.  Row i of a level extends row i // 3 of the one before,
+    so every level is a strided view of the deepest, and the tree of a
+    complete level is trivial: its rows are its nodes, and node i's
+    parent is i // 3.  Each depth's parents and rows are prefixes of one
+    ``arange(m) // 3`` and one ``arange(m)`` over the deepest level's m
+    words, and only those and the deepest level are held."""
     *_, deepest = f2_levels(max_len)
-    deepest.setflags(write=False)
+    rows = np.arange(len(deepest))
+    parent = rows // 3
+    for table in (deepest, rows, parent):
+        table.setflags(write=False)
     levels = tuple(deepest[::3 ** (max_len - n), :n] for n in range(1, max_len + 1))
+    tree = tuple((parent[:len(level)], level[:, -1], rows[:len(level)]) for level in levels)
     inverse_rows = tuple(f2_index(level[:, ::-1] ^ 1) for level in levels)
-    for rows in inverse_rows:
-        rows.setflags(write=False)
-    return levels, inverse_rows
+    for inverse in inverse_rows:
+        inverse.setflags(write=False)
+    return levels, tree, inverse_rows
 
 
-def _prefix_fold(levels, gens, inverse_rows):
-    """(log sigma_1, log sigma_3) of the rows of each level, where
-    ``levels[i]`` holds words of length i + 1, and the number of 3x3
-    products formed.  The levels are complete when ``inverse_rows`` gives
-    the row of each word's inverse, and sampled when it is None.
+def _prefix_tree(levels):
+    """The prefix tree of sampled levels, ``levels[i]`` holding words of
+    length i + 1, as _prefix_fold reads it, built one depth at a time.
+    The rows of a level of m words are the words followed by their
+    inverses: row m + i is the inverse of row i, whose k-th letter is the
+    inverse of the word's k-th from the end.  The nodes at depth k are the
+    distinct (node at depth k - 1, letter) pairs of the rows of length
+    >= k, ascending, so a word drawn twice, or a prefix shared by a word
+    and an inverse, is one node."""
+    # per live level (rows of length >= k): the node of each row at the
+    # current depth
+    rows = [np.zeros(2 * len(level), dtype=np.int64) for level in levels]
+    for k in range(1, len(levels) + 1):
+        live = levels[k - 1:]
+        keys = np.concatenate([4 * r + np.concatenate([lv[:, k - 1], lv[:, lv.shape[1] - k] ^ 1])
+                               for r, lv in zip(rows, live)])
+        nodes, place = _distinct(keys)
+        parent, letter = np.divmod(nodes, 4)
+        rows = np.split(place, np.cumsum([2 * len(lv) for lv in live[:-1]]))
+        yield parent, letter, rows.pop(0)
 
-    The words form one prefix tree.  A node at depth k is a distinct pair
-    (node at depth k - 1, last letter), and its normalized matrix is its
-    parent's times the letter's, rescaled: it is formed once, however
-    many rows pass through it, and only the previous depth is kept, as a
-    planar (3, 3, nodes) stack.
 
-    Enumerated levels are complete, so their rows are the nodes (row i
-    extends row i // 3), a row's log-scale is its parent's plus its own,
-    and sigma_3(w) = 1 / sigma_1(w^-1) is read off the row of w^-1.
-    Sampled rows keep the arithmetic of a per-row fold bit for bit: the
-    inverses w^-1 are folded beside the words, a row's log-scale sums the
-    generators' along the row first and then the rescale of each of its
-    prefixes in depth order, and sigma_1 is taken once per distinct node
-    that a level's rows reach.
+def _prefix_fold(tree, gmat, glm):
+    """log sigma_1 of the rows of each level of a prefix tree, and the
+    number of 3x3 products formed.
+
+    ``tree`` gives one (parent, letter, rows) per depth k = 1, 2, ...:
+    node j at depth k is node parent[j] at depth k - 1 followed by
+    letter[j] (at depth 1, the empty word's, so parent is not read), and
+    row i of the level of length k is node rows[i].  A
+    node's normalized matrix is its parent's times its letter's, rescaled,
+    and its log-scale is its parent's plus its letter's plus the rescale's.
+    So each node is formed once, however many rows pass through it, in
+    the same arithmetic whichever words share it, and only the previous
+    depth is kept, as a planar (3, 3, nodes) stack.
     """
-    gmat, gmatinv, glm, glmi = gens
-    enumerated = inverse_rows is not None
-    if not enumerated:
-        # per live level (rows of length >= k): each row's log-scales and
-        # its node at the current depth
-        row_lm = [glm[level].sum(axis=1) for level in levels]
-        row_lmi = [glmi[level].sum(axis=1) for level in levels]
-        rows = [np.zeros(len(level), dtype=np.int64) for level in levels]
-    pairs = []
+    l1 = []
     products = 0
-    for k, level in enumerate(levels, 1):
-        if enumerated:
-            letter = level[:, -1]
-        else:
-            # the nodes at depth k are the distinct (parent, letter) keys of
-            # the live rows
-            live = levels[k - 1:]
-            keys = np.concatenate([4 * r + lv[:, k - 1] for r, lv in zip(rows, live)])
-            nodes, place = _distinct(keys)
-            parent, letter = np.divmod(nodes, 4)
-            rows = np.split(place, np.cumsum([len(lv) for lv in live[:-1]]))
+    for k, (parent, letter, rows) in enumerate(tree, 1):
         if k == 1:
-            mats, invs = _letter_planes(gmat, letter), _letter_planes(gmatinv, letter)
+            mats, lm = _letter_planes(gmat, letter), glm[letter]
         else:
             # rebinding to the gather frees the previous depth's stack before
             # the product, which bounds the peak memory
-            mats = np.repeat(mats, 3, axis=2) if enumerated else mats.take(parent, axis=2)
+            mats = mats.take(parent, axis=2)
             mats, logs = _rescale_batch(_times_letters(mats, letter, gmat))
+            lm = lm[parent] + glm[letter] + logs
             products += len(letter)
-            if not enumerated:
-                invs = invs.take(parent, axis=2)
-                invs, logsi = _rescale_batch(_times_letters(invs, letter, gmatinv, left=True))
-                products += len(letter)
-                for r, row_sum, row_sum_inv in zip(rows, row_lm, row_lmi):
-                    row_sum += logs[r]
-                    row_sum_inv += logsi[r]
-        if enumerated:
-            lm = glm[letter] if k == 1 else np.repeat(lm, 3) + glm[letter] + logs
-            l1 = _log_sigma1(mats) + lm
-            pairs.append((l1, -l1[inverse_rows[k - 1]]))
-        else:
-            reached, back = _distinct(rows.pop(0))
-            pairs.append((_log_sigma1(mats.take(reached, axis=2))[back] + row_lm.pop(0),
-                          -(_log_sigma1(invs.take(reached, axis=2))[back] + row_lmi.pop(0))))
-    return pairs, products
+        l1.append((_log_sigma1(mats) + lm)[rows])
+    return l1, products
 
 
 def cartan_gap_scan(
@@ -443,10 +433,15 @@ def cartan_gap_scan(
 
     Enumerates exhaustively when the full count of words fits in the
     budget (50 000 when None), otherwise draws a seeded uniform sample per
-    length.  The linear lower bound is fitted to the per-length minima of
-    min(gap12, gap23).  The generator matrices stay normalized and their
-    log-scales are summed apart, so the scan works at any scale; one fold
-    over the prefix tree of the words forms each distinct product once.
+    length.  The draws are with replacement, so a sampled level may hold
+    a word more than once: the fold forms it once, and each of its rows
+    stays in the report.  The linear lower bound is fitted to the
+    per-length minima of min(gap12, gap23).  The generator matrices stay
+    normalized and their log-scales are summed apart, so the scan works at
+    any scale; one fold over the prefix tree of the words and their
+    inverses forms each distinct product once, and sigma_3 of a word is
+    read off its inverse's row.  A sampled word's gaps equal, bit for bit,
+    those of its row in the complete enumeration of the same max-len.
     """
     if max_len < 1:
         raise ValueError("max_len must be >= 1")
@@ -456,18 +451,21 @@ def cartan_gap_scan(
     total = sum(f2_count(n) for n in range(1, max_len + 1))
     enumerate_all = total <= budget
 
-    inverse_rows = None
     if enumerate_all:
-        letters, inverse_rows = _enumerated_tables(max_len)
+        letters, tree, inverse_rows = _enumerated_tables(max_len)
     else:
         rng = f2_rng(seed)
         per_length = max(1, budget // max_len)
         # every length is drawn before the fold, in the order of the draws
         letters = [f2_sample(rng, min(per_length, f2_count(n)), n) for n in range(1, max_len + 1)]
+        tree = _prefix_tree(letters)
+        inverse_rows = [np.arange(len(level), 2 * len(level)) for level in letters]
     g = rep.f2_generators()
-    pairs, products = _prefix_fold(letters, (g.mat, g.matinv, g.lm, g.lmi), inverse_rows)
+    l1s, products = _prefix_fold(tree, g.mat, g.lm)
     gap12, gap23 = [], []
-    for l1, l3 in pairs:
+    for l1, inverse in zip(l1s, inverse_rows):
+        # sigma_3(w) = 1 / sigma_1(w^-1), read off the row of w^-1
+        l1, l3 = l1[:len(inverse)], -l1[inverse]
         l2 = -l1 - l3
         gap12.append(l1 - l2)
         gap23.append(l2 - l3)

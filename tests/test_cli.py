@@ -43,6 +43,25 @@ def test_verify_filter(capsys):
     assert "symspace." in out and "flats." not in out
 
 
+def test_verify_gap_scan_determinism_is_sampled(monkeypatch):
+    """The determinism check scans with a budget that samples, so it
+    checks the seeded draws rather than an enumeration that ignores the
+    seed."""
+    from modsym import anosov, verify
+
+    reports = []
+
+    def recorded(*args, **kwargs):
+        reports.append(cartan_gap_scan(*args, **kwargs))
+        return reports[-1]
+
+    monkeypatch.setattr(anosov, "cartan_gap_scan", recorded)
+    results = verify.run_suites(module_filter="anosov")
+    check, = (r for r in results if r.name == "gap-scan-determinism")
+    assert check.passed and check.detail == "two identical runs"
+    assert len(reports) == 2 and not any(r.enumerated for r in reports)
+
+
 def test_verify_unknown_filter(capsys):
     assert run_cli(["verify", "--filter", "nonsense"]) == 2
 
