@@ -1,7 +1,8 @@
 """Empirical Anosov diagnostics: orbit triangles, midpoint sequences along
 discrete geodesics of the rank-two free subgroup, straightness and spacing
-reports, singular-value-gap growth scans, peripheral growth classification,
-and distance-to-flat checks.
+reports, singular-value-gap growth scans, the peripheral type (read from
+tr rho(baba)) with the growth of the peripheral powers, and distance-to-flat
+checks.
 
 Everything here is a deterministic function of (coordinates, window or
 seed, budget).  Orbit geometry runs on factored points, so the reports
@@ -21,6 +22,7 @@ import numpy as np
 from .charvar import (
     ABAB,
     BABA,
+    SURFACE_TOL,
     Coordinates,
     Representation,
     f2_fisometries,
@@ -505,22 +507,15 @@ def word_cartan(rep: Representation, w: F2Word) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PeripheralGrowthReport:
-    """Growth of the full Cartan spread of powers of the peripheral
-    element, classified as logarithmic or linear by affine least squares."""
+    """Cartan spread of the powers of the peripheral element rho(baba),
+    with its type read from tau = tr rho(baba): ``"linear"`` when rho(baba)
+    is loxodromic, with ``kappa = log |mu_1 / mu_3|``, and ``"log"``
+    otherwise, with ``kappa`` the slope of ``gaps`` against ``log ns``."""
 
     ns: np.ndarray
     gaps: np.ndarray
     model: str            # "log" or "linear"
     kappa: float
-    rss_log: float
-    rss_linear: float
-
-
-def _affine_fit(x: np.ndarray, y: np.ndarray):
-    a = np.column_stack([x, np.ones_like(x)])
-    coef, *_ = np.linalg.lstsq(a, y, rcond=None)
-    rss = float(np.sum((a @ coef - y) ** 2))
-    return float(coef[0]), rss
 
 
 # Largest binary exponent the float64 copy of a word matrix may reach:
@@ -537,15 +532,24 @@ def _as_float(m: np.ndarray):
 
 
 def peripheral_growth(rep: Representation, n_max: int) -> PeripheralGrowthReport:
-    """Cartan spread lambda_1 - lambda_3 of rho(baba)^n for n <= n_max.
+    """Cartan spread lambda_1 - lambda_3 of rho(baba)^n for n <= n_max,
+    and the type of rho(baba).
 
-    On the tr = -1 surface the peripheral powers grow polynomially and
-    the spread is ~ 2 log n + const; at hyperbolic peripherals it is
-    linear in n.
+    By trace symmetry rho(baba) has the characteristic polynomial
+    (x - 1)(x^2 + (1 - tau) x + 1), so it is loxodromic exactly when
+    tau < -1 or tau > 3, and then the spread grows like n kappa with
+    kappa = 2 arccosh(|tau - 1| / 2) = log |mu_1 / mu_3|.  For tau in
+    [-1, 3] it is elliptic (bounded powers) or parabolic (a spread of about
+    2 log n at tau = -1 and 4 log n at tau = 3); it is then not proximal,
+    so rho is not Anosov.  tau is the trace of the extended-precision word
+    matrix, and the interval is widened by ``charvar.SURFACE_TOL`` on both
+    sides, so the tr = -1 surface reads ``"log"``.
     """
     if n_max < 4:
         raise PreconditionError("peripheral growth needs n_max >= 4")
-    p, lp = _as_float(matrix_of(rep, BABA))
+    baba = matrix_of(rep, BABA)
+    tau = np.trace(baba)
+    p, lp = _as_float(baba)
     pinv, lpi = _as_float(matrix_of(rep, ABAB))
     mats = np.empty((n_max, 3, 3))
     invs = np.empty((n_max, 3, 3))
@@ -560,16 +564,12 @@ def peripheral_growth(rep: Representation, n_max: int) -> PeripheralGrowthReport
     l1, l3 = _cartan_pair(mats, invs, lms, lmis)
     gaps = l1 - l3
     ns = np.arange(1, n_max + 1, dtype=float)
-    kappa_log, rss_log = _affine_fit(np.log(ns), gaps)
-    kappa_lin, rss_lin = _affine_fit(ns, gaps)
-    if rss_log <= rss_lin:
-        model, kappa = "log", kappa_log
+    if tau < -1.0 - SURFACE_TOL or tau > 3.0 + SURFACE_TOL:
+        model, kappa = "linear", float(2.0 * np.arccosh(abs(tau - 1) / 2))
     else:
-        model, kappa = "linear", kappa_lin
-    return PeripheralGrowthReport(
-        ns=ns, gaps=gaps, model=model, kappa=kappa,
-        rss_log=rss_log, rss_linear=rss_lin,
-    )
+        fit = np.column_stack([np.log(ns), np.ones_like(ns)])
+        model, kappa = "log", float(np.linalg.lstsq(fit, gaps, rcond=None)[0][0])
+    return PeripheralGrowthReport(ns=ns, gaps=gaps, model=model, kappa=kappa)
 
 
 # -- local Morse flat check --------------------------------------------------
@@ -740,7 +740,8 @@ def anosov_verdict(c: Coordinates, config: VerdictConfig | None = None) -> Anoso
     evidence-anosov / evidence-degenerate / inconclusive."""
     cfg = config or VerdictConfig()
     rep = rep_from_coords(c)
-    stats: dict = {"seed": cfg.seed, "max_len": cfg.max_len, "window": cfg.window}
+    stats: dict = {"seed": cfg.seed, "max_len": cfg.max_len, "window": cfg.window,
+                   "samples": cfg.samples}
 
     peripheral = peripheral_growth(rep, cfg.peripheral_n)
     stats["peripheral_model"] = peripheral.model

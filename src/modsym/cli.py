@@ -337,6 +337,10 @@ def _rep_info(c: charvar.Coordinates, rep, args) -> dict:
 
 
 def cmd_rep_info(args) -> int:
+    if args.peripheral_n < 4:
+        raise SystemExit(f"bad --peripheral-n {args.peripheral_n}; expected at least 4")
+    if not args.tol >= 0:
+        raise SystemExit(f"bad --tol {args.tol:g}; expected tol >= 0")
     c = _parse_coords(args.coords)
     try:
         # word literals use the alphabet a, b, B (= b^2), e.g. "baBa"

@@ -251,9 +251,19 @@ def suite_modgroup(tol: _Tol, seed: int = 2) -> list[CheckResult]:
     return out
 
 
+def _longdouble_mantissa() -> int:
+    return int(np.finfo(np.longdouble).nmant)
+
+
 def suite_charvar(tol: _Tol, seed: int = 3) -> list[CheckResult]:
     rng = np.random.default_rng(seed)
     out = []
+
+    # the trace tolerances, and the peripheral type near tr rho(baba) = -1,
+    # hold only with a longdouble of at least 63 mantissa bits (x86 80-bit)
+    nmant = _longdouble_mantissa()
+    out.append(CheckResult("charvar", "longdouble-extended", nmant >= 63,
+                           f"longdouble mantissa {nmant} bits, need >= 63"))
 
     res = 0.0
     for _ in range(30):

@@ -1,3 +1,4 @@
+import itertools
 import math
 import os
 import subprocess
@@ -24,7 +25,15 @@ from modsym.anosov import (
     triangle_report,
     word_cartan,
 )
-from modsym.charvar import BABA, Coordinates, f2_fisometry, rep_from_coords, schwartz_t
+from modsym.charvar import (
+    BABA,
+    SURFACE_TOL,
+    Coordinates,
+    f2_fisometry,
+    rep_from_coords,
+    schwartz_t,
+    trace_baba_closed_form,
+)
 from modsym.errors import (
     ConvergenceError,
     DegenerateTriangleError,
@@ -520,6 +529,13 @@ def test_verdict_stats_carry_the_equidistance_defect():
         seq = midpoint_sequence(rep_from_coords(Coordinates(*point)),
                                 random_f2_geodesic(cfg.window, cfg.seed))
         assert v.stats["equidistance_defect"] == seq.equidistance_defect
+
+
+def test_verdict_stats_echo_the_config():
+    cfg = VerdictConfig(max_len=6, samples=700, window=6, seed=3)
+    stats = anosov_verdict(Coordinates(1.0, 4.0, 0.5), cfg).stats
+    assert {k: stats[k] for k in ("seed", "max_len", "window", "samples")} == {
+        "seed": 3, "max_len": 6, "window": 6, "samples": 700}
 
 
 def test_morse_reports_newton_iterations():
@@ -1054,23 +1070,95 @@ def test_peripheral_growth_off_surface_linear():
     assert rpt.kappa > 1.0
 
 
+def _mp_peripheral_slope(c: Coordinates, dps: int) -> float:
+    """log |mu_1 / mu_3| of the eigenvalues of rho(baba), from a dps-digit
+    matrix."""
+    with mpmath.workdps(dps):
+        x, xinv = highprec._x_pair(c.s, c.t, c.theta)
+        rot = highprec._rotation(2 * mpmath.pi / 3)
+        eigs = sorted(abs(e) for e in mpmath.eig(
+            highprec._word_matrix(BABA, x, xinv, rot, rot.T))[0])
+        return float(mpmath.log(eigs[2] / eigs[0]))
+
+
 def test_peripheral_growth_finite_at_large_scale():
     """At t=400 the entries of rho(baba) pass the float64 range; the slope
     must still be log |mu_1 / mu_3| of its eigenvalues, here taken from a
     1000-digit matrix."""
-    rep = rep_from_coords(Coordinates(1.0, 400.0, 0.5))
+    c = Coordinates(1.0, 400.0, 0.5)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        rpt = peripheral_growth(rep, 64)
+        rpt = peripheral_growth(rep_from_coords(c), 64)
     assert np.isfinite(rpt.gaps).all()
     assert rpt.model == "linear"
-    with mpmath.workdps(1000):
-        x, xinv = highprec._x_pair(1.0, 400.0, 0.5)
-        rot = highprec._rotation(2 * mpmath.pi / 3)
-        eigs = sorted(abs(e) for e in mpmath.eig(
-            highprec._word_matrix(BABA, x, xinv, rot, rot.T))[0])
-        slope = float(mpmath.log(eigs[2] / eigs[0]))
-    assert rpt.kappa == pytest.approx(slope, rel=1e-12)
+    assert rpt.kappa == pytest.approx(_mp_peripheral_slope(c, 1000), rel=1e-12)
+
+
+# tau = tr rho(baba) lies in (-1, 3) here, so rho(baba) is elliptic
+ELLIPTIC_GRID_POINTS = [
+    (0.5, 0.25, 0.5), (0.5, 0.25, 1.5), (0.5, 0.5, 0.0), (0.5, 0.5, 0.5),
+    (0.5, 0.5, 1.5), (0.5, 0.5, 3.0), (0.5, 0.75, 0.0), (0.5, 0.75, 0.5),
+    (0.5, 0.75, 1.5), (1.0, 1.0, 1.5),
+]
+
+
+@pytest.mark.parametrize("point", ELLIPTIC_GRID_POINTS)
+def test_elliptic_peripheral_reads_log_and_degenerate(point):
+    """An elliptic rho(baba) is not proximal, so rho is not Anosov, however
+    close to linear the spread of its 64 powers looks."""
+    c = Coordinates(*point)
+    assert -1.0 < float(trace_baba_closed_form(c)) < 3.0
+    assert peripheral_growth(rep_from_coords(c), 64).model == "log"
+    assert anosov_verdict(c).verdict == anosov.EVIDENCE_DEGENERATE
+
+
+@pytest.mark.parametrize("point", [
+    (1.0, 6.0, 0.5), (2.0, 1.0, 0.5),
+    (0.5, float(schwartz_t(0.5, 0.5)) + 1e-6, 0.5),   # tau = -1 - 1.0e-5
+])
+def test_loxodromic_kappa_is_the_eigenvalue_ratio(point):
+    c = Coordinates(*point)
+    rpt = peripheral_growth(rep_from_coords(c), 64)
+    assert rpt.model == "linear"
+    assert rpt.kappa == pytest.approx(_mp_peripheral_slope(c, 60), rel=1e-9)
+
+
+def test_peripheral_type_is_the_trace_test_on_the_grid():
+    """model is linear exactly off [-1, 3] (widened by SURFACE_TOL), and on
+    the loxodromic points the affine least-squares slope of the spread
+    against n stays within 1.5% of kappa."""
+    linear = 0
+    for s, t, theta in itertools.product(np.arange(13) * 0.25, np.arange(13) * 0.25,
+                                         (0.0, 0.5, 1.5, 3.0)):
+        c = Coordinates(float(s), float(t), theta)
+        rpt = peripheral_growth(rep_from_coords(c), 64)
+        tau = float(trace_baba_closed_form(c))
+        loxodromic = tau < -1.0 - SURFACE_TOL or tau > 3.0 + SURFACE_TOL
+        assert (rpt.model == "linear") == loxodromic, (s, t, theta, tau)
+        if loxodromic:
+            linear += 1
+            fit = np.column_stack([rpt.ns, np.ones_like(rpt.ns)])
+            slope = np.linalg.lstsq(fit, rpt.gaps, rcond=None)[0][0]
+            assert slope == pytest.approx(rpt.kappa, rel=0.015), (s, t, theta)
+    assert linear == 633
+
+
+def test_surface_reads_log():
+    """On tr = -1 the numeric trace stays within a few 1e-9 of -1 for
+    s <= 4, inside the SURFACE_TOL widening."""
+    for s, theta in itertools.product(np.linspace(0.0, 4.0, 10), np.linspace(0.0, np.pi, 10)):
+        c = Coordinates(float(s), float(schwartz_t(s, theta)), float(theta))
+        assert peripheral_growth(rep_from_coords(c), 16).model == "log", (s, theta)
+
+
+def test_unipotent_peripheral_reads_log():
+    """At tau = 3 rho(baba) is unipotent, and the spread grows like
+    4 log n."""
+    c = Coordinates(1.0, 1.1440460924196174, 0.0)
+    assert float(trace_baba_closed_form(c)) == pytest.approx(3.0, abs=1e-12)
+    rpt = peripheral_growth(rep_from_coords(c), 64)
+    assert rpt.model == "log"
+    assert 3.5 <= rpt.kappa <= 4.5
 
 
 def test_peripheral_growth_precondition():

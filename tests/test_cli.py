@@ -62,6 +62,18 @@ def test_verify_gap_scan_determinism_is_sampled(monkeypatch):
     assert len(reports) == 2 and not any(r.enumerated for r in reports)
 
 
+def test_verify_fails_without_an_extended_longdouble(monkeypatch, capsys):
+    from modsym import verify
+
+    check, = (r for r in verify.run_suites(module_filter="charvar")
+              if r.name == "longdouble-extended")
+    assert check.passed
+    monkeypatch.setattr(verify, "_longdouble_mantissa", lambda: 52)
+    assert run_cli(["verify", "--filter", "charvar"]) == 1
+    out = capsys.readouterr().out
+    assert "FAIL charvar.longdouble-extended: longdouble mantissa 52 bits, need >= 63" in out
+
+
 def test_verify_unknown_filter(capsys):
     assert run_cli(["verify", "--filter", "nonsense"]) == 2
 
@@ -447,6 +459,23 @@ def test_jobs_starts_at_most_one_worker_per_task_and_cpu(monkeypatch, capsys):
     assert run_cli(["trace-table", "--jobs", "500"]) == 0
     assert started[3:] == [4] and mapped[3:] == [4]
     assert capsys.readouterr().out.count("\n") == 127
+
+
+@pytest.mark.parametrize("option, message", [
+    (["--peripheral-n", "3"], "bad --peripheral-n 3; expected at least 4"),
+    (["--tol", "-1"], "bad --tol -1; expected tol >= 0"),
+    (["--tol", "nan"], "bad --tol nan; expected tol >= 0"),
+])
+def test_rep_info_rejects_bad_options(option, message, monkeypatch, capsys):
+    """Before anything is computed: the option, not the point, is at fault."""
+    def fail(c):
+        raise AssertionError("computed before checking the options")
+
+    monkeypatch.setattr(cli.charvar, "rep_from_coords", fail)
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["rep-info", "--coords", "1,6,0.5", *option])
+    assert str(exc.value) == message
+    assert capsys.readouterr().out == ""
 
 
 def test_rep_info_out_of_float_range_is_one_line(capsys):
