@@ -39,7 +39,6 @@ from .errors import (
 )
 from .factored import (
     FIsometry,
-    _rescaled,
     fact,
     fcompose,
     fdistance,
@@ -232,10 +231,12 @@ class GapReport:
     """Per-word singular-value gaps and the fitted linear lower bound
     gap >= c n - C (lower convex minorant of the per-length minima).
 
-    ``letters[i]`` holds the words of the i-th length scanned as an
-    integer letter array of shape (m, n); the rows of all lengths, in
-    order, line up with ``lengths``, ``gap12`` and ``gap23``.  ``words``
-    spells them as strings, built on first read.
+    ``letters[i]`` holds the words of the i-th length scanned as an int64
+    letter array of shape (m, n); the rows of all lengths, in order, line
+    up with ``lengths``, ``gap12`` and ``gap23``.  The letter arrays are
+    the read-only tables of ``_scan_tables``, shared by every scan of the
+    same configuration, enumerated or sampled.  ``words`` spells them as
+    strings, built on first read.
     """
 
     letters: tuple[np.ndarray, ...]
@@ -351,25 +352,41 @@ def _distinct(values: np.ndarray):
 
 
 @lru_cache(maxsize=4)
-def _enumerated_tables(max_len: int):
-    """The complete levels ``f2_levels(max_len)``, their prefix tree and,
-    per level, the row of each word's inverse, as read-only arrays shared
-    by every scan.  Row i of a level extends row i // 3 of the one before,
-    so every level is a strided view of the deepest, and the tree of a
-    complete level is trivial: its rows are its nodes, and node i's
-    parent is i // 3.  Each depth's parents and rows are prefixes of one
+def _scan_tables(max_len: int, budget: int | None, seed: int | None):
+    """The word tables of a gap scan, as read-only arrays shared by every
+    scan of the same configuration: the levels, ``levels[i]`` holding the
+    words of length i + 1 as int64 letters, their prefix tree as
+    _prefix_fold reads it and, per level, the row of each word's inverse.
+
+    With ``budget`` None they are the complete levels
+    ``f2_levels(max_len)``, which depend on max_len alone (``seed`` is
+    None).  Row i of a level extends row i // 3 of the one before, so every
+    level is a strided view of the deepest, and the tree of a complete
+    level is trivial: its rows are its nodes, and node i's parent is
+    i // 3.  Each depth's parents and rows are prefixes of one
     ``arange(m) // 3`` and one ``arange(m)`` over the deepest level's m
-    words, and only those and the deepest level are held."""
-    *_, deepest = f2_levels(max_len)
-    rows = np.arange(len(deepest))
-    parent = rows // 3
-    for table in (deepest, rows, parent):
+    words, and only those and the deepest level are held.
+
+    Otherwise every length n is drawn before the fold, in order, as
+    min(budget // max_len (at least 1), f2_count(n)) words of
+    ``f2_sample`` on ``f2_rng(seed)``; the tree is ``_prefix_tree``'s, and
+    a level's inverse rows follow its words."""
+    if budget is None:
+        *_, deepest = f2_levels(max_len)
+        rows = np.arange(len(deepest))
+        parent = rows // 3
+        levels = tuple(deepest[::3 ** (max_len - n), :n] for n in range(1, max_len + 1))
+        tree = tuple((parent[:len(level)], level[:, -1], rows[:len(level)]) for level in levels)
+        inverse_rows = tuple(f2_index(level[:, ::-1] ^ 1) for level in levels)
+    else:
+        rng = f2_rng(seed)
+        per_length = max(1, budget // max_len)
+        levels = tuple(f2_sample(rng, min(per_length, f2_count(n)), n)
+                       for n in range(1, max_len + 1))
+        tree = tuple(_prefix_tree(levels))
+        inverse_rows = tuple(np.arange(len(level), 2 * len(level)) for level in levels)
+    for table in (*levels, *(a for depth in tree for a in depth), *inverse_rows):
         table.setflags(write=False)
-    levels = tuple(deepest[::3 ** (max_len - n), :n] for n in range(1, max_len + 1))
-    tree = tuple((parent[:len(level)], level[:, -1], rows[:len(level)]) for level in levels)
-    inverse_rows = tuple(f2_index(level[:, ::-1] ^ 1) for level in levels)
-    for inverse in inverse_rows:
-        inverse.setflags(write=False)
     return levels, tree, inverse_rows
 
 
@@ -381,7 +398,9 @@ def _prefix_tree(levels):
     inverse of the word's k-th from the end.  The nodes at depth k are the
     distinct (node at depth k - 1, letter) pairs of the rows of length
     >= k, ascending, so a word drawn twice, or a prefix shared by a word
-    and an inverse, is one node."""
+    and an inverse, is one node.  Parents and rows come as int32 and
+    letters as int8: the fold reads them only as indices.  It runs once
+    per sampled configuration, for ``_scan_tables``."""
     # per live level (rows of length >= k): the node of each row at the
     # current depth
     rows = [np.zeros(2 * len(level), dtype=np.int64) for level in levels]
@@ -392,7 +411,7 @@ def _prefix_tree(levels):
         nodes, place = _distinct(keys)
         parent, letter = np.divmod(nodes, 4)
         rows = np.split(place, np.cumsum([2 * len(lv) for lv in live[:-1]]))
-        yield parent, letter, rows.pop(0)
+        yield parent.astype(np.int32), letter.astype(np.int8), rows.pop(0).astype(np.int32)
 
 
 def _prefix_fold(tree, gmat, glm):
@@ -437,31 +456,33 @@ def cartan_gap_scan(
     budget (50 000 when None), otherwise draws a seeded uniform sample per
     length.  The draws are with replacement, so a sampled level may hold
     a word more than once: the fold forms it once, and each of its rows
-    stays in the report.  The linear lower bound is fitted to the
-    per-length minima of min(gap12, gap23).  The generator matrices stay
-    normalized and their log-scales are summed apart, so the scan works at
-    any scale; one fold over the prefix tree of the words and their
-    inverses forms each distinct product once, and sigma_3 of a word is
-    read off its inverse's row.  A sampled word's gaps equal, bit for bit,
-    those of its row in the complete enumeration of the same max-len.
+    stays in the report.  The words, their prefix tree and the inverse
+    rows come from ``_scan_tables``, built once per max_len when
+    enumerated and once per (max_len, budget, seed) when sampled, and
+    shared read-only by every scan of that configuration.  The linear
+    lower bound is fitted to the per-length minima of min(gap12, gap23).
+    The generator matrices stay normalized and their log-scales are
+    summed apart, so the scan works at any scale; one fold over the prefix
+    tree of the words and their inverses forms each distinct product
+    once, and sigma_3 of a word is read off its inverse's row.  A sampled
+    word's gaps equal, bit for bit, those of its row in the complete
+    enumeration of the same max-len.
     """
     if max_len < 1:
         raise ValueError("max_len must be >= 1")
     if sample_budget is not None and sample_budget < 1:
         raise ValueError("sample_budget must be >= 1")
     budget = sample_budget if sample_budget is not None else 50_000
-    total = sum(f2_count(n) for n in range(1, max_len + 1))
-    enumerate_all = total <= budget
+    enumerated = sum(f2_count(n) for n in range(1, max_len + 1)) <= budget
+    # the complete levels are one table per max_len, whatever the budget or seed
+    tables = _scan_tables(max_len, None, None) if enumerated else _scan_tables(max_len, budget, seed)
+    return _gap_report(rep, tables, enumerated, seed)
 
-    if enumerate_all:
-        letters, tree, inverse_rows = _enumerated_tables(max_len)
-    else:
-        rng = f2_rng(seed)
-        per_length = max(1, budget // max_len)
-        # every length is drawn before the fold, in the order of the draws
-        letters = [f2_sample(rng, min(per_length, f2_count(n)), n) for n in range(1, max_len + 1)]
-        tree = _prefix_tree(letters)
-        inverse_rows = [np.arange(len(level), 2 * len(level)) for level in letters]
+
+def _gap_report(rep: Representation, tables, enumerated: bool, seed: int) -> GapReport:
+    """The gap scan of ``rep`` over the (levels, tree, inverse rows) of
+    ``_scan_tables``."""
+    letters, tree, inverse_rows = tables
     g = rep.f2_generators()
     l1s, products = _prefix_fold(tree, g.mat, g.lm)
     gap12, gap23 = [], []
@@ -481,14 +502,14 @@ def cartan_gap_scan(
     n_last, y_last = per_len[-1]
     c = max(((y_last - y) / (n_last - n) for n, y in per_len[:-1]), default=0.0)
     return GapReport(
-        letters=tuple(letters),
+        letters=letters,
         lengths=np.concatenate([np.full(len(level), level.shape[1]) for level in letters]),
         gap12=np.concatenate(gap12),
         gap23=np.concatenate(gap23),
         per_length_min=tuple(per_len),
         slope_c=float(c),
         intercept_C=float(c * n_last - y_last),
-        enumerated=enumerate_all,
+        enumerated=enumerated,
         seed=seed,
         products=products,
     )
@@ -531,6 +552,41 @@ def _as_float(m: np.ndarray):
     return np.ldexp(m, -k).astype(float), k * float(np.log(2.0))
 
 
+def _peripheral_powers(p: np.ndarray, lp: float, pinv: np.ndarray, lpi: float, n_max: int):
+    """The normalized matrices of P^n and P^-n for n = 1..n_max, as an
+    (n_max, 2, 3, 3) stack, with their (n_max, 2) log-scales, where
+    P = p e^lp and P^-1 = pinv e^lpi.  Step n forms [P^(n-1), P^-1] @
+    [P, P^-(n-1)] as one (2, 3, 3) product and divides each matrix by its
+    max |entry|; its log-scale is the previous one plus the factor's plus
+    the log of that divisor, summed in that order.  The divisors are
+    checked once, after the loop, in the order a loop of unstacked
+    rescales meets them (step, then forward before inverse), and the
+    first that is not finite, or is 0, raises its DomainError."""
+    powers = np.empty((n_max, 2, 3, 3))
+    scales = np.empty((n_max, 2))
+    left, right = np.stack([np.eye(3), pinv]), np.stack([p, np.eye(3)])
+    # a failed step spreads inf and nan through the later ones, which
+    # the check after the loop reports as the first failure
+    with np.errstate(all="ignore"):
+        for n in range(n_max):
+            prod = left @ right
+            s = np.abs(prod).reshape(2, 9).max(axis=1)
+            np.divide(prod, s[:, None, None], out=powers[n])
+            scales[n] = s
+            left[0], right[1] = powers[n]
+    bad = ~np.isfinite(scales) | (scales == 0.0)
+    if bad.any():
+        first = scales.reshape(-1)[np.argmax(bad)]
+        raise DomainError("degenerate factor matrix" if first == 0.0
+                          else "factor matrix is outside the float64 range")
+    logs = np.empty((n_max, 2))
+    lm = lmi = 0.0
+    for n, (ls, lsi) in enumerate(np.log(scales).tolist()):
+        lm, lmi = (lm + lp) + ls, (lmi + lpi) + lsi
+        logs[n] = lm, lmi
+    return powers, logs
+
+
 def peripheral_growth(rep: Representation, n_max: int) -> PeripheralGrowthReport:
     """Cartan spread lambda_1 - lambda_3 of rho(baba)^n for n <= n_max,
     and the type of rho(baba).
@@ -549,19 +605,8 @@ def peripheral_growth(rep: Representation, n_max: int) -> PeripheralGrowthReport
         raise PreconditionError("peripheral growth needs n_max >= 4")
     baba = matrix_of(rep, BABA)
     tau = np.trace(baba)
-    p, lp = _as_float(baba)
-    pinv, lpi = _as_float(matrix_of(rep, ABAB))
-    mats = np.empty((n_max, 3, 3))
-    invs = np.empty((n_max, 3, 3))
-    lms = np.empty(n_max)
-    lmis = np.empty(n_max)
-    mat, inv = np.eye(3), np.eye(3)
-    lm = lmi = 0.0
-    for n in range(n_max):
-        mat, lm = _rescaled(mat @ p, lm + lp)
-        inv, lmi = _rescaled(pinv @ inv, lmi + lpi)
-        mats[n], invs[n], lms[n], lmis[n] = mat, inv, lm, lmi
-    l1, l3 = _cartan_pair(mats, invs, lms, lmis)
+    powers, logs = _peripheral_powers(*_as_float(baba), *_as_float(matrix_of(rep, ABAB)), n_max)
+    l1, l3 = _cartan_pair(powers[:, 0], powers[:, 1], logs[:, 0], logs[:, 1])
     gaps = l1 - l3
     ns = np.arange(1, n_max + 1, dtype=float)
     if tau < -1.0 - SURFACE_TOL or tau > 3.0 + SURFACE_TOL:

@@ -46,6 +46,7 @@ from modsym.errors import (
 )
 from modsym.factored import (
     FIsometry,
+    _rescaled,
     fact,
     fcompose,
     fdistance,
@@ -889,8 +890,8 @@ def test_rescale_batch_is_the_max_entry_division():
 
 
 def test_enumerated_tables_are_shared_read_only_levels():
-    levels, tree, inverse_rows = anosov._enumerated_tables(6)
-    assert anosov._enumerated_tables(6)[0] is levels
+    levels, tree, inverse_rows = anosov._scan_tables(6, None, None)
+    assert anosov._scan_tables(6, None, None)[0] is levels
     assert len(levels) == len(tree) == len(inverse_rows) == 6
     deepest_parent, _, deepest_rows = tree[-1]
     for level, (parent, letter, rows), inverse, want in zip(levels, tree, inverse_rows,
@@ -906,18 +907,83 @@ def test_enumerated_tables_are_shared_read_only_levels():
         for table in (level, parent, letter, rows, inverse):
             assert not table.flags.writeable
     r = cartan_gap_scan(rep_from_coords(Coordinates(0.8, 2.0, 0.9)), 6, None, seed=3)
-    assert r.letters == levels
+    assert r.letters is levels
+    # the complete levels are one entry per max-len, whatever the budget or seed
+    assert cartan_gap_scan(rep_from_coords(Coordinates(0.8, 2.0, 0.9)), 6, 5000, seed=8).letters \
+        is levels
     with pytest.raises(ValueError, match="read-only"):
         r.letters[2][0, 0] = 1
 
 
 def test_enumerated_tables_are_built_on_first_scan():
+    """Importing modsym builds no tables; the first enumerated and the
+    first sampled scan each build one entry."""
     out = subprocess.run(
-        [sys.executable, "-c", "import modsym; "
-         "print(modsym.anosov._enumerated_tables.cache_info().currsize)"],
+        [sys.executable, "-c", "import modsym; from modsym import anosov, charvar; "
+         "size = anosov._scan_tables.cache_info; print(size().currsize); "
+         "rep = charvar.rep_from_coords(charvar.Coordinates(1.0, 4.0, 0.5)); "
+         "anosov.cartan_gap_scan(rep, 4, None); print(size().currsize); "
+         "anosov.cartan_gap_scan(rep, 6, 300); print(size().currsize)"],
         capture_output=True, text=True, check=True,
         env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
-    assert out.stdout.strip() == "0"
+    assert out.stdout.split() == ["0", "1", "2"]
+
+
+def _fresh_sampled_tables(max_len, budget, seed):
+    """A sampled scan's tables as they were built before they were cached:
+    a fresh draw and a fresh prefix tree."""
+    rng = f2_rng(seed)
+    per_length = max(1, budget // max_len)
+    levels = [f2_sample(rng, min(per_length, f2_count(n)), n) for n in range(1, max_len + 1)]
+    return levels, list(anosov._prefix_tree(levels)), [
+        np.arange(len(level), 2 * len(level)) for level in levels]
+
+
+@pytest.mark.parametrize("max_len, budget, seed", [(10, 50_000, 0), (9, 2000, 7)])
+def test_sampled_tables_are_shared_read_only_draws(max_len, budget, seed):
+    """The cached tables of a sampled configuration are its seeded draw
+    and the prefix tree of that draw, bit for bit, read-only, with int32
+    parents and rows and int8 letters; a second scan reads the same
+    objects, and another seed or budget has its own entry."""
+    levels, tree, inverse_rows = anosov._scan_tables(max_len, budget, seed)
+    assert anosov._scan_tables(max_len, budget, seed)[1] is tree
+    want_levels, want_tree, want_inverse = _fresh_sampled_tables(max_len, budget, seed)
+    assert len(levels) == len(tree) == len(inverse_rows) == max_len
+    for got, want in zip(levels, want_levels):
+        assert got.dtype == np.int64 and np.array_equal(got, want)
+    for got, want in zip(inverse_rows, want_inverse):
+        assert np.array_equal(got, want)
+    for got, want in zip(tree, want_tree):
+        assert [a.dtype for a in got] == [np.int32, np.int8, np.int32]
+        assert all(a.dtype == b.dtype and np.array_equal(a, b) for a, b in zip(got, want))
+    for table in (*levels, *(a for depth in tree for a in depth), *inverse_rows):
+        assert not table.flags.writeable
+    assert anosov._scan_tables(max_len, budget, seed + 1)[0] is not levels
+    assert anosov._scan_tables(max_len, budget + 1, seed)[0] is not levels
+    r = cartan_gap_scan(rep_from_coords(Coordinates(0.8, 2.0, 0.9)), max_len, budget, seed)
+    assert not r.enumerated and r.letters is levels
+    with pytest.raises(ValueError, match="read-only"):
+        r.letters[-1][0, 0] = 1
+
+
+SAMPLED_CACHE_POINTS = [(0, 0, 0), (0.5, 1, 0.5), (1, 4, 0.5), (1, 12, 0.5), (1, 400, 0.5),
+                        (0, 257, 1.3), (0.5, 0.75, 0.5)] + [
+    tuple(p) for p in np.random.default_rng(19).uniform([0, 0, 0], [3, 20, np.pi],
+                                                       size=(43, 3)).tolist()]
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+def test_cached_sampled_scan_equals_uncached_tables(seed):
+    """On 50 points, the scan over the cached tables (the first scan
+    builds them, the rest reuse them) equals one over freshly built
+    tables bit for bit."""
+    fresh = _fresh_sampled_tables(10, 50_000, seed)
+    for point in SAMPLED_CACHE_POINTS:
+        rep = rep_from_coords(Coordinates(*point))
+        r = cartan_gap_scan(rep, 10, 50_000, seed)
+        ref = anosov._gap_report(rep, fresh, False, seed)
+        assert np.array_equal(r.gap12, ref.gap12) and np.array_equal(r.gap23, ref.gap23), point
+        assert (r.slope_c, r.products) == (ref.slope_c, ref.products), point
 
 
 def _rescaled_stack(mats):
@@ -1165,6 +1231,73 @@ def test_peripheral_growth_precondition():
     rep = rep_from_coords(Coordinates(1.0, 1.0, 0.5))
     with pytest.raises(PreconditionError):
         peripheral_growth(rep, 3)
+
+
+def _reference_peripheral_powers(p, lp, pinv, lpi, n_max):
+    """The power fold _peripheral_powers replaced: per step, two 3x3
+    products, each rescaled and checked at once by factored._rescaled."""
+    powers = np.empty((n_max, 2, 3, 3))
+    logs = np.empty((n_max, 2))
+    mat, inv = np.eye(3), np.eye(3)
+    lm = lmi = 0.0
+    for n in range(n_max):
+        mat, lm = _rescaled(mat @ p, lm + lp)
+        inv, lmi = _rescaled(pinv @ inv, lmi + lpi)
+        powers[n], logs[n] = (mat, inv), (lm, lmi)
+    return powers, logs
+
+
+PERIPHERAL_POINTS = [(1, 400, 0.5), (0, 257, 1.3), (1, 1.1440460924196174, 0), (0.5, 0.75, 0.5),
+                     (1, 4, 0.5), (0, 0, 0), (0.5, float(schwartz_t(0.5, 0.5)), 0.5)] + [
+    tuple(p) for p in np.random.default_rng(23).uniform([0, 0, 0], [3, 30, np.pi],
+                                                       size=(43, 3)).tolist()]
+
+
+def test_peripheral_powers_equal_unstacked_loop():
+    """The stacked power fold forms each power by the same product and
+    division as the per-step loop it replaced, and sums the log-scales in
+    the same order: powers, log-scales, spread, model and kappa are the
+    same bit for bit."""
+    for point in PERIPHERAL_POINTS:
+        rep = rep_from_coords(Coordinates(*point))
+        factors = (*anosov._as_float(anosov.matrix_of(rep, BABA)),
+                   *anosov._as_float(anosov.matrix_of(rep, anosov.ABAB)))
+        powers, logs = anosov._peripheral_powers(*factors, 64)
+        want_powers, want_logs = _reference_peripheral_powers(*factors, 64)
+        assert np.array_equal(powers, want_powers) and np.array_equal(logs, want_logs), point
+        l1, l3 = anosov._cartan_pair(want_powers[:, 0], want_powers[:, 1],
+                                     want_logs[:, 0], want_logs[:, 1])
+        rpt = peripheral_growth(rep, 64)
+        assert np.array_equal(rpt.gaps, l1 - l3), point
+        if rpt.model == "log":
+            fit = np.column_stack([np.log(rpt.ns), np.ones_like(rpt.ns)])
+            assert rpt.kappa == float(np.linalg.lstsq(fit, l1 - l3, rcond=None)[0][0]), point
+
+
+_HUGE = np.full((3, 3), 1e308)
+_NILPOTENT = np.diag([1.0, 1.0], k=1)
+
+
+@pytest.mark.parametrize("p, pinv, message", [
+    (np.diag([np.inf, 1.0, 1.0]), np.eye(3), "outside the float64 range"),   # forward, step 1
+    (np.eye(3), np.zeros((3, 3)), "degenerate"),                             # inverse, step 1
+    (np.zeros((3, 3)), np.diag([np.inf, 1.0, 1.0]), "degenerate"),  # both, step 1: forward
+    (_NILPOTENT, _HUGE, "outside the float64 range"),          # inverse at step 2, forward at 3
+    (_NILPOTENT, np.eye(3), "degenerate"),                                    # forward, step 3
+], ids=["forward-inf", "inverse-zero", "both-forward-first", "inverse-before-forward",
+        "forward-step-3"])
+def test_peripheral_powers_errors_match_unstacked_loop(p, pinv, message):
+    """The scales are checked after the loop, and the first failure in
+    (step, forward/inverse) order raises the loop's error, with no row and
+    no warning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match=message) as got:
+            anosov._peripheral_powers(p, 0.0, pinv, 0.0, 8)
+    with np.errstate(all="ignore"), pytest.raises(DomainError) as want:
+        _reference_peripheral_powers(p, 0.0, pinv, 0.0, 8)
+    assert str(got.value) == str(want.value)
+    assert got.value.row is None and want.value.row is None
 
 
 def test_morse_flat_check_far_point():

@@ -46,7 +46,7 @@ def test_verify_filter(capsys):
 def test_verify_gap_scan_determinism_is_sampled(monkeypatch):
     """The determinism check scans with a budget that samples, so it
     checks the seeded draws rather than an enumeration that ignores the
-    seed."""
+    seed, and holds the scan to one over tables drawn afresh."""
     from modsym import anosov, verify
 
     reports = []
@@ -58,8 +58,33 @@ def test_verify_gap_scan_determinism_is_sampled(monkeypatch):
     monkeypatch.setattr(anosov, "cartan_gap_scan", recorded)
     results = verify.run_suites(module_filter="anosov")
     check, = (r for r in results if r.name == "gap-scan-determinism")
-    assert check.passed and check.detail == "two identical runs"
-    assert len(reports) == 2 and not any(r.enumerated for r in reports)
+    assert check.passed and "fresh f2_rng(11) draw" in check.detail
+    assert len(reports) == 1 and not reports[0].enumerated
+
+
+def test_verify_gap_scan_determinism_fails_on_stale_tables(monkeypatch):
+    """A scan whose cached tables are not its seed's draw fails the
+    check, and the check leaves the cache as it was."""
+    from modsym import anosov, verify
+
+    def check():
+        return next(r for r in verify.run_suites(module_filter="anosov")
+                    if r.name == "gap-scan-determinism")
+
+    assert check().passed
+    before = anosov._scan_tables.cache_info()
+    assert check().passed
+    after = anosov._scan_tables.cache_info()
+    assert (after.hits, after.misses, after.currsize) == (before.hits + 1, before.misses,
+                                                          before.currsize)
+    real = anosov._scan_tables
+
+    def stale(max_len, budget, seed):
+        return real(max_len, budget, None if seed is None else seed + 1)
+
+    stale.__wrapped__ = real.__wrapped__
+    monkeypatch.setattr(anosov, "_scan_tables", stale)
+    assert not check().passed
 
 
 def test_verify_fails_without_an_extended_longdouble(monkeypatch, capsys):
@@ -230,6 +255,22 @@ def test_anosov_scan_jobs_determinism(tmp_path):
     run_cli(args + ["--out", str(out1)])
     run_cli(args + ["--jobs", "2", "--out", str(out2)])
     assert out1.read_bytes() == out2.read_bytes()
+
+
+def test_anosov_scan_jobs_determinism_sampled(tmp_path):
+    """Sampled scans (1456 words up to length 6 against 300 samples): each
+    worker process builds its own table entry, as the two workers run
+    before this process has scanned this configuration, and the bytes
+    match one process."""
+    out1 = tmp_path / "s1.csv"
+    out2 = tmp_path / "s2.csv"
+    grid = "0.8:1:2,2:3:2,0.5:0.5:1"
+    args = ["anosov-scan", "--grid", grid, "--max-len", "6", "--samples",
+            "300", "--window", "6", "--seed", "5"]
+    run_cli(args + ["--jobs", "2", "--out", str(out2)])
+    run_cli(args + ["--out", str(out1)])
+    assert out1.read_bytes() == out2.read_bytes()
+    assert not cartan_gap_scan(rep_from_coords(Coordinates(0.8, 2.0, 0.5)), 6, 300, 5).enumerated
 
 
 def _csv_data(path):
