@@ -12,7 +12,7 @@ matrices can hold.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import cached_property, lru_cache
 from itertools import accumulate
 from typing import Sequence
@@ -55,7 +55,6 @@ from .flats import Flag, Flat, ModelInterval, chamber_angle, flat_from_flags
 from .modgroup import (
     F2Word,
     f2_count,
-    f2_index,
     f2_inverse,
     f2_levels,
     f2_mul,
@@ -355,52 +354,38 @@ def _distinct(values: np.ndarray):
 def _scan_tables(max_len: int, budget: int | None, seed: int | None):
     """The word tables of a gap scan, as read-only arrays shared by every
     scan of the same configuration: the levels, ``levels[i]`` holding the
-    words of length i + 1 as int64 letters, their prefix tree as
-    _prefix_fold reads it and, per level, the row of each word's inverse.
+    words of length i + 1 as int64 letters, and their prefix tree as
+    ``_prefix_tree`` builds it.
 
-    With ``budget`` None they are the complete levels
-    ``f2_levels(max_len)``, which depend on max_len alone (``seed`` is
-    None).  Row i of a level extends row i // 3 of the one before, so every
-    level is a strided view of the deepest, and the tree of a complete
-    level is trivial: its rows are its nodes, and node i's parent is
-    i // 3.  Each depth's parents and rows are prefixes of one
-    ``arange(m) // 3`` and one ``arange(m)`` over the deepest level's m
-    words, and only those and the deepest level are held.
-
-    Otherwise every length n is drawn before the fold, in order, as
-    min(budget // max_len (at least 1), f2_count(n)) words of
-    ``f2_sample`` on ``f2_rng(seed)``; the tree is ``_prefix_tree``'s, and
-    a level's inverse rows follow its words."""
+    With ``budget`` None the levels are the complete ``f2_levels(max_len)``,
+    which depend on max_len alone (``seed`` is None).  Otherwise every
+    length n is drawn before the fold, in order, as min(budget // max_len
+    (at least 1), f2_count(n)) words of ``f2_sample`` on ``f2_rng(seed)``."""
     if budget is None:
-        *_, deepest = f2_levels(max_len)
-        rows = np.arange(len(deepest))
-        parent = rows // 3
-        levels = tuple(deepest[::3 ** (max_len - n), :n] for n in range(1, max_len + 1))
-        tree = tuple((parent[:len(level)], level[:, -1], rows[:len(level)]) for level in levels)
-        inverse_rows = tuple(f2_index(level[:, ::-1] ^ 1) for level in levels)
+        levels = tuple(f2_levels(max_len))
     else:
         rng = f2_rng(seed)
         per_length = max(1, budget // max_len)
         levels = tuple(f2_sample(rng, min(per_length, f2_count(n)), n)
                        for n in range(1, max_len + 1))
-        tree = tuple(_prefix_tree(levels))
-        inverse_rows = tuple(np.arange(len(level), 2 * len(level)) for level in levels)
-    for table in (*levels, *(a for depth in tree for a in depth), *inverse_rows):
+    tree = tuple(_prefix_tree(levels))
+    for table in (*levels, *(a for depth in tree for a in depth)):
         table.setflags(write=False)
-    return levels, tree, inverse_rows
+    return levels, tree
 
 
 def _prefix_tree(levels):
-    """The prefix tree of sampled levels, ``levels[i]`` holding words of
-    length i + 1, as _prefix_fold reads it, built one depth at a time.
-    The rows of a level of m words are the words followed by their
-    inverses: row m + i is the inverse of row i, whose k-th letter is the
-    inverse of the word's k-th from the end.  The nodes at depth k are the
-    distinct (node at depth k - 1, letter) pairs of the rows of length
-    >= k, ascending, so a word drawn twice, or a prefix shared by a word
-    and an inverse, is one node.  Parents and rows come as int32 and
-    letters as int8: the fold reads them only as indices.  It runs once
-    per sampled configuration, for ``_scan_tables``."""
+    """The prefix tree of levels, ``levels[i]`` holding words of length
+    i + 1, as _prefix_fold reads it, built one depth at a time.  The rows
+    of a level of m words are the words followed by their inverses: row
+    m + i is the inverse of row i, whose k-th letter is the inverse of the
+    word's k-th from the end.  The nodes at depth k are the distinct (node
+    at depth k - 1, letter) pairs of the rows of length >= k, ascending,
+    so a word drawn twice, or a prefix shared by a word and an inverse, is
+    one node.  On the complete levels of ``f2_levels`` that numbering is
+    their row order, so row i of each level is node i.  Parents and rows
+    come as int32 and letters as int8: the fold reads them only as
+    indices.  It runs once per configuration, for ``_scan_tables``."""
     # per live level (rows of length >= k): the node of each row at the
     # current depth
     rows = [np.zeros(2 * len(level), dtype=np.int64) for level in levels]
@@ -456,11 +441,11 @@ def cartan_gap_scan(
     budget (50 000 when None), otherwise draws a seeded uniform sample per
     length.  The draws are with replacement, so a sampled level may hold
     a word more than once: the fold forms it once, and each of its rows
-    stays in the report.  The words, their prefix tree and the inverse
-    rows come from ``_scan_tables``, built once per max_len when
-    enumerated and once per (max_len, budget, seed) when sampled, and
-    shared read-only by every scan of that configuration.  The linear
-    lower bound is fitted to the per-length minima of min(gap12, gap23).
+    stays in the report.  The words and their prefix tree come from
+    ``_scan_tables``, built once per max_len when enumerated and once per
+    (max_len, budget, seed) when sampled, and shared read-only by every
+    scan of that configuration.  The linear lower bound is fitted to the
+    per-length minima of min(gap12, gap23).
     The generator matrices stay normalized and their log-scales are
     summed apart, so the scan works at any scale; one fold over the prefix
     tree of the words and their inverses forms each distinct product
@@ -480,15 +465,14 @@ def cartan_gap_scan(
 
 
 def _gap_report(rep: Representation, tables, enumerated: bool, seed: int) -> GapReport:
-    """The gap scan of ``rep`` over the (levels, tree, inverse rows) of
-    ``_scan_tables``."""
-    letters, tree, inverse_rows = tables
+    """The gap scan of ``rep`` over the (levels, tree) of ``_scan_tables``."""
+    letters, tree = tables
     g = rep.f2_generators()
     l1s, products = _prefix_fold(tree, g.mat, g.lm)
     gap12, gap23 = [], []
-    for l1, inverse in zip(l1s, inverse_rows):
+    for l1, level in zip(l1s, letters):
         # sigma_3(w) = 1 / sigma_1(w^-1), read off the row of w^-1
-        l1, l3 = l1[:len(inverse)], -l1[inverse]
+        l1, l3 = l1[:len(level)], -l1[len(level):]
         l2 = -l1 - l3
         gap12.append(l1 - l2)
         gap23.append(l2 - l3)
@@ -785,8 +769,7 @@ def anosov_verdict(c: Coordinates, config: VerdictConfig | None = None) -> Anoso
     evidence-anosov / evidence-degenerate / inconclusive."""
     cfg = config or VerdictConfig()
     rep = rep_from_coords(c)
-    stats: dict = {"seed": cfg.seed, "max_len": cfg.max_len, "window": cfg.window,
-                   "samples": cfg.samples}
+    stats: dict = asdict(cfg)
 
     peripheral = peripheral_growth(rep, cfg.peripheral_n)
     stats["peripheral_model"] = peripheral.model

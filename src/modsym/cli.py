@@ -221,6 +221,8 @@ def _surface_block(points: np.ndarray) -> list:
 
 def cmd_surface(args) -> int:
     axes = [_parse_axis(args.s_grid), _parse_axis(args.theta_grid)]
+    if (axes[0] < 0).any():
+        raise SystemExit(f"bad grid {args.s_grid!r}; s must be >= 0")
     rows = _map_blocks(_surface_block, _grid_points(axes), 1)
     config = {"cmd": "surface", "s_grid": args.s_grid, "theta_grid": args.theta_grid}
     columns = ("s", "theta", "t", "residual", "status")

@@ -9,8 +9,8 @@ written ``b`` or ``B`` (= b^2 = b^{-1}).  The index-six subgroup
 F2 words are reduced letter sequences over {g1, g1^{-1}, g2, g2^{-1}},
 encoded as the integers 0, 1, 2, 3 in that order (inverse = index ^ 1).
 Batches of words of one length are int64 letter arrays of shape (m, n):
-``f2_levels`` enumerates them, ``f2_sample`` draws them from ``f2_rng``,
-and ``f2_index`` gives each row's place in ``f2_levels`` order.
+``f2_levels`` enumerates them and ``f2_sample`` draws them from
+``f2_rng``.
 """
 
 from __future__ import annotations
@@ -192,21 +192,6 @@ def f2_levels(max_len: int) -> Iterator[np.ndarray]:
             child = _ALLOWED[level[:, -1]].reshape(-1)
             level = np.column_stack([np.repeat(level, 3, axis=0), child])
         yield level
-
-
-def f2_index(level: np.ndarray) -> np.ndarray:
-    """The row of each reduced word of an (m, n) letter array within
-    f2_levels(n): the first letter, then base 3 over each letter's place
-    among the allowed continuations.  So a prefix of k letters has index
-    f2_index(level) // 3**(n - k)."""
-    m, n = level.shape
-    if f2_count(n) > 2**63:
-        raise ValueError(f"words of length {n} have no int64 index")
-    index = level[:, 0].copy() if n else np.zeros(m, dtype=np.int64)
-    for col in range(1, n):
-        prev, cur = level[:, col - 1], level[:, col]
-        index = 3 * index + cur - (cur > prev ^ 1)
-    return index
 
 
 def enumerate_f2(max_len: int) -> Iterator[F2Word]:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from modsym.modgroup import f2_count
 from modsym.verify import random_isometry, random_point, random_tangent
 
 
@@ -21,6 +22,28 @@ def _char_poly_coeffs(m: np.ndarray) -> np.ndarray:
 @pytest.fixture
 def char_poly_coeffs():
     return _char_poly_coeffs
+
+
+def _f2_index(level: np.ndarray) -> np.ndarray:
+    """The row of each reduced word of an (m, n) letter array within
+    f2_levels(n): the first letter, then base 3 over each letter's place
+    among the allowed continuations.  So a prefix of k letters has index
+    f2_index(level) // 3**(n - k)."""
+    m, n = level.shape
+    if f2_count(n) > 2**63:
+        raise ValueError(f"words of length {n} have no int64 index")
+    index = level[:, 0].copy() if n else np.zeros(m, dtype=np.int64)
+    for col in range(1, n):
+        prev, cur = level[:, col - 1], level[:, col]
+        index = 3 * index + cur - (cur > prev ^ 1)
+    return index
+
+
+@pytest.fixture
+def f2_index():
+    """A reference index of reduced words in ``f2_levels`` order, to place
+    sampled or inverted words among the complete enumeration."""
+    return _f2_index
 
 
 @pytest.fixture

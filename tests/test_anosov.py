@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import os
@@ -66,7 +67,6 @@ from modsym.modgroup import (
     enumerate_f2,
     f2_count,
     f2_from_string,
-    f2_index,
     f2_inverse,
     f2_levels,
     f2_mul,
@@ -533,10 +533,13 @@ def test_verdict_stats_carry_the_equidistance_defect():
 
 
 def test_verdict_stats_echo_the_config():
-    cfg = VerdictConfig(max_len=6, samples=700, window=6, seed=3)
+    """Every config field, thresholds included, under its own name."""
+    cfg = VerdictConfig(max_len=6, samples=700, window=6, peripheral_n=32, seed=3,
+                        theta_halfwidth=0.3, zeta_slack=0.6, spacing_factor=0.04)
     stats = anosov_verdict(Coordinates(1.0, 4.0, 0.5), cfg).stats
-    assert {k: stats[k] for k in ("seed", "max_len", "window", "samples")} == {
-        "seed": 3, "max_len": 6, "window": 6, "samples": 700}
+    assert {f.name: stats[f.name] for f in dataclasses.fields(VerdictConfig)} == {
+        "max_len": 6, "samples": 700, "window": 6, "peripheral_n": 32, "seed": 3,
+        "theta_halfwidth": 0.3, "zeta_slack": 0.6, "spacing_factor": 0.04}
 
 
 def test_morse_reports_newton_iterations():
@@ -778,7 +781,7 @@ REFERENCE_POINTS = [(0, 0, 0), (0.5, 1, 0.5), (1, 4, 0.5), (1, 12, 0.5), (1, 400
 
 @pytest.mark.parametrize("max_len, budget, seed", [(9, 2000, 3), (10, 50_000, 0)])
 @pytest.mark.parametrize("point", REFERENCE_POINTS)
-def test_sampled_rows_equal_enumerated_rows(point, max_len, budget, seed):
+def test_sampled_rows_equal_enumerated_rows(point, max_len, budget, seed, f2_index):
     """A sampled word is folded through the same prefix products and
     log-scale sums as its row in the complete enumeration, and reads
     sigma_3 off its inverse's row likewise: its gaps are that row's bit
@@ -831,7 +834,7 @@ def test_enumerated_gap_scan_near_per_level_fold(point):
 
 
 @pytest.mark.parametrize("point", REFERENCE_POINTS)
-def test_enumerated_gap23_is_gap12_of_inverse(point):
+def test_enumerated_gap23_is_gap12_of_inverse(point, f2_index):
     r = cartan_gap_scan(rep_from_coords(Coordinates(*point)), 6, None, 0)
     start = 0
     for level in r.letters:
@@ -889,22 +892,25 @@ def test_rescale_batch_is_the_max_entry_division():
     assert np.array_equal(logs, np.log(scale))
 
 
-def test_enumerated_tables_are_shared_read_only_levels():
-    levels, tree, inverse_rows = anosov._scan_tables(6, None, None)
+def test_enumerated_tables_are_shared_read_only_levels(f2_index):
+    """The complete levels and their prefix tree, read-only: the tree's
+    numbering is the levels' row order, so row i of a level is node i,
+    node i extends node i // 3, and the inverse of row i is row m + i."""
+    levels, tree = anosov._scan_tables(6, None, None)
     assert anosov._scan_tables(6, None, None)[0] is levels
-    assert len(levels) == len(tree) == len(inverse_rows) == 6
-    deepest_parent, _, deepest_rows = tree[-1]
-    for level, (parent, letter, rows), inverse, want in zip(levels, tree, inverse_rows,
-                                                            f2_levels(6)):
-        assert np.array_equal(level, want)
-        assert np.array_equal(inverse, f2_index(want[:, ::-1] ^ 1))
-        # a complete level's rows are its nodes, and row i extends row i // 3
-        assert np.array_equal(rows, np.arange(len(want)))
-        assert np.array_equal(parent, np.arange(len(want)) // 3)
+    assert len(levels) == len(tree) == 6
+    fresh_tree = anosov._prefix_tree(list(f2_levels(6)))
+    for level, depth, fresh, want in zip(levels, tree, fresh_tree, f2_levels(6)):
+        parent, letter, rows = depth
+        assert level.dtype == np.int64 and np.array_equal(level, want)
+        assert [a.dtype for a in depth] == [np.int32, np.int8, np.int32]
+        assert all(np.array_equal(a, b) for a, b in zip(depth, fresh))
+        if want.shape[1] > 1:
+            assert np.array_equal(parent, np.arange(len(want)) // 3)
         assert np.array_equal(letter, want[:, -1])
-        assert np.shares_memory(parent, deepest_parent) and np.shares_memory(rows, deepest_rows)
-        assert np.shares_memory(letter, levels[-1])
-        for table in (level, parent, letter, rows, inverse):
+        assert np.array_equal(rows, np.concatenate([np.arange(len(want)),
+                                                    f2_index(want[:, ::-1] ^ 1)]))
+        for table in (level, *depth):
             assert not table.flags.writeable
     r = cartan_gap_scan(rep_from_coords(Coordinates(0.8, 2.0, 0.9)), 6, None, seed=3)
     assert r.letters is levels
@@ -935,8 +941,7 @@ def _fresh_sampled_tables(max_len, budget, seed):
     rng = f2_rng(seed)
     per_length = max(1, budget // max_len)
     levels = [f2_sample(rng, min(per_length, f2_count(n)), n) for n in range(1, max_len + 1)]
-    return levels, list(anosov._prefix_tree(levels)), [
-        np.arange(len(level), 2 * len(level)) for level in levels]
+    return levels, list(anosov._prefix_tree(levels))
 
 
 @pytest.mark.parametrize("max_len, budget, seed", [(10, 50_000, 0), (9, 2000, 7)])
@@ -945,18 +950,16 @@ def test_sampled_tables_are_shared_read_only_draws(max_len, budget, seed):
     and the prefix tree of that draw, bit for bit, read-only, with int32
     parents and rows and int8 letters; a second scan reads the same
     objects, and another seed or budget has its own entry."""
-    levels, tree, inverse_rows = anosov._scan_tables(max_len, budget, seed)
+    levels, tree = anosov._scan_tables(max_len, budget, seed)
     assert anosov._scan_tables(max_len, budget, seed)[1] is tree
-    want_levels, want_tree, want_inverse = _fresh_sampled_tables(max_len, budget, seed)
-    assert len(levels) == len(tree) == len(inverse_rows) == max_len
+    want_levels, want_tree = _fresh_sampled_tables(max_len, budget, seed)
+    assert len(levels) == len(tree) == max_len
     for got, want in zip(levels, want_levels):
         assert got.dtype == np.int64 and np.array_equal(got, want)
-    for got, want in zip(inverse_rows, want_inverse):
-        assert np.array_equal(got, want)
     for got, want in zip(tree, want_tree):
         assert [a.dtype for a in got] == [np.int32, np.int8, np.int32]
         assert all(a.dtype == b.dtype and np.array_equal(a, b) for a, b in zip(got, want))
-    for table in (*levels, *(a for depth in tree for a in depth), *inverse_rows):
+    for table in (*levels, *(a for depth in tree for a in depth)):
         assert not table.flags.writeable
     assert anosov._scan_tables(max_len, budget, seed + 1)[0] is not levels
     assert anosov._scan_tables(max_len, budget + 1, seed)[0] is not levels

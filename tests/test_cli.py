@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -230,6 +231,82 @@ def test_anosov_scan_gap_table(tmp_path):
                  "--gap-table", str(gaps)])
 
 
+# The default anosov-scan grid (s over 0.5:2:4, t over 1:8:4, theta 0.5),
+# row by row: the verdict, c at the default max-len 8 with 20 000 samples
+# and at max-len 10 with 50 000, and the straightness stats, which do not
+# depend on the scan's depth.  Recorded from the CLI; a change that moves
+# them changes what the scan reports.
+_PINNED_SCAN = [
+    ("inconclusive", 0.97117408856331444, 0.78760760357144799,
+     2.0554752700083125, 3.5457198702764789),
+    ("evidence-anosov", 3.3744073242655315, 6.8184176256215814,
+     3.0106188845122679, 9.6553797397399226),
+    ("evidence-anosov", 5.7413797225053758, 11.490304679269279,
+     3.128881262350105, 16.249864665671485),
+    ("evidence-anosov", 8.0781411945758848, 16.157021440514029,
+     3.1403599967105587, 22.849479974933544),
+    ("inconclusive", 1.0276849541518824, 0.82339854680245994,
+     2.0814875314514865, 5.5851760999603473),
+    ("evidence-anosov", 3.7730993980084944, 7.7978693676480191,
+     2.94048414487873, 11.064008698195044),
+    ("evidence-anosov", 6.2269848535641179, 12.480724588302742,
+     3.1219981526287199, 17.65074809138175),
+    ("evidence-anosov", 8.5724664822886911, 17.147547752845846,
+     3.1396924583621528, 24.250297745329529),
+    ("inconclusive", 1.9844351699394576, 4.9112812376849888,
+     2.2819205412749, 7.990279505536356),
+    ("evidence-anosov", 4.2415914778875754, 9.0455459725233958,
+     2.8897669888893347, 12.847946239863386),
+    ("evidence-anosov", 6.8406736705764928, 13.739500505812391,
+     3.1171229757617525, 19.431081289129583),
+    ("evidence-anosov", 9.2003793502523266, 18.40642551273617,
+     3.139219738033185, 26.030621023100533),
+    ("inconclusive", 2.788720847437498, 7.1816944835993795,
+     2.5457392085718098, 10.600774815411594),
+    ("evidence-anosov", 4.796144432287667, 10.545573737455584,
+     2.8897853810668295, 14.973145037690474),
+    ("evidence-anosov", 7.5778634285241688, 15.25117709598625,
+     3.1175438268597082, 21.568879111227652),
+    ("evidence-anosov", 9.9544559709659168, 19.91818805644165,
+     3.1392609189169742, 28.168575420937536),
+]
+
+
+@pytest.mark.parametrize("extra, c_column", [
+    ([], 1), (["--max-len", "10", "--samples", "50000"], 2),
+])
+def test_anosov_scan_default_grid_is_pinned(extra, c_column, tmp_path):
+    out = tmp_path / "scan.csv"
+    assert run_cli(["anosov-scan", *extra, "--out", str(out)]) == 0
+    data = _csv_data(out)
+    assert [row[3] for row in data] == [pin[0] for pin in _PINNED_SCAN]
+    for row, pin in zip(data, _PINNED_SCAN):
+        assert [float(v) for v in row[4:]] == pytest.approx(
+            [pin[c_column], *pin[3:]], rel=1e-9, abs=0)
+
+
+@pytest.mark.parametrize("extra, rows, words_sha256, c, big_c", [
+    (["--max-len", "6"], 1456,
+     "eaeeb8795a2a121bb2c5c0a6fb15bdc4df9d3238abe84e985f8f4d432660374f",
+     2.084509295282257, -0.31530945014361222),
+    (["--max-len", "8", "--samples", "2000", "--seed", "3"], 1160,
+     "173c592a2783ef682ae791ecdd463b8a3b32724da019aacf03c2ef85e1970ce6",
+     4.7623088471524211, 15.751487861077372),
+])
+def test_gap_table_is_pinned(extra, rows, words_sha256, c, big_c, tmp_path):
+    """An enumerated and a sampled gap table at (0.8, 2, 0.5): the words,
+    in order, and the fitted line of the footer."""
+    gaps = tmp_path / "gaps.csv"
+    run_cli(["anosov-scan", "--grid", "0.8:0.8:1,2:2:1,0.5:0.5:1", *extra,
+             "--gap-table", str(gaps), "--out", str(tmp_path / "scan.csv")])
+    data = _csv_data(gaps)
+    assert len(data) == rows
+    words = "\n".join(row[0] for row in data).encode()
+    assert hashlib.sha256(words).hexdigest() == words_sha256
+    footer = dict(field.split("=") for field in gaps.read_text().split("\n")[-2].split()[2:])
+    assert [float(footer["c"]), float(footer["C"])] == pytest.approx([c, big_c], rel=1e-9, abs=0)
+
+
 def test_bad_grid_spec():
     with pytest.raises(SystemExit):
         run_cli(["trace-table", "--grid", "bogus"])
@@ -352,6 +429,8 @@ def test_surface_flags_rows_it_cannot_verify(s, tmp_path):
     ["anosov-scan", "--grid=0:1:2,-1:1:2,0.5:0.5:1"],
     ["rep-info", "--coords=1,inf,0"],
     ["rep-info", "--coords=1,1,0", "--word=xyz"],
+    ["surface", "--s-grid=-1:0:3", "--theta-grid=0:1:2"],
+    ["surface", "--s-grid=0:-0.5:2"],
 ])
 def test_bad_coordinates_rejected(argv):
     with pytest.raises(SystemExit, match="bad "):

@@ -11,7 +11,6 @@ from modsym.modgroup import (
     enumerate_f2,
     f2_count,
     f2_from_string,
-    f2_index,
     f2_inverse,
     f2_levels,
     f2_mul,
@@ -245,20 +244,20 @@ def test_constant_generator_geodesic():
 
 
 @pytest.mark.parametrize("max_len", [1, 2, 7])
-def test_f2_index_of_levels_is_row_order(max_len):
+def test_f2_index_of_levels_is_row_order(max_len, f2_index):
     for level in f2_levels(max_len):
         assert f2_index(level).dtype == np.int64
         assert np.array_equal(f2_index(level), np.arange(len(level)))
 
 
-def test_f2_index_inverse_permutation_is_an_involution():
+def test_f2_index_inverse_permutation_is_an_involution(f2_index):
     for level in f2_levels(6):
         perm = f2_index(level[:, ::-1] ^ 1)
         assert np.array_equal(perm[perm], np.arange(len(level)))
         assert np.array_equal(level[perm], level[:, ::-1] ^ 1)
 
 
-def test_f2_index_of_prefixes():
+def test_f2_index_of_prefixes(f2_index):
     n = 30
     level = f2_sample(f2_rng(5), 400, n)
     index = f2_index(level)
@@ -266,7 +265,7 @@ def test_f2_index_of_prefixes():
         assert np.array_equal(f2_index(level[:, :k]), index // 3 ** (n - k))
 
 
-def test_f2_index_stops_at_int64():
+def test_f2_index_stops_at_int64(f2_index):
     """The last word of length 39 has index f2_count(39) - 1 < 2^63; the
     words of length 40 outrun int64."""
     assert f2_index(np.full((1, 39), G2_INV))[0] == f2_count(39) - 1
