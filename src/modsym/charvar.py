@@ -35,6 +35,14 @@ B2ABA = normalize("Baba")
 WORD_B = normalize("b")
 WORD_ABA = normalize("aba")
 
+# rho(b), the rotation by 2 pi / 3 about the first axis: its float64 and
+# extended-precision matrices, its isometry and its factored letters
+_R = rotation(2.0 * np.pi / 3.0)
+_R_LD = rotation(2.0 * np.pi / 3.0, dtype=np.longdouble)
+_R.flags.writeable = _R_LD.flags.writeable = False
+_ROT = Isometry(_R)
+_FR, _FR2 = FIsometry.from_pair(_R, _R.T), FIsometry.from_pair(_R.T, _R)
+
 TYPE_I = "typeI"
 TYPE_II = "typeII"
 BOTH_FIXED_POINT = "both"
@@ -89,20 +97,15 @@ def _halfangle_blocks(s, t, alpha, dtype):
 
 
 def generators_at(s, t, theta):
-    """Extended-precision generator matrices (x, x^{-1}, R, R^2) at
-    coordinates (s, t, theta), all in closed form: no matrix is inverted
-    at runtime.
+    """Extended-precision x and x^{-1} at coordinates (s, t, theta), both
+    in closed form: no matrix is inverted at runtime.
 
-    Broadcasts over coordinate arrays: x and x^{-1} are (..., 3, 3)
-    stacks, and R and R^2 single matrices that broadcast against them.
-    theta is reduced mod pi as :class:`Coordinates` reduces it.
+    Broadcasts over coordinate arrays into (..., 3, 3) stacks.  theta is
+    reduced mod pi as :class:`Coordinates` reduces it.
     """
     alpha = np.remainder(theta, np.pi) / 2.0
     S, Si, expw = _halfangle_blocks(s, t, alpha, np.longdouble)
-    x = S @ expw(2.0) @ S
-    xinv = Si @ expw(-2.0) @ Si
-    r = rotation(2.0 * np.pi / 3.0, dtype=np.longdouble)
-    return x, xinv, r, r.T.copy()
+    return S @ expw(2.0) @ S, Si @ expw(-2.0) @ Si
 
 
 class Representation:
@@ -111,19 +114,21 @@ class Representation:
     The fixed point is kept in factored form so that orbit computations
     remain meaningful at any coordinate scale; the explicit ``x`` Point
     (and the inversion ``rho_a``) are available whenever the eigenvalue
-    range of ``x`` fits in double precision.
+    range of ``x`` fits in double precision.  ``x_ld`` is the pair
+    (x, x^{-1}) in extended precision, which ``matrix_of`` folds.
     """
 
-    def __init__(self, coords: Coordinates | None, fx: FIsometry, x_pair: FIsometry):
+    def __init__(self, coords: Coordinates | None, fx: FIsometry, x_pair: FIsometry,
+                 x_ld: tuple[np.ndarray, np.ndarray]):
         self.coords = coords
         self.fx = fx
-        rot_mat = rotation(2.0 * np.pi / 3.0)
-        self.rot = Isometry(rot_mat, reversing=False)
-        # _fold's letter table in factored form: "a" holds x as a linear map
-        # and its contragredient; the fold carries rho(a)'s orientation
+        self.rot = _ROT
+        # _fold's letter tables, factored and in extended precision: "a"
+        # holds x as a linear map and its contragredient; the fold carries
+        # rho(a)'s orientation
         self._letters = _letter_table(
-            x_pair, FIsometry(x_pair.matinv.T, x_pair.mat.T, x_pair.lmi, x_pair.lm),
-            FIsometry.from_pair(rot_mat, rot_mat.T), FIsometry.from_pair(rot_mat.T, rot_mat))
+            x_pair, FIsometry(x_pair.matinv.T, x_pair.mat.T, x_pair.lmi, x_pair.lm), _FR, _FR2)
+        self._letters_ld = _letter_table(*x_ld, _R_LD, _R_LD.T)
         self._f2_gens: FIsometry | None = None
         self._x: Point | None = None
         self._rho_a: Isometry | None = None
@@ -170,12 +175,15 @@ def rep_from_coords(c: Coordinates) -> Representation:
         x_mat, x_inv = S @ expw(2.0) @ S, Si @ expw(-2.0) @ Si
     # _rescaled rejects the overflowed (inf or NaN) factors
     fx = FIsometry.from_pair(f, finv)
-    return Representation(c, fx, FIsometry.from_pair(x_mat, x_inv))
+    return Representation(c, fx, FIsometry.from_pair(x_mat, x_inv),
+                          generators_at(c.s, c.t, c.theta))
 
 
 def rep_from_point(x: Point) -> Representation:
     """Representation with inversion center at an explicit point."""
-    return Representation(None, FIsometry.from_point(x), FIsometry.from_pair(x.mat, x.inv()))
+    xinv = x.inv()
+    return Representation(None, FIsometry.from_point(x), FIsometry.from_pair(x.mat, xinv),
+                          (x.mat.astype(np.longdouble), xinv.astype(np.longdouble)))
 
 
 def coords_from_rep(rep: Representation) -> Coordinates:
@@ -184,7 +192,7 @@ def coords_from_rep(rep: Representation) -> Coordinates:
     Requires the gauge-fixed rotation (which every Representation built
     here carries) and a fixed point within double-precision range.
     """
-    if not np.allclose(rep.rot.mat, rotation(2.0 * np.pi / 3.0), atol=1e-12):
+    if not np.allclose(rep.rot.mat, _R, atol=1e-12):
         raise ValueError("representation is not gauge fixed")
     pc: ParallelCoords = coords_from_point(rep.x)
     theta = (2.0 * pc.alpha - pc.beta) % np.pi
@@ -221,17 +229,6 @@ def f2_fisometries(rep: Representation, words: Sequence[F2Word]) -> FIsometry:
 
 def f2_fisometry(rep: Representation, w: F2Word) -> FIsometry:
     return f2_fisometries(rep, [w])[0]
-
-
-def _generators_ld(rep: Representation):
-    """Extended-precision generator matrices (x, x^{-1}, R, R^2), from the
-    coordinates when the representation has them."""
-    if rep.coords is not None:
-        c = rep.coords
-        return generators_at(c.s, c.t, c.theta)
-    ld = np.longdouble
-    r = rotation(2.0 * np.pi / 3.0, dtype=ld)
-    return rep.x.mat.astype(ld), rep.x.inv().astype(ld), r, r.T.copy()
 
 
 def _fold(table, syllables, one, mul=operator.matmul):
@@ -275,8 +272,7 @@ def matrix_of(rep: Representation, w) -> np.ndarray:
 
     Raises ParityError on words with odd inversion count.
     """
-    return _fold(_letter_table(*_generators_ld(rep)), _even_word(w).syllables,
-                 np.eye(3, dtype=np.longdouble))
+    return _fold(rep._letters_ld, _even_word(w).syllables, np.eye(3, dtype=np.longdouble))
 
 
 def matrices_at(s, t, theta, w) -> np.ndarray:
@@ -288,8 +284,8 @@ def matrices_at(s, t, theta, w) -> np.ndarray:
 
     Raises ParityError on words with odd inversion count.
     """
-    return _fold(_letter_table(*generators_at(s, t, theta)), _even_word(w).syllables,
-                 np.eye(3, dtype=np.longdouble))
+    return _fold(_letter_table(*generators_at(s, t, theta), _R_LD, _R_LD.T),
+                 _even_word(w).syllables, np.eye(3, dtype=np.longdouble))
 
 
 def _as_double(x, what: str) -> np.ndarray:

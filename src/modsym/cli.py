@@ -64,20 +64,24 @@ def _config_hash(config: dict) -> str:
     return hashlib.sha256(canon.encode()).hexdigest()[:12]
 
 
+def _json_cell(v):
+    """A table cell as JSON writes it: a string as it is, a number as a
+    float, and a non-finite number as None (null)."""
+    return v if isinstance(v, str) else float(v) if np.isfinite(v) else None
+
+
 def _emit_table(columns, rows, config, fmt, out, footer="") -> None:
     """Write ``rows`` as CSV or, when ``fmt`` is ``"json"``, as a JSON
     payload.  CSV prints strings as they are and numbers as ``%.17g``, with
     the column kinds read off the first row, and ends with a comment
-    line holding the configuration hash and ``footer``."""
+    line holding the configuration hash and ``footer``.  JSON has no
+    ``nan`` or ``inf``: it writes those numbers as null."""
     if fmt == "json":
         payload = {
             "config_hash": _config_hash(config),
-            "rows": [
-                {k: (v if isinstance(v, str) else float(v)) for k, v in zip(columns, row)}
-                for row in rows
-            ],
+            "rows": [{k: _json_cell(v) for k, v in zip(columns, row)} for row in rows],
         }
-        _emit([json.dumps(payload, indent=2, sort_keys=True)], out)
+        _emit([json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)], out)
         return
     row_fmt = ",".join("%s" if isinstance(v, str) else _FMT for v in rows[0])
     lines = [",".join(columns)]

@@ -35,6 +35,7 @@ from .symspace import (
     _any,
     _dot,
     _norm,
+    _relative_eigh,
     _sym_func,
     _unstacked,
     check_symmetric,
@@ -115,18 +116,10 @@ class ModelInterval:
         return self.lo <= phi <= self.hi
 
 
-def _relative_eigh(p: Point, q: Point):
-    m = p.inv_sqrt() @ q.mat @ p.inv_sqrt()
-    w, u = np.linalg.eigh(0.5 * (m + m.T))
-    if w[0] <= 0.0:
-        raise DomainError("relative matrix is not positive definite")
-    return np.log(w), u
-
-
 def segment_type(p: Point, q: Point) -> float:
     """Chamber angle of the segment pq; satisfies type(qp) = iota(type(pq))."""
-    logw, _ = _relative_eigh(p, q)
-    lam = np.sort(logw - logw.mean())[::-1]
+    logw = np.log(_relative_eigh(p, q)[0])
+    lam = (logw - logw.mean())[::-1]
     if np.linalg.norm(lam) < 1e-12:
         raise DomainError("segment type undefined for coincident points")
     return chamber_angle(lam)
@@ -257,12 +250,11 @@ def _check_regular(lam: np.ndarray, *more) -> None:
 def _regular_frame(p: Point, q: Point):
     """Descending eigenvalues and frame of the segment log; rejects
     segments at or too near the walls."""
-    logw, u = _relative_eigh(p, q)
-    lam = logw - logw.mean()
-    order = np.argsort(lam)[::-1]
-    lam = lam[order]
+    w, u = _relative_eigh(p, q)
+    logw = np.log(w)
+    lam = (logw - logw.mean())[::-1]
     _check_regular(lam)
-    return lam, u[:, order]
+    return lam, u[:, ::-1]
 
 
 def zeta_direction(p: Point, q: Point) -> np.ndarray:
@@ -357,11 +349,8 @@ def flat_from_flags(f_minus: Flag, f_plus: Flag, tol: float = 1e-8) -> Flat:
     if np.linalg.norm(middle) < tol:
         raise OppositionError("the two flag lines coincide")
     g = np.column_stack([f_plus.point, middle / np.linalg.norm(middle), f_minus.point])
-    d = float(np.linalg.det(g))
-    if abs(d) < tol:
+    if abs(float(np.linalg.det(g))) < tol:
         raise OppositionError("flags are not in general position")
-    if d < 0:
-        g = np.column_stack([f_plus.point, -g[:, 1], f_minus.point])
     return Flat(frame=g)
 
 

@@ -207,23 +207,27 @@ def inversion_at(x: Point) -> Isometry:
     return Isometry(x.mat, reversing=True)
 
 
-def _relative_log_evals(p: Point, q: Point) -> np.ndarray:
-    m = p.inv_sqrt() @ q.mat @ p.inv_sqrt()
-    w = np.linalg.eigvalsh(0.5 * (m + m.T))
+def _relative_eigh(p: Point, q: Point):
+    """Ascending eigenvalues and eigenvectors of the segment's relative
+    matrix p^{-1/2} q p^{-1/2}: the one decomposition that every explicit
+    segment operation reads."""
+    h = p.inv_sqrt()
+    w, u = _sym_eigh(h @ q.mat @ h)
     if w[0] <= 0.0:
         raise DomainError("relative matrix is not positive definite")
-    return np.log(w)
+    return w, u
 
 
 def distance(p: Point, q: Point) -> float:
     """Riemannian distance |log(p^{-1/2} q p^{-1/2})| in the tr(uv) metric."""
-    return float(np.linalg.norm(_relative_log_evals(p, q)))
+    w, _ = _relative_eigh(p, q)
+    return float(np.linalg.norm(np.log(w)))
 
 
 def midpoint(p: Point, q: Point) -> Point:
     """Geodesic midpoint p^{1/2} (p^{-1/2} q p^{-1/2})^{1/2} p^{1/2}."""
-    m = p.inv_sqrt() @ q.mat @ p.inv_sqrt()
-    return Point(p.sqrt() @ _sym_func(m, np.sqrt) @ p.sqrt())
+    w, u = _relative_eigh(p, q)
+    return Point(p.sqrt() @ ((u * np.sqrt(w)) @ u.T) @ p.sqrt())
 
 
 @dataclass(frozen=True)
@@ -248,8 +252,8 @@ class TangentVector:
 
 def log_map(p: Point, q: Point) -> TangentVector:
     """Initial velocity of the geodesic from p to q (at the identity chart)."""
-    m = p.inv_sqrt() @ q.mat @ p.inv_sqrt()
-    v = _sym_func(m, np.log)
+    w, u = _relative_eigh(p, q)
+    v = (u * np.log(w)) @ u.T
     return TangentVector(p, v - (np.trace(v) / 3.0) * np.eye(3))
 
 

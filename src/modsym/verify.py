@@ -13,7 +13,7 @@ import numpy as np
 
 from . import anosov, charvar, flats, modgroup, symspace
 from .errors import GeometryError
-from .factored import fact
+from .factored import fact, fdistance
 
 
 @dataclass(frozen=True)
@@ -316,15 +316,16 @@ def suite_anosov(tol: _Tol, seed: int = 4) -> list[CheckResult]:
     rep = charvar.rep_from_coords(charvar.Coordinates(0.8, 2.0, 0.9))
     # a sampled scan, so the seeded draws are what is checked: its tables
     # may come from the cache, the reference's are drawn afresh
-    scan = anosov.cartan_gap_scan(rep, 8, 2000, seed=11)
-    fresh = anosov._gap_report(rep, anosov._scan_tables.__wrapped__(8, 2000, 11), False, 11)
+    scan = anosov.cartan_gap_scan(rep, 8, 2000, seed=seed)
+    fresh = anosov._gap_report(rep, anosov._scan_tables.__wrapped__(8, 2000, seed), False, seed)
     ok = (not scan.enumerated and len(scan.letters) == len(fresh.letters)
           and all(np.array_equal(a, b) for a, b in zip(scan.letters, fresh.letters))
           and np.array_equal(scan.gap12, fresh.gap12) and np.array_equal(scan.gap23, fresh.gap23)
           and scan.slope_c == fresh.slope_c and scan.products == fresh.products)
     out.append(CheckResult("anosov", "gap-scan-determinism", ok,
-                           "sampled scan (max-len 8, 2000 samples, seed 11) against one over "
-                           "tables from a fresh f2_rng(11) draw: letters, gaps, c, products"))
+                           f"sampled scan (max-len 8, 2000 samples, seed {seed}) against one "
+                           f"over tables from a fresh f2_rng({seed}) draw: letters, gaps, c, "
+                           "products"))
 
     res = 0.0
     for w in modgroup.enumerate_f2(3):
@@ -334,7 +335,7 @@ def suite_anosov(tol: _Tol, seed: int = 4) -> list[CheckResult]:
     out.append(_result("anosov", "gap-mirror-duality", res, tol(1e-10)))
 
     # left translation leaves every sequence diagnostic invariant
-    words = modgroup.random_f2_geodesic(6, seed=5)
+    words = modgroup.random_f2_geodesic(6, seed=seed)
     seq = anosov.midpoint_sequence(rep, words)
     shift = modgroup.f2_from_string("xy")
     shifted = [modgroup.f2_mul(shift, w) for w in words]
@@ -348,17 +349,17 @@ def suite_anosov(tol: _Tol, seed: int = 4) -> list[CheckResult]:
         abs(sr1.type_min - sr2.type_min),
         abs(sr1.type_max - sr2.type_max),
     )
-    # explicit-point comparison at a scale where it is well conditioned
+    # the translated midpoints against those of the translated words, by
+    # their factored distance: the explicit matrices of these points reach
+    # condition 3.7e11, and their entries then differ by up to 4.3e-6
     small = charvar.rep_from_coords(charvar.Coordinates(0.4, 0.6, 0.9))
-    s_words = modgroup.random_f2_geodesic(3, seed=5)
+    s_words = modgroup.random_f2_geodesic(3, seed=seed)
     s_shifted = [modgroup.f2_mul(shift, w) for w in s_words]
     sseq = anosov.midpoint_sequence(small, s_words)
     sseq2 = anosov.midpoint_sequence(small, s_shifted)
     g = charvar.f2_fisometry(small, shift)
     for m, m2 in zip(sseq.midpoints, sseq2.midpoints):
-        lhs = fact(g, m).to_point().mat
-        rhs = m2.to_point().mat
-        res = max(res, float(np.linalg.norm(lhs - rhs) / np.linalg.norm(rhs)))
+        res = max(res, float(fdistance(fact(g, m), m2)))
     out.append(_result("anosov", "midpoint-equivariance", res, tol(1e-8)))
 
     res = seq.equidistance_defect

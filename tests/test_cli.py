@@ -59,8 +59,32 @@ def test_verify_gap_scan_determinism_is_sampled(monkeypatch):
     monkeypatch.setattr(anosov, "cartan_gap_scan", recorded)
     results = verify.run_suites(module_filter="anosov")
     check, = (r for r in results if r.name == "gap-scan-determinism")
-    assert check.passed and "fresh f2_rng(11) draw" in check.detail
+    assert check.passed and "fresh f2_rng(4) draw" in check.detail
     assert len(reports) == 1 and not reports[0].enumerated
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_verify_anosov_suite_draws_from_its_seed(seed, monkeypatch, capsys):
+    """``--seed`` reaches the anosov suite, the fifth, as seed + 4: its
+    sampled scan and both of its windows draw from it, and it passes."""
+    from modsym import anosov, modgroup
+
+    drawn = []
+
+    def scan(*args, **kwargs):
+        drawn.append(kwargs["seed"])
+        return cartan_gap_scan(*args, **kwargs)
+
+    def window(n, seed):
+        drawn.append(seed)
+        return random_f2_geodesic(n, seed=seed)
+
+    random_f2_geodesic = modgroup.random_f2_geodesic
+    monkeypatch.setattr(anosov, "cartan_gap_scan", scan)
+    monkeypatch.setattr(modgroup, "random_f2_geodesic", window)
+    assert run_cli(["verify", "--filter", "anosov", "--seed", str(seed)]) == 0
+    assert drawn == [seed + 4] * 3
+    assert f"fresh f2_rng({seed + 4}) draw" in capsys.readouterr().out
 
 
 def test_verify_gap_scan_determinism_fails_on_stale_tables(monkeypatch):
@@ -480,6 +504,33 @@ def test_surface_json_keeps_error_status(tmp_path, capsys):
         assert [row[k] for k in ("s", "theta", "t", "residual")] == [
             float(v) for v in csv_row[:4]]
         assert row["status"] == csv_row[4]
+
+
+def _strict_json(text):
+    """json.loads that rejects NaN, Infinity and -Infinity, which are not
+    JSON (RFC 8259)."""
+    def reject(token):
+        raise ValueError(f"{token} is not a JSON number")
+    return json.loads(text, parse_constant=reject)
+
+
+@pytest.mark.parametrize("argv, cells", [
+    (["anosov-scan", "--grid", "0:0:1,0:0:1,0:0:1", "--max-len", "3", "--samples", "50"],
+     {"minangle": "nan", "minspacing": "nan"}),
+    (["surface", "--s-grid", "400:400:1", "--theta-grid", "0:0:1"], {"residual": "inf"}),
+    (["surface", "--s-grid", "20000:20000:1", "--theta-grid", "0:0:1"],
+     {"t": "nan", "residual": "nan"}),
+])
+def test_json_writes_non_finite_numbers_as_null(argv, cells, tmp_path, capsys):
+    """JSON writes null where the CSV writes nan or inf."""
+    csv_path = tmp_path / "rows.csv"
+    run_cli([*argv, "--out", str(csv_path)])
+    run_cli([*argv, "--format", "json"])
+    row, = _strict_json(capsys.readouterr().out)["rows"]
+    assert {k for k, v in row.items() if v is None} == set(cells)
+    columns = csv_path.read_text().split("\n")[0].split(",")
+    csv_row, = _csv_data(csv_path)
+    assert {k: v for k, v in zip(columns, csv_row) if k in cells} == cells
 
 
 def test_rep_info_out_equals_stdout(tmp_path, capsys):
