@@ -300,6 +300,36 @@ def test_is_reducible_anchor_cases():
     assert not is_reducible(rep_from_coords(Coordinates(1.0, 0.0, 0.0)))
 
 
+def _reference_is_reducible(rep, tol=1e-7):
+    """The numerical reducibility test: a common complex eigenvector of
+    rho(b) and rho(aba) (an invariant line) or of their inverse transposes
+    (an invariant plane), from ``np.linalg.eig`` and ``np.linalg.inv``.
+    Raises LinAlgError where rho(aba) is numerically singular."""
+    mb = np.asarray(matrix_of(rep, "b"), dtype=float)
+    maba = np.asarray(matrix_of(rep, "aba"), dtype=float)
+
+    def common_eigenvector(m1, m2):
+        v1, v2 = np.linalg.eig(m1)[1].T, np.linalg.eig(m2)[1].T
+        return any(np.linalg.norm(np.cross(u, v)) <= tol * np.linalg.norm(u) * np.linalg.norm(v)
+                   for u in v1 for v in v2)
+
+    return (common_eigenvector(mb, maba)
+            or common_eigenvector(np.linalg.inv(mb).T, np.linalg.inv(maba).T))
+
+
+def test_is_reducible_equals_its_eig_reference():
+    """Where the eig/inv reference returns, is_reducible gives its answer:
+    on the type-I locus, off it down to s = 1e-3 (no nearer, where the two
+    tolerance bands differ), and at points outside the coordinate gauge."""
+    reps = [rep_from_coords(Coordinates(float(s), float(t), theta))
+            for s in np.r_[0.0, np.geomspace(1e-3, 3.0, 8)]
+            for t in np.linspace(0.0, 8.0, 9)
+            for theta in (0.0, 0.7, 1.6, 2.9)]
+    reps += [rep_from_point(random_point(np.random.default_rng(k), 1.5)) for k in range(60)]
+    for rep in reps:
+        assert is_reducible(rep) == _reference_is_reducible(rep)
+
+
 def test_trace_b2aba_bound_on_surface(rng):
     for s, theta in [(0.0, 0.0), (0.5, 0.9), (1.5, 2.0)]:
         t = float(schwartz_t(s, theta))
