@@ -32,8 +32,8 @@ from .symspace import Isometry, Point, compose, inversion_at, rotation
 BABA = normalize("baba")
 ABAB = normalize("aBaB")  # (baba)^{-1}
 B2ABA = normalize("Baba")
-WORD_B = normalize("b")
 WORD_ABA = normalize("aba")
+WORD_ABA_INV = normalize("aBa")
 
 # rho(b), the rotation by 2 pi / 3 about the first axis: its float64 and
 # extended-precision matrices, its isometry and its factored letters
@@ -332,6 +332,9 @@ def schwartz_t(s, theta):
         cosh(2t) = (9 cosh^2(2s) + 1 + 6 sin^2(theta) sinh^4(s))
                    / (6 (cosh(2s) + sin^2(theta) sinh^4(s)))
 
+    The right side minus one is (3 cosh(2s) - 1)^2 / (6 (cosh(2s) + sin^2(theta)
+    sinh^4(s))) >= 2/3, so t exists everywhere and is at least log(3) / 2.
+
     Returns extended precision so the defining identity holds to ~1e-14
     when fed back into the closed form.  Arrays are evaluated elementwise;
     scalars give a scalar.  Where the entries overflow the result is NaN
@@ -341,10 +344,6 @@ def schwartz_t(s, theta):
     s, theta = ld(s), ld(theta)
     q = np.sin(theta) ** 2 * np.sinh(s) ** 4
     rhs = (9 * np.cosh(2 * s) ** 2 + 1 + 6 * q) / (6 * (np.cosh(2 * s) + q))
-    if (rhs < 1).any():
-        raise DomainError(
-            f"cosh(2t) = {float(np.nanmin(rhs))} < 1; surface equation has no solution"
-        )
     return np.arccosh(rhs) / 2
 
 
@@ -383,34 +382,28 @@ def fuchsian_classify(c: Coordinates, tol: float = 1e-9) -> str:
     return NON_FUCHSIAN
 
 
-def _parallel_complex(u: np.ndarray, v: np.ndarray, tol: float) -> bool:
-    cross = np.cross(u, v)
-    return bool(np.linalg.norm(cross) <= tol * np.linalg.norm(u) * np.linalg.norm(v))
-
-
-def _common_eigenvector(m1: np.ndarray, m2: np.ndarray, tol: float) -> bool:
-    _, v1 = np.linalg.eig(m1)
-    _, v2 = np.linalg.eig(m2)
-    for i in range(3):
-        for j in range(3):
-            if _parallel_complex(v1[:, i], v2[:, j], tol):
-                return True
-    return False
+# Unit eigenvectors of rho(b), the rotation by 2 pi / 3 about e1: e1, and
+# (0, 1, i) / sqrt(2) for exp(-2 pi i / 3).  A real matrix fixes the line of
+# (0, 1, i) exactly when it fixes the conjugate line, of exp(2 pi i / 3).
+_B_EIGENVECTORS = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 1.0j]]) / np.sqrt([[1.0], [2.0]])
 
 
 def is_reducible(rep: Representation, tol: float = 1e-7) -> bool:
     """True when the even subgroup has an invariant line or plane.
 
-    The even subgroup is generated by b and aba; a common complex
-    eigenvector of their matrices is an invariant line, and a common
-    eigenvector of the inverse transposes is an invariant plane.  Raises
-    DomainError when their entries do not fit the float64 range.
+    The even subgroup is generated by b and aba.  The eigenvalues of
+    rho(b) are distinct, so an invariant line is an eigenline of rho(b)
+    that rho(aba) fixes, and an invariant plane is the kernel of one that
+    the contragredient rho(aba)^{-T} = rho(aBa)^T fixes (rho(b) is its own
+    contragredient).  A line counts as fixed when |m v x v| <= tol |m v|
+    for its unit vector v.  Raises DomainError when the matrices do not
+    fit the float64 range.
     """
-    mb = _as_double(matrix_of(rep, WORD_B), "matrix of b")
-    maba = _as_double(matrix_of(rep, WORD_ABA), "matrix of aba")
-    if _common_eigenvector(mb, maba, tol):
-        return True
-    return _common_eigenvector(np.linalg.inv(mb).T, np.linalg.inv(maba).T, tol)
+    aba = _as_double(matrix_of(rep, WORD_ABA), "matrix of aba")
+    aba_inv = _as_double(matrix_of(rep, WORD_ABA_INV), "matrix of aBa")
+    images = _B_EIGENVECTORS @ np.stack([aba.T, aba_inv])  # rho(aba) v, rho(aba)^{-T} v
+    cross = np.linalg.norm(np.cross(images, _B_EIGENVECTORS), axis=-1)
+    return bool((cross <= tol * np.linalg.norm(images, axis=-1)).any())
 
 
 # Observed one-sided bound for tr(rho(b^2 a b a)) on the tr(baba) = -1

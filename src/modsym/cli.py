@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -39,14 +40,15 @@ def _parse_axis(spec: str) -> np.ndarray:
     if not (np.isfinite(lo) and np.isfinite(hi)):
         raise SystemExit(f"bad axis spec {spec!r}; bounds must be finite")
     if n < 1:
-        raise SystemExit("axis must have at least one sample")
+        raise SystemExit(f"bad axis spec {spec!r}; expected at least one sample")
     return np.linspace(lo, hi, n)
 
 
 def _parse_grid(spec: str, axes: int) -> list[np.ndarray]:
     parts = spec.split(",")
     if len(parts) != axes:
-        raise SystemExit(f"expected {axes} comma-separated axes, got {len(parts)}")
+        raise SystemExit(f"bad grid {spec!r}; expected {axes} comma-separated axes, "
+                         f"got {len(parts)}")
     return [_parse_axis(p) for p in parts]
 
 
@@ -120,7 +122,8 @@ def cmd_verify(args) -> int:
             mark = "ok  " if r.passed else "FAIL"
             print(f"{mark} {r.suite}.{r.name}: {r.detail}")
     failed = [r for r in results if not r.passed]
-    print(f"{len(results) - len(failed)}/{len(results)} checks passed")
+    print(f"{len(results) - len(failed)}/{len(results)} checks passed",
+          file=sys.stderr if args.format == "json" else sys.stdout)
     return 1 if failed else 0
 
 
@@ -171,13 +174,15 @@ def _map_blocks(fn, points: np.ndarray, jobs: int) -> list:
 
 def _trace_block(points: np.ndarray) -> list:
     """Trace-table rows for a block of points (s, t, theta), evaluated as
-    one batch."""
+    one batch.  A trace past the float64 range reads inf or nan, and the
+    summary line counts the rows whose residual is not finite."""
     s, t, theta = points.T
     theta = np.remainder(theta, np.pi)  # as Coordinates reduces it
-    numeric = np.trace(charvar.matrices_at(s, t, theta, charvar.BABA),
-                       axis1=-2, axis2=-1).astype(float)
-    closed = charvar.trace_baba_closed_form(s=s, t=t, theta=theta).astype(float)
-    return np.column_stack([points, numeric, closed, np.abs(numeric - closed)]).tolist()
+    with np.errstate(over="ignore", invalid="ignore"):
+        numeric = np.trace(charvar.matrices_at(s, t, theta, charvar.BABA),
+                           axis1=-2, axis2=-1).astype(float)
+        closed = charvar.trace_baba_closed_form(s=s, t=t, theta=theta).astype(float)
+        return np.column_stack([points, numeric, closed, np.abs(numeric - closed)]).tolist()
 
 
 def cmd_trace_table(args) -> int:
@@ -190,8 +195,10 @@ def cmd_trace_table(args) -> int:
     config = {"cmd": "trace-table", "grid": args.coords or args.grid}
     columns = ("s", "t", "theta", "tr_baba_numeric", "tr_baba_closed", "residual")
     _emit_table(columns, results, config, args.format, args.out)
-    max_res = max(row[5] for row in results)
-    print(f"max residual {max_res:.3e} over {len(results)} rows", file=sys.stderr)
+    finite = [row[5] for row in results if math.isfinite(row[5])]
+    note = f", {len(results) - len(finite)} not finite" if len(finite) < len(results) else ""
+    print(f"max residual {max(finite, default=np.nan):.3e} over {len(results)} rows{note}",
+          file=sys.stderr)
     return 0
 
 
@@ -205,21 +212,16 @@ def _surface_block(points: np.ndarray) -> list:
     otherwise its status says why not."""
     s, theta = points.T
     tol = charvar.SURFACE_TOL
-    try:
-        with np.errstate(over="ignore", invalid="ignore"):
-            t = charvar.schwartz_t(s, theta)
-            closed = charvar.trace_baba_closed_form(s=s, t=t, theta=theta)
-            t = t.astype(float)
-            residual = np.abs(closed.astype(float) + 1.0)
-    except GeometryError as exc:
-        t = residual = np.full(s.shape, np.nan)
-        status = [f"error:{exc}"] * s.size
-    else:
-        reasons = ("ok", "error:t is not finite", "error:residual is not finite",
-                   f"error:residual above SURFACE_TOL {tol:g}")
-        codes = np.select([~np.isfinite(t), ~np.isfinite(residual), residual > tol],
-                          [1, 2, 3], default=0)
-        status = [reasons[k] for k in codes.tolist()]
+    with np.errstate(over="ignore", invalid="ignore"):
+        t = charvar.schwartz_t(s, theta)
+        closed = charvar.trace_baba_closed_form(s=s, t=t, theta=theta)
+        t = t.astype(float)
+        residual = np.abs(closed.astype(float) + 1.0)
+    reasons = ("ok", "error:t is not finite", "error:residual is not finite",
+               f"error:residual above SURFACE_TOL {tol:g}")
+    codes = np.select([~np.isfinite(t), ~np.isfinite(residual), residual > tol],
+                      [1, 2, 3], default=0)
+    status = [reasons[k] for k in codes.tolist()]
     return list(zip(s.tolist(), theta.tolist(), t.tolist(), residual.tolist(), status))
 
 

@@ -330,6 +330,23 @@ def test_is_reducible_equals_its_eig_reference():
         assert is_reducible(rep) == _reference_is_reducible(rep)
 
 
+def test_is_reducible_returns_or_raises_domain_error():
+    """On a grid out to s = 5, t = 30, where rho(aba) is numerically
+    singular for the eig/inv test at many points, is_reducible answers
+    or raises DomainError."""
+    answers = 0
+    for s in np.arange(0.0, 5.0 + 1e-9, 0.25):
+        for t in np.arange(0.0, 30.0 + 1e-9, 0.5):
+            for theta in (0.3, 1.0, 1.7, 2.4, 2.65, 3.0):
+                rep = rep_from_coords(Coordinates(float(s), float(t), theta))
+                try:
+                    assert type(is_reducible(rep)) is bool
+                except DomainError:
+                    continue
+                answers += 1
+    assert answers > 0
+
+
 def test_trace_b2aba_bound_on_surface(rng):
     for s, theta in [(0.0, 0.0), (0.5, 0.9), (1.5, 2.0)]:
         t = float(schwartz_t(s, theta))

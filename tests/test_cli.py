@@ -33,6 +33,20 @@ def test_verify_default_passes(capsys):
     assert "checks passed" in out
 
 
+@pytest.mark.parametrize("tol, code", [([], 0), (["--tol", "0"], 1)])
+def test_verify_json_is_one_document(tol, code, capsys):
+    """``--format json`` writes only the JSON array to stdout; the count
+    of passed checks goes to stderr."""
+    assert run_cli(["verify", "--format", "json", *tol]) == code
+    captured = capsys.readouterr()
+    results = json.loads(captured.out)
+    assert len(results) == 30
+    assert all(sorted(r) == ["detail", "name", "passed", "suite"] for r in results)
+    passed = sum(r["passed"] for r in results)
+    assert (passed == 30) == (code == 0)
+    assert captured.err == f"{passed}/30 checks passed\n"
+
+
 def test_verify_tolerance_injection_fails(capsys):
     assert run_cli(["verify", "--tol", "1e-30"]) == 1
     assert "FAIL" in capsys.readouterr().out
@@ -236,6 +250,13 @@ def test_rep_info_word_trace(capsys):
     assert "error" in info["trace_word"]
 
 
+def test_rep_info_where_aba_is_numerically_singular(capsys):
+    """rho(aba) has condition number about 2.5e16 at (5, 0, 2.4), which
+    ended an inverting reducibility test in LinAlgError."""
+    assert run_cli(["rep-info", "--coords", "5,0,2.4"]) == 0
+    assert json.loads(capsys.readouterr().out)["reducible"] is False
+
+
 def test_anosov_scan_gap_table(tmp_path):
     out = tmp_path / "scan.csv"
     gaps = tmp_path / "gaps.csv"
@@ -334,6 +355,22 @@ def test_gap_table_is_pinned(extra, rows, words_sha256, c, big_c, tmp_path):
 def test_bad_grid_spec():
     with pytest.raises(SystemExit):
         run_cli(["trace-table", "--grid", "bogus"])
+
+
+@pytest.mark.parametrize("grid, not_finite, summary", [
+    ("0:400:3,0:400:3,0:0:1", 7, "max residual 5.492e+157 over 9 rows, 7 not finite\n"),
+    ("400:0:3,400:0:3,0:0:1", 7, "max residual 5.492e+157 over 9 rows, 7 not finite\n"),
+    ("0:3:2,0:3:2,0:3:2", 0, "max residual 5.821e-11 over 8 rows\n"),
+])
+def test_trace_table_summary_counts_rows_that_are_not_finite(grid, not_finite, summary,
+                                                             capsys):
+    """The summary reads the largest finite residual in either row order
+    (the descending grid starts at a nan row) and counts the others."""
+    assert run_cli(["trace-table", "--grid", grid]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == summary
+    residuals = [float(line.split(",")[5]) for line in captured.out.splitlines()[1:-1]]
+    assert len(residuals) - np.isfinite(residuals).sum() == not_finite
 
 
 def test_json_format_outputs(tmp_path, capsys):
@@ -455,6 +492,9 @@ def test_surface_flags_rows_it_cannot_verify(s, tmp_path):
     ["rep-info", "--coords=1,1,0", "--word=xyz"],
     ["surface", "--s-grid=-1:0:3", "--theta-grid=0:1:2"],
     ["surface", "--s-grid=0:-0.5:2"],
+    ["trace-table", "--grid=0:1:0,1:1:1,0:0:1"],
+    ["trace-table", "--grid=bogus"],
+    ["trace-table", "--grid=0:1,1:1:1,0:0:1"],
 ])
 def test_bad_coordinates_rejected(argv):
     with pytest.raises(SystemExit, match="bad "):
