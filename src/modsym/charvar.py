@@ -396,12 +396,15 @@ def is_reducible(rep: Representation, tol: float = 1e-7) -> bool:
     that rho(aba) fixes, and an invariant plane is the kernel of one that
     the contragredient rho(aba)^{-T} = rho(aBa)^T fixes (rho(b) is its own
     contragredient).  A line counts as fixed when |m v x v| <= tol |m v|
-    for its unit vector v.  Raises DomainError when the matrices do not
-    fit the float64 range.
+    for its unit vector v; that does not change when m v is scaled, so
+    each matrix and image is first scaled to largest entry 1 and no norm
+    overflows.  Raises DomainError when the matrices leave float64.
     """
     aba = _as_double(matrix_of(rep, WORD_ABA), "matrix of aba")
     aba_inv = _as_double(matrix_of(rep, WORD_ABA_INV), "matrix of aBa")
-    images = _B_EIGENVECTORS @ np.stack([aba.T, aba_inv])  # rho(aba) v, rho(aba)^{-T} v
+    mats = np.stack([aba.T, aba_inv])
+    images = _B_EIGENVECTORS @ (mats / np.abs(mats).max(axis=(1, 2), keepdims=True))
+    images /= np.abs(images).max(axis=-1, keepdims=True)  # rho(aba) v, rho(aba)^{-T} v
     cross = np.linalg.norm(np.cross(images, _B_EIGENVECTORS), axis=-1)
     return bool((cross <= tol * np.linalg.norm(images, axis=-1)).any())
 

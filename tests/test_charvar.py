@@ -332,19 +332,29 @@ def test_is_reducible_equals_its_eig_reference():
 
 def test_is_reducible_returns_or_raises_domain_error():
     """On a grid out to s = 5, t = 30, where rho(aba) is numerically
-    singular for the eig/inv test at many points, is_reducible answers
-    or raises DomainError."""
+    singular for the eig/inv test at many points, and on t from 180 to
+    380, where |rho(aba) v|^2 overflows float64, is_reducible answers
+    reducible exactly at s = 0 or raises DomainError."""
     answers = 0
     for s in np.arange(0.0, 5.0 + 1e-9, 0.25):
-        for t in np.arange(0.0, 30.0 + 1e-9, 0.5):
+        for t in np.r_[np.arange(0.0, 30.0 + 1e-9, 0.5), np.arange(180.0, 400.0, 20.0)]:
             for theta in (0.3, 1.0, 1.7, 2.4, 2.65, 3.0):
                 rep = rep_from_coords(Coordinates(float(s), float(t), theta))
                 try:
-                    assert type(is_reducible(rep)) is bool
+                    assert is_reducible(rep) is bool(s == 0)
                 except DomainError:
                     continue
                 answers += 1
     assert answers > 0
+
+
+@pytest.mark.parametrize("coords, expected", [((1.0, 200.0, 0.5), False),
+                                              ((0.0, 200.0, 0.0), True)])
+def test_is_reducible_where_image_norms_overflow(coords, expected):
+    """At t = 200 the matrices fit float64 but |rho(aba) v|^2 does not:
+    the answer is still right, without an overflow warning (RuntimeWarnings
+    are errors in this suite)."""
+    assert is_reducible(rep_from_coords(Coordinates(*coords))) is expected
 
 
 def test_trace_b2aba_bound_on_surface(rng):
