@@ -11,8 +11,11 @@ independent oracle for the fast path at moderate coordinates.
 
 from __future__ import annotations
 
+import functools
+
 from mpmath import mp
 
+from .errors import DegenerateTriangleError, DomainError
 from .modgroup import F2Word, f2_inverse, f2_mul, f2_to_mod
 
 
@@ -75,11 +78,14 @@ def _spd_pows(m, *exponents):
 
 def _rel_frame(pis, q):
     """Descending log-eigenvalues and frame of log(p^{-1/2} q p^{-1/2}),
-    given pis = p^{-1/2}."""
+    given pis = p^{-1/2}; raises DomainError where they are all exactly 0."""
     vals, u = _sym_eig_desc(pis * q * pis)
     lam = [mp.log(v) for v in vals]
     mean = sum(lam) / 3
-    return [v - mean for v in lam], u
+    lam = [v - mean for v in lam]
+    if not any(lam):
+        raise DomainError("segment undefined for coincident points")
+    return lam, u
 
 
 def _zeta_dir(u):
@@ -113,43 +119,53 @@ def straightness_stats(s, t, theta, window: list[F2Word]):
     sequence along the window, via local midpoint triples in mpmath at
     ``default_dps(s, t)``.
 
-    Returns a dict of float lists: deficits, spacings, types.
+    Everything that depends on one step is computed once per distinct
+    step word, and each segment frame once per distinct pair of
+    consecutive steps.  Returns a dict of float lists: deficits,
+    spacings, types.
     """
+    if len(window) < 4:
+        raise ValueError("straightness needs at least 3 midpoints")
     with mp.workdps(default_dps(s, t)):
         x, xinv = _x_pair(s, t, theta)
         rot = _rotation(2 * mp.pi / 3)
         rot2 = rot.T
-
-        def rho(w: F2Word):
-            return _word_matrix(f2_to_mod(w), x, xinv, rot, rot2)
-
-        steps = [None]
-        for w_prev, w_next in zip(window, window[1:]):
-            steps.append(rho(f2_mul(f2_inverse(w_prev), w_next)))
         half = mp.mpf(0.5)
         xis, xs = _spd_pows(x, -half, half)
-        mids = [None]
-        for k in range(1, len(window)):
-            (root,) = _spd_pows(xis * (steps[k] * x * steps[k].T) * xis, half)
-            mids.append(xs * root * xs)
 
-        n_mid = len(window) - 1
-        # pis[n] = m_n^{-1/2}, shared by the segment (m_n, m_{n+1}) and by
-        # both zeta directions at m_n
-        pis = [None] + [_spd_pows(m, -half)[0] for m in mids[1:n_mid]]
-        # frame of the segment (m_n, m_{n+1}) in the chart of g_n
-        forward = [
-            _rel_frame(pis[n + 1], steps[n + 1] * mids[n + 2] * steps[n + 1].T)
-            for n in range(n_mid - 1)
+        # the caches below live for this call only
+        @functools.cache
+        def step(w: F2Word):
+            """The step's matrix g, its inverse, the local midpoint
+            m = mid(x, g x g^T) and m^{-1/2}."""
+            g = _word_matrix(f2_to_mod(w), x, xinv, rot, rot2)
+            (root,) = _spd_pows(xis * (g * x * g.T) * xis, half)
+            mid = xs * root * xs
+            return g, g**-1, mid, _spd_pows(mid, -half)[0]
+
+        @functools.cache
+        def forward(u: F2Word, v: F2Word):
+            """Frame of the segment from the midpoint of u on to the
+            midpoint of v, in the chart of u."""
+            g, _, _, pis = step(u)
+            return _rel_frame(pis, g * step(v)[2] * g.T)
+
+        @functools.cache
+        def back(u: F2Word, v: F2Word):
+            """Frame of the segment from the midpoint of v back to the
+            midpoint of u, in the chart of v."""
+            _, ginv, mid, _ = step(u)
+            return _rel_frame(step(v)[3], ginv * mid * ginv.T)
+
+        steps = [f2_mul(f2_inverse(w_prev), w_next) for w_prev, w_next in zip(window, window[1:])]
+        pairs = list(zip(steps, steps[1:]))
+        frames = [forward(u, v) for u, v in pairs]
+        spacings = [float(mp.sqrt(sum(v**2 for v in lam))) for lam, _ in frames]
+        types = [float(_chamber_angle(lam)) for lam, _ in frames]
+        deficits = [
+            float(mp.pi - _angle_between(_zeta_dir(back(*pair)[1]), _zeta_dir(frame)))
+            for pair, (_, frame) in zip(pairs, frames[1:])
         ]
-        spacings = [float(mp.sqrt(sum(v**2 for v in lam))) for lam, _ in forward]
-        types = [float(_chamber_angle(lam)) for lam, _ in forward]
-        deficits = []
-        for n in range(1, n_mid - 1):
-            inv_step = steps[n] ** -1
-            _, back = _rel_frame(pis[n + 1], inv_step * mids[n] * inv_step.T)
-            ang = _angle_between(_zeta_dir(back), _zeta_dir(forward[n][1]))
-            deficits.append(float(mp.pi - ang))
     return {"deficits": deficits, "spacings": spacings, "types": types}
 
 
@@ -162,8 +178,12 @@ def triangle_angle(s, t, theta) -> float:
         y = rot * x * rot.T
         z = rot * y * rot.T
         (xis,) = _spd_pows(x, mp.mpf(-0.5))
-        lam_y, uy = _rel_frame(xis, y)
-        lam_z, uz = _rel_frame(xis, z)
+        try:
+            lam_y, uy = _rel_frame(xis, y)
+            lam_z, uz = _rel_frame(xis, z)
+        except DomainError as exc:
+            raise DegenerateTriangleError(
+                "orbit triangle collapses: the rotation fixes the inversion center") from exc
         vy = uy * mp.diag(lam_y) * uy.T
         vz = uz * mp.diag(lam_z) * uz.T
         ny = mp.sqrt(sum(vy[i, j] ** 2 for i in range(3) for j in range(3)))

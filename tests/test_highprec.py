@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+from mpmath import mp
 
 from modsym import anosov, highprec
 from modsym.charvar import Coordinates, rep_from_coords
+from modsym.errors import DegenerateTriangleError, DomainError
 from modsym.flats import ModelInterval
-from modsym.modgroup import random_f2_geodesic
+from modsym.modgroup import f2_inverse, f2_mul, f2_to_mod, random_f2_geodesic
 
 
 def test_cross_validates_fast_path_moderate():
@@ -103,3 +105,107 @@ STATS_T12 = {
 ])
 def test_straightness_stats_pinned(t, seed, expected):
     assert highprec.straightness_stats(1.0, t, 0.5, random_f2_geodesic(8, seed)) == expected
+
+
+# -- reference for straightness_stats: the per-vertex loop it replaced,
+# which forms every step, midpoint and segment frame anew at each position
+# of the window.
+
+
+def _reference_straightness_stats(s, t, theta, window):
+    with mp.workdps(highprec.default_dps(s, t)):
+        x, xinv = highprec._x_pair(s, t, theta)
+        rot = highprec._rotation(2 * mp.pi / 3)
+
+        def rho(w):
+            return highprec._word_matrix(f2_to_mod(w), x, xinv, rot, rot.T)
+
+        steps = [None]
+        for w_prev, w_next in zip(window, window[1:]):
+            steps.append(rho(f2_mul(f2_inverse(w_prev), w_next)))
+        half = mp.mpf(0.5)
+        xis, xs = highprec._spd_pows(x, -half, half)
+        mids = [None]
+        for k in range(1, len(window)):
+            (root,) = highprec._spd_pows(xis * (steps[k] * x * steps[k].T) * xis, half)
+            mids.append(xs * root * xs)
+
+        n_mid = len(window) - 1
+        pis = [None] + [highprec._spd_pows(m, -half)[0] for m in mids[1:n_mid]]
+        forward = [
+            highprec._rel_frame(pis[n + 1], steps[n + 1] * mids[n + 2] * steps[n + 1].T)
+            for n in range(n_mid - 1)
+        ]
+        spacings = [float(mp.sqrt(sum(v**2 for v in lam))) for lam, _ in forward]
+        types = [float(highprec._chamber_angle(lam)) for lam, _ in forward]
+        deficits = []
+        for n in range(1, n_mid - 1):
+            inv_step = steps[n] ** -1
+            _, back = highprec._rel_frame(pis[n + 1], inv_step * mids[n] * inv_step.T)
+            ang = highprec._angle_between(highprec._zeta_dir(back),
+                                          highprec._zeta_dir(forward[n][1]))
+            deficits.append(float(mp.pi - ang))
+    return {"deficits": deficits, "spacings": spacings, "types": types}
+
+
+@pytest.mark.parametrize("s, t, theta, window", [
+    (1.0, 2.0, 0.5, random_f2_geodesic(10, 0)),
+    (1.0, 8.0, 0.5, random_f2_geodesic(10, 1)),
+    (1.0, 16.0, 0.5, random_f2_geodesic(10, 2)),
+    # 2-letter steps
+    (1.0, 4.0, 0.5, random_f2_geodesic(20, 3)[::2]),
+    (0.8, 1.6, 0.9, random_f2_geodesic(40, 4)),
+], ids=["t2", "t8", "t16", "two-letter-steps", "41-words"])
+def test_straightness_stats_matches_reference(s, t, theta, window):
+    assert highprec.straightness_stats(s, t, theta, window) == \
+        _reference_straightness_stats(s, t, theta, window)
+
+
+@pytest.mark.parametrize("window", [
+    *(random_f2_geodesic(10, seed) for seed in range(4)),
+    random_f2_geodesic(20, 3)[::2],
+    random_f2_geodesic(40, 5),
+])
+def test_eigsy_once_per_step_and_step_pair(monkeypatch, window):
+    """One decomposition for x, two per distinct step (its midpoint and
+    that midpoint's m^{-1/2}), one forward frame per distinct step pair
+    and one back frame per distinct pair other than the last."""
+    steps = [f2_mul(f2_inverse(a), b) for a, b in zip(window, window[1:])]
+    pairs = list(zip(steps, steps[1:]))
+    expected = 1 + 2 * len(set(steps)) + len(set(pairs)) + len(set(pairs[:-1]))
+    calls = []
+    eigsy = mp.eigsy
+    monkeypatch.setattr(mp, "eigsy", lambda *args: calls.append(args) or eigsy(*args))
+    highprec.straightness_stats(1.0, 4.0, 0.5, window)
+    count = len(calls)
+    assert count == expected
+    if all(len(w) == 1 for w in steps):
+        # 4 letters, 12 reduced letter pairs
+        assert count <= 33
+
+
+@pytest.mark.parametrize("n_words", [2, 3])
+def test_short_window_raises(n_words):
+    with pytest.raises(ValueError, match="at least 3 midpoints"):
+        highprec.straightness_stats(1.0, 4.0, 0.5, random_f2_geodesic(10, 0)[:n_words])
+
+
+@pytest.mark.parametrize("theta", [0.0, 1.0])
+def test_fixed_point_raises_as_the_fast_path_does(theta):
+    window = random_f2_geodesic(10, 0)
+    rep = rep_from_coords(Coordinates(0.0, 0.0, theta))
+    with pytest.raises(DomainError, match="coincident points"):
+        anosov.midpoint_sequence(rep, window)
+    with pytest.raises(DomainError, match="coincident points"):
+        highprec.straightness_stats(0.0, 0.0, theta, window)
+    with pytest.raises(DegenerateTriangleError):
+        anosov.triangle_report(rep)
+    with pytest.raises(DegenerateTriangleError):
+        highprec.triangle_angle(0.0, 0.0, theta)
+
+
+def test_near_fixed_point_still_returns_values():
+    hp = highprec.straightness_stats(1e-9, 0.0, 0.3, random_f2_geodesic(10, 0))
+    assert 0.0 < min(hp["spacings"]) < 1e-7
+    assert len(hp["deficits"]) == 8
+    assert 0.0 < highprec.triangle_angle(1e-9, 0.0, 0.3) < np.pi
