@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
 from functools import cached_property, lru_cache
-from itertools import accumulate
+from itertools import accumulate, zip_longest
 from typing import Sequence
 
 import numpy as np
@@ -42,7 +42,6 @@ from .factored import (
     fact,
     fcompose,
     fdistance,
-    fflat_project,
     finverse,
     fmidpoint,
     fstack,
@@ -51,7 +50,13 @@ from .factored import (
     seg_lambdas,
     seg_log_vector,
 )
-from .flats import Flag, Flat, ModelInterval, chamber_angle, flat_from_flags
+from .flats import (
+    Flat,
+    ModelInterval,
+    _flat_frames,
+    _flat_minimize,
+    chamber_angle,
+)
 from .modgroup import (
     F2Word,
     f2_count,
@@ -638,11 +643,15 @@ def morse_flat_check(
     the same for all forward pairs.
 
     Each stage runs on the stack of all midpoints: the charted window
-    ends, their sector frames (``seg_frame``) and the charted next
-    midpoints; the flags, the flat and its two projections are made per
-    midpoint.  The first error is the one a per-midpoint loop meets
-    first (``_row_major``); a stage's error carries the midpoint as
-    ``row``.  Raises:
+    ends, their sector frames (``seg_frame``), the charted next
+    midpoints, the flags and flats (``flats._flat_frames``), and one
+    Newton solve (``flats._flat_minimize``) for the centre projection of
+    each midpoint and the next-midpoint projection of each but the last.
+    The first error is the one a per-midpoint loop meets first
+    (``_row_major``): a chart or frame stage's error carries the
+    midpoint as ``row``; a flag, flat or projection error, met row by
+    row in the loop's order, carries none, since the rows before it
+    passed every stage.  Raises:
 
     - DomainError from a chart product that leaves the float64 range or
       degenerates, and from a sector frame whose relative factor product
@@ -690,22 +699,43 @@ def morse_flat_check(
         # only the chart coordinates (order ~ spacing) matter
         ahead_count = min(count, last)
         nxt = fact(to_chart[:ahead_count], fact(steps[:ahead_count], mids[1:ahead_count + 1]))
-        out = []
-        for n in range(count):
-            f_plus = Flag(point=point[n, 0], line=line[n, 0])
-            flat = flat_from_flags(Flag(point=point[n, 1], line=line[n, 1]), f_plus)
-            a, b, d, centre_steps = fflat_project(origin, flat)
-            pair = next_steps = None
-            if n < last:
-                a2, b2, _, next_steps = fflat_project(nxt[n], flat, noise_cap=1.0)
-                pair = ((a, b), (a2, b2))
-            out.append((flat, d, pair, (centre_steps, next_steps)))
-        return out
+        g, frames, checks = _flat_frames(point, line)
+        failed = np.any([f for f, _ in checks], axis=0)
+        made = int(np.argmax(failed)) if failed.any() else count
+        # the projections of the rows before the first that fails to make
+        # its flat, in the loop's order: the centre of each midpoint, then
+        # the next midpoint of each but the last
+        row = np.repeat(np.arange(made), 2)
+        to_next = np.tile([False, True], made)
+        keep = ~to_next | (row < last)
+        row, to_next = row[keep], to_next[keep]
+        at = np.where(to_next, row, 0)
+        try:
+            a, b, d, n_steps = _flat_minimize(
+                frames[row],
+                np.where(to_next[:, None, None], nxt.mat[at], origin.mat),
+                np.where(to_next[:, None, None], nxt.matinv[at], origin.matinv),
+                np.where(to_next, nxt.lm[at], origin.lm),
+                np.where(to_next, nxt.lmi[at], origin.lmi),
+                np.where(to_next, 1.0, 1e-6),
+            )
+            if made < count:
+                raise_first(checks)
+        except GeometryError as exc:
+            # the rows before passed every stage, so this is the loop's
+            # first error, and _row_major must not run them again
+            exc.row = None
+            raise
+        centre = ~to_next
+        pairs = list(zip(zip(a[centre].tolist(), b[centre].tolist()),
+                         zip(a[to_next].tolist(), b[to_next].tolist())))
+        iterations = list(zip_longest(n_steps[centre].tolist(), n_steps[to_next].tolist()))
+        return Flat(frame=g[0]), tuple(d[centre].tolist()), pairs, tuple(iterations)
 
-    row_flats, dists, pairs, iterations = zip(*_row_major(rows, n_mid))
+    flat, dists, pairs, iterations = _row_major(rows, n_mid)
     violations = 0
     deltas = []
-    for (a, b), (a2, b2) in pairs[:last]:
+    for (a, b), (a2, b2) in pairs:
         da, db = a2 - a, b2 - b
         dc = -da - db
         deltas.append((da, db))
@@ -725,7 +755,7 @@ def morse_flat_check(
         projections=tuple(proj),
         monotone=violations == 0,
         violations=violations,
-        flat=row_flats[0],
+        flat=flat,
         iterations=iterations,
     )
 

@@ -205,9 +205,11 @@ def fflat_project(p: FIsometry, flat: Flat, noise_cap: float = 1e-6):
     """Nearest point on the flat from a factored point; (a, b, distance,
     Newton steps taken).
 
-    Newton steps on the closed-form Hessian, as ``flats._flat_minimize``.
+    Newton steps on the closed-form Hessian, as ``flats._flat_minimize``,
+    which ``flat_project`` and the Morse flat check share: a stack of
+    factored points projects in one solve, one entry each.
     ``noise_cap`` is the largest gradient at which a stalled solve still
     returns: coordinate-grade projections of far-away points pass 1.0.
     """
-    return _flat_minimize(flat, p.mat, p.matinv, p.lm, p.lmi, noise_cap)
+    return _flat_minimize(flat.frame, p.mat, p.matinv, p.lm, p.lmi, noise_cap)
 

@@ -33,6 +33,7 @@ from .symspace import (
     P1,
     Point,
     _any,
+    _cross,
     _dot,
     _norm,
     _relative_eigh,
@@ -229,6 +230,13 @@ def coords_from_point(p: Point) -> ParallelCoords:
 # -- zeta angles -------------------------------------------------------------
 
 
+def _raise_failed(checks) -> None:
+    """Raise the first error of ``checks`` (see ``errors.raise_first``) if
+    any entry fails one."""
+    if _any(reduce(operator.or_, (failed for failed, _ in checks))):
+        raise_first(checks)
+
+
 def _check_regular(lam: np.ndarray, *more) -> None:
     """Reject a segment with descending log-eigenvalues ``lam`` that is
     degenerate, at or too near a wall, or numerically tied; ``more`` adds
@@ -243,8 +251,7 @@ def _check_regular(lam: np.ndarray, *more) -> None:
          lambda i: RegularityError("eigenvalue tie: segment is numerically singular")),
         *more,
     ]
-    if _any(reduce(operator.or_, (failed for failed, _ in checks))):
-        raise_first(checks)
+    _raise_failed(checks)
 
 
 def _regular_frame(p: Point, q: Point):
@@ -270,16 +277,84 @@ def zeta_angle(p: Point, q: Point, q2: Point) -> float:
 
 
 # -- flags and maximal flats -------------------------------------------------
+#
+# The frame builders take leading stack axes and return their checks as
+# (failed, error) pairs in the order an unstacked call makes them (see
+# ``errors.raise_first``): ``Flag``, ``flat_from_flags`` and ``Flat`` are
+# their zero-axis cases, and ``_flat_frames`` chains them over a stack of
+# flag pairs.
 
 
-def _canonical_unit(v: np.ndarray) -> np.ndarray:
-    v = np.asarray(v, dtype=float)
-    n = np.linalg.norm(v)
-    if n < 1e-300:
-        raise DomainError("cannot normalize the zero vector")
-    v = v / n
-    k = int(np.argmax(np.abs(v)))
-    return -v if v[k] < 0 else v
+def _canonical_units(v: np.ndarray):
+    """Each vector over its norm, signed so that its largest |entry| is
+    positive, and where it is zero."""
+    n = _norm(v)
+    zero = n < 1e-300
+    v = v / np.where(zero, 1.0, n)[..., None]
+    top = np.take_along_axis(v, np.argmax(np.abs(v), axis=-1)[..., None], axis=-1)
+    return np.where(top < 0, -v, v), zero
+
+
+def _unit_flags(point: np.ndarray, line: np.ndarray):
+    """Canonical unit point and line of each flag, and the checks of ``Flag``."""
+    point, zero_point = _canonical_units(point)
+    line, zero_line = _canonical_units(line)
+
+    def zero(i):
+        return DomainError("cannot normalize the zero vector")
+
+    return point, line, [
+        (zero_point, zero),
+        (zero_line, zero),
+        (np.abs(_dot(line, point)) > 1e-10, lambda i: DomainError("flag is not incident")),
+    ]
+
+
+def _opposed_frames(plus_point, plus_line, minus_point, minus_line, tol):
+    """Frame (point of f_plus, intersection of the two lines, point of
+    f_minus) of each pair of flags, its determinant, and the checks of
+    ``flat_from_flags``."""
+    middle = _cross(plus_line, minus_line)
+    n = _norm(middle)
+    g = np.stack([plus_point, middle / np.where(n < tol, 1.0, n)[..., None], minus_point],
+                 axis=-1)
+    d = np.linalg.det(g)
+    return g, d, [
+        (np.abs(_dot(plus_line, minus_point)) < tol,
+         lambda i: OppositionError("point of f_minus lies on the line of f_plus")),
+        (np.abs(_dot(minus_line, plus_point)) < tol,
+         lambda i: OppositionError("point of f_plus lies on the line of f_minus")),
+        (n < tol, lambda i: OppositionError("the two flag lines coincide")),
+        (np.abs(d) < tol, lambda i: OppositionError("flags are not in general position")),
+    ]
+
+
+def _normalised_frames(g: np.ndarray, d: np.ndarray):
+    """Each frame, of determinant ``d``, made positive with one column's sign
+    (which leaves the flat unchanged) and scaled to determinant one; and the
+    check of ``Flat``."""
+    singular = np.abs(d) < 1e-12
+    frame = g.copy()
+    frame[..., 1] = np.where((d < 0)[..., None], -g[..., 1], g[..., 1])
+    # the cube root as float **, entry by entry: numpy's array power and
+    # cbrt round differently on some entries
+    root = np.array([x ** (1.0 / 3.0) for x in np.abs(d).ravel().tolist()]).reshape(d.shape)
+    frame = frame / np.where(singular, 1.0, root)[..., None, None]
+    return frame, [(singular, lambda i: DomainError("flat frame is singular"))]
+
+
+def _flat_frames(points: np.ndarray, lines: np.ndarray, tol: float = 1e-8):
+    """The flats of a stack of flag pairs, (f_plus, f_minus) along the
+    second-last axis of ``points`` and ``lines``: the frames as
+    ``flat_from_flags`` hands them to ``Flat``, the frames of those flats,
+    and the checks of the two ``Flag``s, ``flat_from_flags`` and ``Flat`` in
+    that order."""
+    point, line, flag_checks = _unit_flags(points, lines)
+    g, d, opposed = _opposed_frames(point[..., 0, :], line[..., 0, :],
+                                    point[..., 1, :], line[..., 1, :], tol)
+    frame, singular = _normalised_frames(g, d)
+    flags = [(failed[..., slot], error) for slot in (0, 1) for failed, error in flag_checks]
+    return g, frame, flags + opposed + singular
 
 
 @dataclass(frozen=True)
@@ -290,10 +365,9 @@ class Flag:
     line: np.ndarray
 
     def __post_init__(self):
-        point = _canonical_unit(self.point)
-        line = _canonical_unit(self.line)
-        if abs(float(line @ point)) > 1e-10:
-            raise DomainError("flag is not incident")
+        point, line, checks = _unit_flags(np.asarray(self.point, dtype=float),
+                                          np.asarray(self.line, dtype=float))
+        _raise_failed(checks)
         point.flags.writeable = False
         line.flags.writeable = False
         object.__setattr__(self, "point", point)
@@ -318,14 +392,8 @@ class Flat:
 
     def __post_init__(self):
         frame = np.array(self.frame, dtype=float)
-        d = float(np.linalg.det(frame))
-        if abs(d) < 1e-12:
-            raise DomainError("flat frame is singular")
-        if d < 0:
-            # flipping one column's sign leaves the flat unchanged
-            frame[:, 1] = -frame[:, 1]
-            d = -d
-        frame = frame / d ** (1.0 / 3.0)
+        frame, checks = _normalised_frames(frame, np.linalg.det(frame))
+        _raise_failed(checks)
         frame.flags.writeable = False
         object.__setattr__(self, "frame", frame)
 
@@ -341,22 +409,40 @@ def flat_from_flags(f_minus: Flag, f_plus: Flag, tol: float = 1e-8) -> Flat:
     lines, point of f_minus); genericity requires the cross pairings and
     the resulting determinant to stay away from zero.
     """
-    if abs(float(f_plus.line @ f_minus.point)) < tol:
-        raise OppositionError("point of f_minus lies on the line of f_plus")
-    if abs(float(f_minus.line @ f_plus.point)) < tol:
-        raise OppositionError("point of f_plus lies on the line of f_minus")
-    middle = np.cross(f_plus.line, f_minus.line)
-    if np.linalg.norm(middle) < tol:
-        raise OppositionError("the two flag lines coincide")
-    g = np.column_stack([f_plus.point, middle / np.linalg.norm(middle), f_minus.point])
-    if abs(float(np.linalg.det(g))) < tol:
-        raise OppositionError("flags are not in general position")
+    g, _, checks = _opposed_frames(f_plus.point, f_plus.line, f_minus.point, f_minus.line, tol)
+    _raise_failed(checks)
     return Flat(frame=g)
 
 
-def _flat_minimize(flat, f_p, finv_p, lp, lpi, noise_cap=1e-6):
+_E_AB = np.array([[1.0, 0.0, -1.0], [0.0, 1.0, -1.0]])
+_GRAM_INV = np.array([[2.0, -1.0], [-1.0, 2.0]]) / 3.0
+
+
+def _flat_lambdas(a, b, g, ginv, f_p, finv_p, lp, lpi):
+    """Distance at chart points (a, b) and G(a, b) = D^{-1/2} g^{-1} F_p,
+    one per entry of the stacks."""
+    half = np.empty(a.shape + (3,))
+    half[..., 0], half[..., 1], half[..., 2] = -a / 2.0, -b / 2.0, (a + b) / 2.0
+    half = np.exp(half)
+    gh = (ginv * half[..., :, None]) @ f_p
+    gh_i = finv_p @ (g * (1.0 / half)[..., None, :])
+    lam = np.empty(a.shape + (3,))
+    lam[..., 0] = l1 = 2.0 * (np.log(np.linalg.svd(gh, compute_uv=False)[..., 0]) + lp)
+    lam[..., 2] = l3 = -2.0 * (np.log(np.linalg.svd(gh_i, compute_uv=False)[..., 0]) + lpi)
+    lam[..., 1] = -l1 - l3
+    return _norm(lam), gh
+
+
+def _compact(go, *arrays):
+    """The entries of each array where ``go`` is set; all of them where it
+    is None."""
+    return arrays if go is None else tuple(x[go] for x in arrays)
+
+
+def _flat_minimize(frame, f_p, finv_p, lp, lpi, noise_cap=1e-6):
     """Minimize half the squared distance from the factored point
-    (f_p e^{lp})(f_p e^{lp})^T over the flat, in its affine (a, b) chart.
+    (f_p e^{lp})(f_p e^{lp})^T over the flat of ``frame``, in its affine
+    (a, b) chart.
 
     Works entirely through G(a, b) = D^{-1/2} g^{-1} F_p and its inverse,
     whose top singular values give all three relative log-eigenvalues by
@@ -369,65 +455,113 @@ def _flat_minimize(flat, f_p, finv_p, lp, lpi, noise_cap=1e-6):
     A step that lowers the distance by at most 5e-15 max(1, d) returns at
     the current point if the gradient is below ``noise_cap`` and raises
     ConvergenceError otherwise.
+
+    All arguments take leading stack axes, broadcast together, for one
+    solve per entry; the steps run on the stack of entries still going.
+    An entry leaves it when it returns or fails, and with it every later
+    entry in C order, which a loop over the entries would not reach: the
+    first entry that fails raises its error, with ``row`` set as by
+    ``errors.raise_first``.  Each entry equals the unstacked call bit for
+    bit; an unstacked call is the zero-axis case and returns Python
+    numbers.
     """
-    g = flat.frame
+    shape = np.broadcast_shapes(np.shape(frame)[:-2], np.shape(f_p)[:-2], np.shape(finv_p)[:-2],
+                                np.shape(lp), np.shape(lpi), np.shape(noise_cap))
+
+    def entries(x, tail=()):
+        x = np.asarray(x, dtype=float)
+        if x.shape != shape + tail:
+            x = np.broadcast_to(x, shape + tail)
+        return x.reshape((-1,) + tail)
+
+    g, f_p, finv_p = (entries(m, (3, 3)) for m in (frame, f_p, finv_p))
+    lp, lpi, cap = (entries(x) for x in (lp, lpi, noise_cap))
     ginv = np.linalg.inv(g)
-    gram_inv = np.array([[2.0, -1.0], [-1.0, 2.0]]) / 3.0
+    n = len(g)
 
     h = ginv @ f_p
-    hs = np.max(np.abs(h))
-    hh = (h / hs) @ (h / hs).T
-    dlog = np.log(np.maximum(np.diag(hh), 1e-300)) + 2.0 * (lp + np.log(hs))
-    a, b = float(dlog[0] - dlog.mean()), float(dlog[1] - dlog.mean())
+    hs = np.max(np.abs(h), axis=(-2, -1))[:, None, None]
+    hh = (h / hs) @ (h / hs).swapaxes(-1, -2)
+    dlog = (np.log(np.maximum(np.diagonal(hh, axis1=-2, axis2=-1), 1e-300))
+            + 2.0 * (lp + np.log(hs[:, 0, 0]))[:, None])
+    mean = dlog.mean(axis=-1)
+    a, b = dlog[:, 0] - mean, dlog[:, 1] - mean
 
-    def lambdas(aa, bb):
-        half = np.exp([-aa / 2.0, -bb / 2.0, (aa + bb) / 2.0])
-        gh = (ginv * half[:, None]) @ f_p
-        gh_i = finv_p @ (g * (1.0 / half)[None, :])
-        l1 = 2.0 * (np.log(np.linalg.svd(gh, compute_uv=False)[0]) + lp)
-        l3 = -2.0 * (np.log(np.linalg.svd(gh_i, compute_uv=False)[0]) + lpi)
-        return float(np.linalg.norm([l1, -l1 - l3, l3])), gh
+    out = np.empty((3, n))
+    steps = np.zeros(n, dtype=int)
+    first, error = n, None
+    rows = np.arange(n)
+    inputs = (g, ginv, f_p, finv_p, lp, lpi)
 
-    dist, gh = lambdas(a, b)
+    def settle(done, failed=None, make_error=None):
+        """Return the ``done`` entries at the current point and keep the
+        error of the first ``failed`` one; the mask of the entries that go
+        on, which are all before any that failed, or None if all do."""
+        nonlocal first, error
+        if failed is not None and failed.any():
+            k = int(np.argmax(failed))
+            first, error = int(rows[k]), make_error(k)
+        elif not done.any():
+            return None
+        out[:, rows[done]] = a[done], b[done], dist[done]
+        steps[rows[done]] = iteration
+        return ~done & (rows < first)
+
+    dist, gh = _flat_lambdas(a, b, *inputs)
     for iteration in range(PROJECTION_MAX_ITER):
-        w, uvecs = np.linalg.eigh(gh @ gh.T)
-        if w[0] <= 0:
-            # the gradient products are at their cancellation floor
-            if noise_cap >= 1e-2:
-                return a, b, dist, iteration
-            raise DomainError("degenerate relative matrix in flat projection")
+        w, uvecs = np.linalg.eigh(gh @ gh.swapaxes(-1, -2))
+        # at w <= 0 the gradient products are at their cancellation floor
+        floor = w[:, 0] <= 0
+        go = settle(floor & (cap >= 1e-2), floor & ~(cap >= 1e-2),
+                    lambda k: DomainError("degenerate relative matrix in flat projection"))
+        rows, a, b, dist, w, uvecs, cap, *inputs = _compact(
+            go, rows, a, b, dist, w, uvecs, cap, *inputs)
+        if not rows.size:
+            break
         ell = np.log(w)
         # E~_k = U^T E_k U; the log vector's components along (E_a, E_b)
         # are the traces of E~_k against diag(l)
-        e_t = np.einsum("ki,ia,ib->kab", [[1.0, 0.0, -1.0], [0.0, 1.0, -1.0]], uvecs, uvecs)
-        rhs = np.einsum("kii,i->k", e_t, ell)
-        gnorm = float(np.sqrt(max(rhs @ gram_inv @ rhs, 0.0)))
-        if gnorm <= PROJECTION_TOL:
-            return a, b, dist, iteration
-        half_gap = (ell[:, None] - ell[None, :]) / 2.0
-        phi = np.divide(half_gap, np.tanh(half_gap), out=np.ones((3, 3)),
+        e_t = np.einsum("ki,...ia,...ib->...kab", _E_AB, uvecs, uvecs)
+        rhs = np.einsum("...kii,...i->...k", e_t, ell)
+        gnorm = np.sqrt(np.maximum(_dot((rhs[:, None, :] @ _GRAM_INV)[:, 0], rhs), 0.0))
+        go = settle(gnorm <= PROJECTION_TOL)
+        rows, a, b, dist, ell, e_t, rhs, gnorm, cap, *inputs = _compact(
+            go, rows, a, b, dist, ell, e_t, rhs, gnorm, cap, *inputs)
+        if not rows.size:
+            break
+        half_gap = (ell[:, :, None] - ell[:, None, :]) / 2.0
+        phi = np.divide(half_gap, np.tanh(half_gap), out=np.ones_like(half_gap),
                         where=half_gap != 0.0)
-        hess = np.einsum("kab,lab,ab->kl", e_t, e_t, phi)
-        delta = np.linalg.solve(hess, rhs)
-        dist_try, gh_try = lambdas(a + delta[0], b + delta[1])
-        if dist - dist_try <= 5e-15 * max(1.0, dist):
-            # the gradient is at its noise floor.  On d, not d^2: a 1e-14
-            # floor on d^2 ends a solve at d = 7e-4 with d 7e-12 too large
-            if gnorm <= noise_cap:
-                return a, b, dist, iteration
-            raise ConvergenceError(
-                "flat projection stalled", iterations=iteration, grad_norm=gnorm
-            )
-        a, b = a + delta[0], b + delta[1]
-        gh, dist = gh_try, dist_try
-    raise ConvergenceError(
-        "flat projection did not converge", iterations=PROJECTION_MAX_ITER, grad_norm=gnorm
-    )
+        hess = np.einsum("...kab,...lab,...ab->...kl", e_t, e_t, phi)
+        delta = np.linalg.solve(hess, rhs[:, :, None])[:, :, 0]
+        a_try, b_try = a + delta[:, 0], b + delta[:, 1]
+        dist_try, gh_try = _flat_lambdas(a_try, b_try, *inputs)
+        # the gradient is at its noise floor.  On d, not d^2: a 1e-14
+        # floor on d^2 ends a solve at d = 7e-4 with d 7e-12 too large
+        stall = dist - dist_try <= 5e-15 * np.maximum(1.0, dist)
+        go = settle(stall & (gnorm <= cap), stall & ~(gnorm <= cap),
+                    lambda k: ConvergenceError("flat projection stalled", iterations=iteration,
+                                               grad_norm=float(gnorm[k])))
+        rows, a, b, dist, gh, gnorm, cap, *inputs = _compact(
+            go, rows, a_try, b_try, dist_try, gh_try, gnorm, cap, *inputs)
+        if not rows.size:
+            break
+    else:
+        first, error = int(rows[0]), ConvergenceError(
+            "flat projection did not converge", iterations=PROJECTION_MAX_ITER,
+            grad_norm=float(gnorm[0]))
+    if error is not None:
+        failed = np.zeros(n, dtype=bool)
+        failed[first] = True
+        raise_first([(failed.reshape(shape), lambda i: error)])
+    if not shape:
+        return float(out[0, 0]), float(out[1, 0]), float(out[2, 0]), int(steps[0])
+    return (*out.reshape((3,) + shape), steps.reshape(shape))
 
 
 def flat_project(p: Point, flat: Flat):
     """Nearest point on the flat; returns (a, b, distance)."""
-    a, b, dist, _ = _flat_minimize(flat, p.sqrt(), p.inv_sqrt(), 0.0, 0.0)
+    a, b, dist, _ = _flat_minimize(flat.frame, p.sqrt(), p.inv_sqrt(), 0.0, 0.0)
     return a, b, dist
 
 

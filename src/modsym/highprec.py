@@ -120,7 +120,8 @@ def straightness_stats(s, t, theta, window: list[F2Word]):
     ``default_dps(s, t)``.
 
     Everything that depends on one step is computed once per distinct
-    step word, and each segment frame once per distinct pair of
+    step word, the chart m^{-1/2} of its midpoint only where a segment
+    starts there, and each segment frame once per distinct pair of
     consecutive steps.  Returns a dict of float lists: deficits,
     spacings, types.
     """
@@ -136,26 +137,32 @@ def straightness_stats(s, t, theta, window: list[F2Word]):
         # the caches below live for this call only
         @functools.cache
         def step(w: F2Word):
-            """The step's matrix g, its inverse, the local midpoint
-            m = mid(x, g x g^T) and m^{-1/2}."""
+            """The step's matrix g, its inverse and the local midpoint
+            m = mid(x, g x g^T)."""
             g = _word_matrix(f2_to_mod(w), x, xinv, rot, rot2)
             (root,) = _spd_pows(xis * (g * x * g.T) * xis, half)
-            mid = xs * root * xs
-            return g, g**-1, mid, _spd_pows(mid, -half)[0]
+            return g, g**-1, xs * root * xs
+
+        @functools.cache
+        def chart(w: F2Word):
+            """m^{-1/2} of the step's local midpoint, the chart a segment
+            from it is measured in; a step that is only the window's last
+            has none."""
+            return _spd_pows(step(w)[2], -half)[0]
 
         @functools.cache
         def forward(u: F2Word, v: F2Word):
             """Frame of the segment from the midpoint of u on to the
             midpoint of v, in the chart of u."""
-            g, _, _, pis = step(u)
-            return _rel_frame(pis, g * step(v)[2] * g.T)
+            g = step(u)[0]
+            return _rel_frame(chart(u), g * step(v)[2] * g.T)
 
         @functools.cache
         def back(u: F2Word, v: F2Word):
             """Frame of the segment from the midpoint of v back to the
             midpoint of u, in the chart of v."""
-            _, ginv, mid, _ = step(u)
-            return _rel_frame(step(v)[3], ginv * mid * ginv.T)
+            _, ginv, mid = step(u)
+            return _rel_frame(chart(v), ginv * mid * ginv.T)
 
         steps = [f2_mul(f2_inverse(w_prev), w_next) for w_prev, w_next in zip(window, window[1:])]
         pairs = list(zip(steps, steps[1:]))

@@ -272,7 +272,7 @@ def _reference_sector_flag(n, p, q, opposite=False):
     return Flag(point=point, line=line)
 
 
-def _reference_morse_flat_check(rep, window, theta_prime):
+def _reference_morse_flat_check(rep, window, theta_prime, project=fflat_project):
     seq = midpoint_sequence(rep, window)
     n_mid = len(seq.words) - 1
     forward = [FIsometry.identity() for _ in range(n_mid)]
@@ -301,12 +301,12 @@ def _reference_morse_flat_check(rep, window, theta_prime):
         flat = flat_from_flags(f_minus, f_plus)
         if flat0 is None:
             flat0 = flat
-        a, b, d, steps = fflat_project(origin, flat)
+        a, b, d, steps = project(origin, flat)
         dists.append(d)
         next_steps = None
         if n < n_mid - 1:
             nxt = _at_row(n, lambda: fact(to_chart, fact(seq.steps[n], seq.local_mids[n + 1])))
-            a2, b2, _, next_steps = fflat_project(nxt, flat, noise_cap=1.0)
+            a2, b2, _, next_steps = project(nxt, flat, noise_cap=1.0)
             proj_pairs.append(((a, b), (a2, b2)))
         iterations.append((steps, next_steps))
     violations = 0
@@ -435,7 +435,8 @@ def _morse_outcome(call):
     try:
         rpt = call()
     except GeometryError as exc:
-        return type(exc), str(exc), exc.row
+        return (type(exc), str(exc), exc.row,
+                getattr(exc, "iterations", None), getattr(exc, "grad_norm", None))
     return (rpt.max_distance, rpt.distances, rpt.projections, rpt.monotone, rpt.violations,
             rpt.flat.frame.tobytes(), rpt.iterations)
 
@@ -455,11 +456,34 @@ def test_stacked_morse_and_triangle_equal_loops(windows, errors):
         out = _morse_outcome(lambda: morse_flat_check(rep, window, THETA_INTERVAL))
         assert out == _morse_outcome(
             lambda: _reference_morse_flat_check(rep, window, THETA_INTERVAL))
-        if len(out) == 3:
+        if isinstance(out[0], type):
             met.add(out[0])
         assert _outcome(lambda: triangle_report(rep)) == _outcome(
             lambda: _reference_triangle_report(rep))
     assert errors <= met
+
+
+def test_stratified_windows_stall_before_a_later_opposition():
+    """Among the stratified windows are some where a flat projection
+    stalls at one midpoint and the flags of a later midpoint are not
+    opposite: the loop meets the stall first, and so must the stacked
+    stages, which make every flat before they project."""
+    def never_stalls(p, flat, noise_cap=1e-6):
+        return fflat_project(p, flat, noise_cap=np.inf)
+
+    found = 0
+    for point, window in _stratified_windows(60, 8):
+        rep = rep_from_coords(Coordinates(*point))
+        out = _morse_outcome(lambda: morse_flat_check(rep, window, THETA_INTERVAL))
+        if out[0] is not ConvergenceError:
+            continue
+        later = _morse_outcome(lambda: _reference_morse_flat_check(
+            rep, window, THETA_INTERVAL, project=never_stalls))
+        if later[0] is OppositionError:
+            found += 1
+            assert out == _morse_outcome(
+                lambda: _reference_morse_flat_check(rep, window, THETA_INTERVAL))
+    assert found >= 1
 
 
 def test_walk_windows_meet_errors_at_every_stage():

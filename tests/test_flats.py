@@ -4,7 +4,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from modsym import flats, symspace
-from modsym.errors import DomainError, OppositionError, RegularityError
+from modsym.errors import (
+    ConvergenceError,
+    DomainError,
+    GeometryError,
+    OppositionError,
+    RegularityError,
+)
 from modsym.flats import (
     Flag,
     ModelInterval,
@@ -286,11 +292,153 @@ def test_flat_newton_converges_on_random_points():
     flat = flats.Flat(frame=np.eye(3))
     for k in range(400):
         p = random_point(np.random.default_rng(k), 1.5)
-        a, b, d, steps = flats._flat_minimize(flat, p.sqrt(), p.inv_sqrt(), 0.0, 0.0)
+        a, b, d, steps = flats._flat_minimize(flat.frame, p.sqrt(), p.inv_sqrt(), 0.0, 0.0)
         assert steps <= 6
         y = flat.point_at(a, b)
         assert np.max(np.abs(np.diag(symspace.log_map(y, p).vec))) <= 1e-6
         assert d == pytest.approx(symspace.distance(p, y), abs=1e-9)
+
+
+def _far_projections(count, seed):
+    """Frames and factored points up to distance 40 from the identity, in
+    pairs with noise caps 1e-6 and 1.0: about half return, the rest stall
+    after 0 to 7 steps or meet a degenerate relative matrix."""
+    rng = np.random.default_rng(seed)
+
+    def rotation_matrix():
+        q, r = np.linalg.qr(rng.normal(size=(3, 3)))
+        return q * np.sign(np.diag(r))
+
+    entries = []
+    for _ in range(count):
+        frame = rng.normal(size=(3, 3))
+        v = np.array([1.0, rng.uniform(-1.0, 1.0), 0.0]) * rng.uniform(0.5, 40.0)
+        v -= v.mean()
+        r1, r2 = rotation_matrix(), rotation_matrix()
+        mat = r1 @ np.diag(np.exp(v - v.max())) @ r2
+        matinv = r2.T @ np.diag(np.exp(-v - (-v).max())) @ r1.T
+        for cap in (1e-6, 1.0):
+            entries.append((frame, mat, matinv, v.max(), (-v).max(), cap))
+    return entries
+
+
+def _error_outcome(exc):
+    return type(exc), str(exc), getattr(exc, "iterations", None), getattr(exc, "grad_norm", None)
+
+
+def _bits(a, b, d, steps):
+    return float(a).hex(), float(b).hex(), float(d).hex(), int(steps)
+
+
+def _projection_outcome(call):
+    """A solve's (a, b, distance, steps) as exact bits, or its error with
+    the solver diagnostics."""
+    try:
+        return _bits(*call())
+    except GeometryError as exc:
+        return _error_outcome(exc)
+
+
+def _stacked_projections(entries):
+    """One stacked solve over the entries: the outcome of each, or the
+    error it raises with its row."""
+    frame, mat, matinv, lp, lpi, cap = (np.array(x) for x in zip(*entries))
+    try:
+        out = flats._flat_minimize(frame, mat, matinv, lp, lpi, cap)
+    except GeometryError as exc:
+        return _error_outcome(exc), exc.row
+    return [_bits(*entry) for entry in zip(*out)]
+
+
+def test_stacked_flat_minimize_equals_unstacked_calls():
+    """A stack of solves with mixed noise caps gives each entry's
+    unstacked result bit for bit; the first entry in stack order that
+    fails raises its unstacked error (message, iterations and gradient),
+    even where a later entry fails at an earlier step."""
+    entries = _far_projections(60, 21)
+    single = [_projection_outcome(lambda: flats._flat_minimize(*e)) for e in entries]
+    kinds = {o[1] if isinstance(o[0], type) else "ok" for o in single}
+    assert kinds == {"ok", "flat projection stalled",
+                     "degenerate relative matrix in flat projection"}
+    ok = [e for e, o in zip(entries, single) if not isinstance(o[0], type)]
+    assert _stacked_projections(ok) == [o for o in single if not isinstance(o[0], type)]
+    assert [type(x) for x in flats._flat_minimize(*ok[0])] == [float, float, float, int]
+    rng = np.random.default_rng(4)
+    for _ in range(40):
+        pick = rng.choice(len(entries), size=7, replace=False)
+        outcomes = [single[k] for k in pick]
+        first = next((i for i, o in enumerate(outcomes) if isinstance(o[0], type)), None)
+        expected = outcomes if first is None else (outcomes[first], first)
+        assert _stacked_projections([entries[k] for k in pick]) == expected
+    # a stall at step 2 ahead of a stall at step 0: the loop meets the
+    # first entry's error, though the stack meets the second's first
+    late, early = (next(k for k, o in enumerate(single)
+                        if o[0] is ConvergenceError and o[2] == n) for n in (2, 0))
+    assert _stacked_projections([entries[k] for k in (late, early)]) == (single[late], 0)
+
+
+def test_flat_minimize_stack_axes_broadcast():
+    """Two stack axes, one frame for every entry and per-entry caps: each
+    entry is its unstacked call."""
+    entries = _far_projections(12, 5)
+    frame = entries[0][0]
+    shared = [(e[1:], _projection_outcome(lambda: flats._flat_minimize(frame, *e[1:])))
+              for e in entries]
+    ok = [(e, o) for e, o in shared if not isinstance(o[0], type)][:6]
+    mat, matinv, lp, lpi, cap = (np.array(x) for x in zip(*(e for e, _ in ok)))
+    a, b, d, steps = flats._flat_minimize(frame, mat.reshape(2, 3, 3, 3),
+                                          matinv.reshape(2, 3, 3, 3), lp.reshape(2, 3),
+                                          lpi.reshape(2, 3), cap.reshape(2, 3))
+    assert a.shape == b.shape == d.shape == steps.shape == (2, 3)
+    got = [_bits(*x) for x in zip(a.ravel(), b.ravel(), d.ravel(), steps.ravel())]
+    assert got == [o for _, o in ok]
+    assert sorted(set(cap.tolist())) == [1e-6, 1.0]
+
+
+def _flag_pairs(count, seed):
+    """(f_plus, f_minus) points and lines from random orthonormal frames,
+    with rows that fail each check of Flag and flat_from_flags."""
+    rng = np.random.default_rng(seed)
+    u = np.linalg.qr(rng.normal(size=(count, 2, 3, 3)))[0]
+    points, lines = u[..., 0] * rng.uniform(0.5, 2.0, (count, 2, 1)), u[..., 2]
+    points[3, 0] = 0.0
+    lines[5, 1] = 0.0
+    lines[7, 0] = points[7, 0]
+    # f_minus's point on f_plus's line, and the converse
+    points[9, 1] = np.cross(lines[9, 0], rng.normal(size=3))
+    lines[9, 1] = np.cross(points[9, 1], rng.normal(size=3))
+    points[11, 0] = np.cross(lines[11, 1], rng.normal(size=3))
+    lines[11, 0] = np.cross(points[11, 0], rng.normal(size=3))
+    return points, lines
+
+
+def _pair_outcome(points, lines):
+    try:
+        f_plus = Flag(point=points[0], line=lines[0])
+        flat = flat_from_flags(Flag(point=points[1], line=lines[1]), f_plus)
+    except GeometryError as exc:
+        return type(exc), str(exc)
+    return flat.frame.tobytes()
+
+
+def test_stacked_flat_frames_equal_per_pair_flats():
+    """One stacked frame build gives each pair's ``flat_from_flags`` frame
+    bit for bit, where numpy's array power would not (the cube root of the
+    determinant), and the checks name the first failing pair's error."""
+    points, lines = _flag_pairs(400, 3)
+    g, frames, checks = flats._flat_frames(points, lines)
+    expected = [_pair_outcome(p, line) for p, line in zip(points, lines)]
+    assert {e[0] for e in expected if isinstance(e, tuple)} == {DomainError, OppositionError}
+    failed = np.any([f for f, _ in checks], axis=0)
+    assert [isinstance(e, tuple) for e in expected] == failed.tolist()
+    assert [f.tobytes() for f in frames[~failed]] == [
+        e for e in expected if not isinstance(e, tuple)]
+    d = np.abs(np.linalg.det(g[~failed]))
+    assert (d ** (1.0 / 3.0) != [x ** (1.0 / 3.0) for x in d.tolist()]).any()
+    for k in np.flatnonzero(failed):
+        with pytest.raises(GeometryError) as info:
+            flats._raise_failed([(f[k:], error) for f, error in checks])
+        assert (type(info.value), str(info.value), info.value.row) == (*expected[k], 0)
 
 
 @settings(derandomize=True, deadline=None)

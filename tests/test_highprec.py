@@ -165,14 +165,19 @@ def test_straightness_stats_matches_reference(s, t, theta, window):
     *(random_f2_geodesic(10, seed) for seed in range(4)),
     random_f2_geodesic(20, 3)[::2],
     random_f2_geodesic(40, 5),
+    # its last step occurs nowhere else, so that step has no chart
+    random_f2_geodesic(10, 11),
 ])
 def test_eigsy_once_per_step_and_step_pair(monkeypatch, window):
-    """One decomposition for x, two per distinct step (its midpoint and
-    that midpoint's m^{-1/2}), one forward frame per distinct step pair
-    and one back frame per distinct pair other than the last."""
+    """One decomposition for x, one per distinct step (its midpoint), one
+    per distinct step but the last (that midpoint's m^{-1/2}, the chart
+    of the segments that start there: every step but the last starts
+    one), one forward frame per distinct step pair and one back frame per
+    distinct pair other than the last."""
     steps = [f2_mul(f2_inverse(a), b) for a, b in zip(window, window[1:])]
     pairs = list(zip(steps, steps[1:]))
-    expected = 1 + 2 * len(set(steps)) + len(set(pairs)) + len(set(pairs[:-1]))
+    expected = (1 + len(set(steps)) + len(set(steps[:-1]))
+                + len(set(pairs)) + len(set(pairs[:-1])))
     calls = []
     eigsy = mp.eigsy
     monkeypatch.setattr(mp, "eigsy", lambda *args: calls.append(args) or eigsy(*args))
