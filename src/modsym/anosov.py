@@ -520,12 +520,22 @@ class PeripheralGrowthReport:
     """Cartan spread of the powers of the peripheral element rho(baba),
     with its type read from tau = tr rho(baba): ``"linear"`` when rho(baba)
     is loxodromic, with ``kappa = log |mu_1 / mu_3|``, and ``"log"``
-    otherwise, with ``kappa`` the slope of ``gaps`` against ``log ns``."""
+    otherwise, with ``kappa`` the slope of ``gaps`` against ``log ns``.
+
+    ``factors`` is (p, lp, pinv, lpi): rho(baba) = p e^lp and its inverse
+    pinv e^lpi, as float64 matrices with log-scales.  ``gaps`` folds
+    their powers on first read; on the ``"log"`` side
+    ``peripheral_growth`` has formed them already, for kappa.
+    """
 
     ns: np.ndarray
-    gaps: np.ndarray
     model: str            # "log" or "linear"
     kappa: float
+    factors: tuple
+
+    @cached_property
+    def gaps(self) -> np.ndarray:
+        return _peripheral_spread(self.factors, len(self.ns))
 
 
 # Largest binary exponent the float64 copy of a word matrix may reach:
@@ -576,6 +586,14 @@ def _peripheral_powers(p: np.ndarray, lp: float, pinv: np.ndarray, lpi: float, n
     return powers, logs
 
 
+def _peripheral_spread(factors, n_max: int) -> np.ndarray:
+    """lambda_1 - lambda_3 of P^n for n = 1..n_max, where ``factors`` is
+    (p, lp, pinv, lpi) as ``_peripheral_powers`` takes them."""
+    powers, logs = _peripheral_powers(*factors, n_max)
+    l1, l3 = _cartan_pair(powers[:, 0], powers[:, 1], logs[:, 0], logs[:, 1])
+    return l1 - l3
+
+
 def peripheral_growth(rep: Representation, n_max: int) -> PeripheralGrowthReport:
     """Cartan spread lambda_1 - lambda_3 of rho(baba)^n for n <= n_max,
     and the type of rho(baba).
@@ -589,21 +607,29 @@ def peripheral_growth(rep: Representation, n_max: int) -> PeripheralGrowthReport
     so rho is not Anosov.  tau is the trace of the extended-precision word
     matrix, and the interval is widened by ``charvar.SURFACE_TOL`` on both
     sides, so the tr = -1 surface reads ``"log"``.
+
+    The powers are folded here only on the ``"log"`` side, whose kappa
+    needs them, and a DomainError of the fold raises here.  On the
+    ``"linear"`` side they are folded on the first read of ``gaps``, and
+    such an error raises there.
     """
     if n_max < 4:
         raise PreconditionError("peripheral growth needs n_max >= 4")
     baba = matrix_of(rep, BABA)
     tau = np.trace(baba)
-    powers, logs = _peripheral_powers(*_as_float(baba), *_as_float(matrix_of(rep, ABAB)), n_max)
-    l1, l3 = _cartan_pair(powers[:, 0], powers[:, 1], logs[:, 0], logs[:, 1])
-    gaps = l1 - l3
     ns = np.arange(1, n_max + 1, dtype=float)
+    factors = (*_as_float(baba), *_as_float(matrix_of(rep, ABAB)))
     if tau < -1.0 - SURFACE_TOL or tau > 3.0 + SURFACE_TOL:
-        model, kappa = "linear", float(2.0 * np.arccosh(abs(tau - 1) / 2))
-    else:
-        fit = np.column_stack([np.log(ns), np.ones_like(ns)])
-        model, kappa = "log", float(np.linalg.lstsq(fit, gaps, rcond=None)[0][0])
-    return PeripheralGrowthReport(ns=ns, gaps=gaps, model=model, kappa=kappa)
+        return PeripheralGrowthReport(ns=ns, model="linear", factors=factors,
+                                      kappa=float(2.0 * np.arccosh(abs(tau - 1) / 2)))
+    gaps = _peripheral_spread(factors, n_max)
+    fit = np.column_stack([np.log(ns), np.ones_like(ns)])
+    report = PeripheralGrowthReport(ns=ns, model="log", factors=factors,
+                                    kappa=float(np.linalg.lstsq(fit, gaps, rcond=None)[0][0]))
+    # fill the cache of ``gaps``: cached_property stores in the instance
+    # dict, which a frozen dataclass leaves to object.__setattr__
+    object.__setattr__(report, "gaps", gaps)
+    return report
 
 
 # -- local Morse flat check --------------------------------------------------
@@ -642,9 +668,11 @@ def morse_flat_check(
     Weyl sector is a convex cone, consecutive steps inside the cone imply
     the same for all forward pairs.
 
-    Each stage runs on the stack of all midpoints: the charted window
-    ends, their sector frames (``seg_frame``), the charted next
-    midpoints, the flags and flats (``flats._flat_frames``), and one
+    The products that carry each midpoint to the window ends fold as one
+    (ahead, behind) stack per step.  Each later stage runs on the stack
+    of all midpoints: the charted window ends, their sector frames
+    (``seg_frame``), the charted next midpoints, the flags and flats
+    (``flats._flat_frames``), and one
     Newton solve (``flats._flat_minimize``) for the centre projection of
     each midpoint and the next-midpoint projection of each but the last.
     The first error is the one a per-midpoint loop meets first
@@ -668,18 +696,20 @@ def morse_flat_check(
     last = n_mid - 1
     steps, mids = seq.steps, seq.local_mids
     # ahead[n] = rho(g_n^{-1} g_last) = steps[n] ahead[n+1], and
-    # behind[n] = rho(g_n^{-1} g_0) = steps[n-1]^{-1} behind[n-1]
-    ahead = list(accumulate(range(last - 1, -1, -1), lambda g, n: fcompose(steps[n], g),
-                            initial=FIsometry.identity()))[::-1]
-    behind = list(accumulate(range(1, n_mid), lambda g, n: fcompose(finverse(steps[n - 1]), g),
-                             initial=FIsometry.identity()))
+    # behind[n] = rho(g_n^{-1} g_0) = steps[n-1]^{-1} behind[n-1]: fold k
+    # is the stack (ahead[last - k], behind[k]), one step on the left of
+    # fold k - 1
+    left = fstack([steps[last - 1::-1], finverse(steps[:last])], axis=1)
+    fold_pairs = fstack(accumulate(left, lambda g, step: fcompose(step, g),
+                                   initial=fstack([FIsometry.identity()] * 2)))
     # slot 0 of a midpoint holds the window end ahead, slot 1 the end
     # behind; the first and last midpoints have one end, which fills both
     # slots, and the slot of the missing end reads the opposite sector
     opposite = np.zeros((n_mid, 2), dtype=bool)
     opposite[0, 1] = opposite[last, 0] = True
     from_behind = opposite != [False, True]
-    folds = fstack(ahead + behind)[np.arange(n_mid)[:, None] + n_mid * from_behind]
+    at = np.arange(n_mid)[:, None]
+    folds = fold_pairs[np.where(from_behind, at, last - at), from_behind.astype(int)]
     ends = mids[np.where(from_behind, 0, last)]
     origin = FIsometry.identity()
 
@@ -794,6 +824,13 @@ class AnosovVerdict:
     stats: dict = field(default_factory=dict)
 
 
+@lru_cache(maxsize=4)
+def _verdict_window(length: int, seed: int) -> tuple[F2Word, ...]:
+    """``random_f2_geodesic(length, seed)`` as a tuple, drawn once per
+    configuration and shared by every verdict that reads it."""
+    return tuple(random_f2_geodesic(length, seed))
+
+
 def anosov_verdict(c: Coordinates, config: VerdictConfig | None = None) -> AnosovVerdict:
     """Combine straightness, gap growth and peripheral growth into one of
     evidence-anosov / evidence-degenerate / inconclusive."""
@@ -807,8 +844,7 @@ def anosov_verdict(c: Coordinates, config: VerdictConfig | None = None) -> Anoso
 
     straight = None
     try:
-        words = random_f2_geodesic(cfg.window, cfg.seed)
-        seq = midpoint_sequence(rep, words)
+        seq = midpoint_sequence(rep, _verdict_window(cfg.window, cfg.seed))
         stats["equidistance_defect"] = seq.equidistance_defect
         straight = straightness_report(seq, ModelInterval.symmetric(cfg.theta_halfwidth))
         stats["min_zeta_angle"] = straight.min_zeta_angle

@@ -124,8 +124,8 @@ class Representation:
         self.fx = fx
         self.rot = _ROT
         # _fold's letter tables, factored and in extended precision: "a"
-        # holds x as a linear map and its contragredient; the fold carries
-        # rho(a)'s orientation
+        # holds x as a linear map and its contragredient; _letter_picks
+        # carries rho(a)'s orientation
         self._letters = _letter_table(
             x_pair, FIsometry(x_pair.matinv.T, x_pair.mat.T, x_pair.lmi, x_pair.lm), _FR, _FR2)
         self._letters_ld = _letter_table(*x_ld, _R_LD, _R_LD.T)
@@ -149,8 +149,10 @@ class Representation:
         """Factored isometries of the four free generators of the
         index-six subgroup, as one read-only stack in letter order."""
         if self._f2_gens is None:
-            gens = fstack(_fold(self._letters, _F2_SUBSTITUTION[k], FIsometry.identity(), fcompose)
-                          for k in range(4))
+            # the four words have four letters each: fold them position by
+            # position, each position's four letters as one stack
+            columns = zip(*(_letter_picks(self._letters, _F2_SUBSTITUTION[k]) for k in range(4)))
+            gens = reduce(fcompose, map(fstack, columns), FIsometry.identity())
             for a in (gens.mat, gens.matinv, gens.lm, gens.lmi):
                 a.flags.writeable = False
             self._f2_gens = gens
@@ -231,25 +233,30 @@ def f2_fisometry(rep: Representation, w: F2Word) -> FIsometry:
     return f2_fisometries(rep, [w])[0]
 
 
-def _fold(table, syllables, one, mul=operator.matmul):
-    """Fold ``syllables`` left to right over ``table`` with the product
-    ``mul``, starting at ``one``.  The table maps each syllable to its
-    (plain, starred) generators, the starred one being the closed-form
-    contragredient; a pending orientation reversal (an odd number of
-    ``a`` so far) replaces each incoming generator by its contragredient.
-    Outside the explicit reference ``evaluate``, the orientation of
-    rho(a) lives only here.
-
-    The number type is the table's: extended-precision matrices with
-    ``@`` (``matrix_of``, ``matrices_at``, any leading stack axes being
-    the table's), or factored isometries with ``fcompose``
-    (``Representation.f2_generators``)."""
-    out, reversed_state = one, False
+def _letter_picks(table, syllables):
+    """The generator each syllable of a word contributes, in order.  The
+    table maps each syllable to its (plain, starred) generators, the
+    starred one being the closed-form contragredient; a pending
+    orientation reversal (an odd number of ``a`` so far) picks the
+    contragredient.  Outside the explicit reference ``evaluate``, the
+    orientation of rho(a) lives only here."""
+    reversed_state = False
     for syll in syllables:
         plain, starred = table[syll]
-        out = mul(out, starred if reversed_state else plain)
+        yield starred if reversed_state else plain
         reversed_state ^= syll == "a"
-    return out
+
+
+def _fold(table, syllables, one, mul=operator.matmul):
+    """Fold ``syllables`` left to right over ``table`` with the product
+    ``mul``, starting at ``one``: the reduce of their ``_letter_picks``.
+
+    The number type is the table's: ``matrix_of`` and ``matrices_at``
+    fold extended-precision matrices with ``@``, any leading stack axes
+    being the table's.  ``Representation.f2_generators`` reduces the
+    same picks of its four words with ``fcompose``, side by side as one
+    stack per letter position."""
+    return reduce(mul, _letter_picks(table, syllables), one)
 
 
 def _letter_table(x, xstar, r, r2) -> dict:

@@ -11,7 +11,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from modsym import anosov, highprec, symspace
+from modsym import anosov, cli, highprec, symspace
 from modsym.anosov import (
     MidpointSequence,
     MorseFlatReport,
@@ -1283,8 +1283,8 @@ PERIPHERAL_POINTS = [(1, 400, 0.5), (0, 257, 1.3), (1, 1.1440460924196174, 0), (
 def test_peripheral_powers_equal_unstacked_loop():
     """The stacked power fold forms each power by the same product and
     division as the per-step loop it replaced, and sums the log-scales in
-    the same order: powers, log-scales, spread, model and kappa are the
-    same bit for bit."""
+    the same order: powers, log-scales, spread (whenever the report forms
+    it), model and kappa are the same bit for bit."""
     for point in PERIPHERAL_POINTS:
         rep = rep_from_coords(Coordinates(*point))
         factors = (*anosov._as_float(anosov.matrix_of(rep, BABA)),
@@ -1295,10 +1295,86 @@ def test_peripheral_powers_equal_unstacked_loop():
         l1, l3 = anosov._cartan_pair(want_powers[:, 0], want_powers[:, 1],
                                      want_logs[:, 0], want_logs[:, 1])
         rpt = peripheral_growth(rep, 64)
+        # a loxodromic report forms its spread on first read, here
+        assert ("gaps" in vars(rpt)) == (rpt.model == "log"), point
         assert np.array_equal(rpt.gaps, l1 - l3), point
         if rpt.model == "log":
             fit = np.column_stack([np.log(rpt.ns), np.ones_like(rpt.ns)])
             assert rpt.kappa == float(np.linalg.lstsq(fit, l1 - l3, rcond=None)[0][0]), point
+
+
+def _count_power_folds(monkeypatch):
+    """Patch ``_peripheral_powers`` to record the n_max of each call."""
+    calls = []
+    fold = anosov._peripheral_powers
+
+    def counted(*args):
+        calls.append(args[-1])
+        return fold(*args)
+
+    monkeypatch.setattr(anosov, "_peripheral_powers", counted)
+    return calls
+
+
+SURFACE_POINT = (1.0, float(schwartz_t(1.0, 0.5)), 0.5)
+
+
+@pytest.mark.parametrize("point, folds", [
+    ((1.0, 4.0, 0.5), 0), ((0.0, 0.0, 0.0), 1), (SURFACE_POINT, 1),
+], ids=["loxodromic", "fixed-point", "surface"])
+def test_verdict_and_rep_info_fold_powers_only_on_the_log_side(point, folds, monkeypatch):
+    """Neither reads the spread: on the loxodromic side no power fold
+    runs, and on the log side the one that kappa needs."""
+    calls = _count_power_folds(monkeypatch)
+    assert peripheral_growth(rep_from_coords(Coordinates(*point)), 64).model == (
+        "linear" if folds == 0 else "log")
+    assert len(calls) == folds
+    calls.clear()
+    anosov_verdict(Coordinates(*point), VerdictConfig(max_len=4, samples=500))
+    assert len(calls) == folds
+    calls.clear()
+    assert cli.main(["rep-info", "--coords", ",".join(map(repr, point)),
+                     "--out", os.devnull]) == 0
+    assert len(calls) == folds
+
+
+def test_loxodromic_spread_folds_once_on_first_read(monkeypatch):
+    calls = _count_power_folds(monkeypatch)
+    rpt = peripheral_growth(rep_from_coords(Coordinates(1.0, 4.0, 0.5)), 32)
+    assert calls == []
+    first = rpt.gaps
+    assert calls == [32]
+    assert rpt.gaps is first and calls == [32]
+
+
+def test_loxodromic_fold_error_raises_on_first_read(monkeypatch):
+    """On the loxodromic side the fold's DomainError raises where the
+    spread is read, not in peripheral_growth."""
+    def failing(*args):
+        raise DomainError("factor matrix is outside the float64 range")
+
+    monkeypatch.setattr(anosov, "_peripheral_powers", failing)
+    rpt = peripheral_growth(rep_from_coords(Coordinates(1.0, 4.0, 0.5)), 64)
+    assert rpt.model == "linear"
+    with pytest.raises(DomainError, match="outside the float64 range"):
+        rpt.gaps
+    with pytest.raises(DomainError):
+        peripheral_growth(rep_from_coords(Coordinates(*SURFACE_POINT)), 64)
+
+
+def test_verdict_window_leaves_the_geodesic_draw_fresh():
+    """The verdict reads its window from a cache of tuples, and
+    random_f2_geodesic still returns a new list on every call."""
+    anosov_verdict(Coordinates(1.0, 4.0, 0.5), VerdictConfig(max_len=4, samples=500))
+    cached = anosov._verdict_window(10, 0)
+    assert cached is anosov._verdict_window(10, 0)
+    assert isinstance(cached, tuple)
+    first, second = random_f2_geodesic(10, 0), random_f2_geodesic(10, 0)
+    assert isinstance(first, list) and first is not second
+    assert first == list(cached)
+    first.pop()
+    assert random_f2_geodesic(10, 0) == list(cached)
+    assert len(anosov._verdict_window(10, 0)) == 11
 
 
 _HUGE = np.full((3, 3), 1e308)

@@ -175,6 +175,14 @@ def _reference_f2_generators(x_mat, x_inv):
     return gens
 
 
+def _reference_word_folds(rep):
+    """The four F2 generators as four unstacked ``charvar._fold`` calls
+    over the factored letters, one word at a time, which the stacked
+    position-by-position fold replaced."""
+    return [charvar._fold(rep._letters, _F2_SUBSTITUTION[k], FIsometry.identity(), fcompose)
+            for k in range(4)]
+
+
 @pytest.mark.parametrize("t", [1.0, 6.0, 16.0, 100.0, 300.0])
 @pytest.mark.parametrize("s", [0.0, 0.4, 2.0])
 def test_f2_generators_are_the_parity_fold(s, t):
@@ -182,17 +190,23 @@ def test_f2_generators_are_the_parity_fold(s, t):
         c = Coordinates(s, t, theta)
         S, Si, expw = charvar._halfangle_blocks(c.s, c.t, c.theta / 2.0, np.float64)
         ref = _reference_f2_generators(S @ expw(2.0) @ S, Si @ expw(-2.0) @ Si)
-        gens = rep_from_coords(c).f2_generators()
+        rep = rep_from_coords(c)
+        gens = rep.f2_generators()
+        words = _reference_word_folds(rep)
         for k in range(4):
             assert _same_fisometry(gens[k], ref[k]), (theta, k)
+            assert _same_fisometry(gens[k], words[k]), (theta, k)
 
 
 def test_f2_generators_from_a_point_are_the_parity_fold(rng):
     for _ in range(10):
         x = random_point(rng, 1.5)
-        gens = rep_from_point(x).f2_generators()
+        rep = rep_from_point(x)
+        gens = rep.f2_generators()
         ref = _reference_f2_generators(x.mat, x.inv())
+        words = _reference_word_folds(rep)
         assert all(_same_fisometry(gens[k], ref[k]) for k in range(4))
+        assert all(_same_fisometry(gens[k], words[k]) for k in range(4))
 
 
 def test_f2_fisometry_is_the_fcompose_loop():

@@ -330,6 +330,28 @@ def test_anosov_scan_default_grid_is_pinned(extra, c_column, tmp_path):
             [pin[c_column], *pin[3:]], rel=1e-9, abs=0)
 
 
+# sha256 over the 16 verdicts of the default anosov-scan grid, in grid
+# order, of repr(sorted(stats.items())), at the CLI's default max-len and
+# samples and at VerdictConfig()'s: every stat bit for bit, among
+# them peripheral_kappa and equidistance_defect, which the CSV leaves out.
+# Recorded before the verdict stopped folding the loxodromic peripheral
+# powers and before it cached its window.
+_VERDICT_STATS_SHA256 = {
+    (8, 20_000): "54b0cc4b1e00c1de76966be7c2529c73c274d16506a890e81b680a9efe34db17",
+    (10, 50_000): "2ea1f8a4647e8ecade93500227a8b31338880dd497906574fcc65c2a3d7cd354",
+}
+
+
+@pytest.mark.parametrize("max_len, samples", sorted(_VERDICT_STATS_SHA256))
+def test_default_grid_verdict_stats_are_pinned(max_len, samples):
+    cfg = VerdictConfig(max_len=max_len, samples=samples)
+    digest = hashlib.sha256()
+    for point in cli._coordinate_grid("0.5:2:4,1:8:4,0.5:0.5:1").tolist():
+        stats = anosov_verdict(Coordinates(*point), cfg).stats
+        digest.update(repr(sorted(stats.items())).encode())
+    assert digest.hexdigest() == _VERDICT_STATS_SHA256[max_len, samples]
+
+
 @pytest.mark.parametrize("extra, rows, words_sha256, c, big_c", [
     (["--max-len", "6"], 1456,
      "eaeeb8795a2a121bb2c5c0a6fb15bdc4df9d3238abe84e985f8f4d432660374f",
