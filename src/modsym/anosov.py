@@ -68,7 +68,7 @@ from .modgroup import (
     f2_sample,
     random_f2_geodesic,
 )
-from .symspace import _any, _dot, _norm, matrix_angle
+from .symspace import _dot, _norm, matrix_angle
 
 
 # -- orbit triangle ----------------------------------------------------------
@@ -185,10 +185,8 @@ def _segments(steps: FIsometry, mids: FIsometry, count: int):
     nxt = fact(steps[:count], mids[1:count + 1])
     lam = seg_lambdas(mids[:count], nxt)
     spacing = _norm(lam)
-    coincident = spacing < 1e-12
-    if _any(coincident):
-        raise_first([(coincident, lambda i: RegularityError(
-            f"midpoint segment {i[0]}: segment type undefined for coincident points"))])
+    raise_first([(spacing < 1e-12, lambda i: RegularityError(
+        f"midpoint segment {i[0]}: segment type undefined for coincident points"))])
     return nxt, lam, spacing
 
 
@@ -674,7 +672,8 @@ def morse_flat_check(
     (``seg_frame``), the charted next midpoints, the flags and flats
     (``flats._flat_frames``), and one
     Newton solve (``flats._flat_minimize``) for the centre projection of
-    each midpoint and the next-midpoint projection of each but the last.
+    each midpoint and the next-midpoint projection of each but the last;
+    the projection steps and their violations are tallied as arrays.
     The first error is the one a per-midpoint loop meets first
     (``_row_major``): a chart or frame stage's error carries the
     midpoint as ``row``; a flag, flat or projection error, met row by
@@ -739,50 +738,37 @@ def morse_flat_check(
         to_next = np.tile([False, True], made)
         keep = ~to_next | (row < last)
         row, to_next = row[keep], to_next[keep]
-        at = np.where(to_next, row, 0)
+        targets = fstack([origin, *nxt])[np.where(to_next, row + 1, 0)]
         try:
-            a, b, d, n_steps = _flat_minimize(
-                frames[row],
-                np.where(to_next[:, None, None], nxt.mat[at], origin.mat),
-                np.where(to_next[:, None, None], nxt.matinv[at], origin.matinv),
-                np.where(to_next, nxt.lm[at], origin.lm),
-                np.where(to_next, nxt.lmi[at], origin.lmi),
-                np.where(to_next, 1.0, 1e-6),
-            )
-            if made < count:
-                raise_first(checks)
+            a, b, d, n_steps = _flat_minimize(frames[row], targets.mat, targets.matinv,
+                                              targets.lm, targets.lmi, np.where(to_next, 1.0, 1e-6))
+            raise_first(checks)
         except GeometryError as exc:
             # the rows before passed every stage, so this is the loop's
             # first error, and _row_major must not run them again
             exc.row = None
             raise
         centre = ~to_next
-        pairs = list(zip(zip(a[centre].tolist(), b[centre].tolist()),
-                         zip(a[to_next].tolist(), b[to_next].tolist())))
-        iterations = list(zip_longest(n_steps[centre].tolist(), n_steps[to_next].tolist()))
-        return Flat(frame=g[0]), tuple(d[centre].tolist()), pairs, tuple(iterations)
+        iterations = tuple(zip_longest(n_steps[centre].tolist(), n_steps[to_next].tolist()))
+        return (Flat(frame=g[0]), tuple(d[centre].tolist()), np.stack([a, b], axis=-1), to_next,
+                iterations)
 
-    flat, dists, pairs, iterations = _row_major(rows, n_mid)
-    violations = 0
-    deltas = []
-    for (a, b), (a2, b2) in pairs:
-        da, db = a2 - a, b2 - b
-        dc = -da - db
-        deltas.append((da, db))
-        slack = 1e-9 * max(1.0, abs(da) + abs(db))
-        if not (da >= db - slack and db >= dc - slack):
-            violations += 1
-            continue
-        phi = chamber_angle(np.sort([da, db, dc])[::-1])
-        if not theta_prime.contains(phi):
-            violations += 1
-    proj = [(0.0, 0.0)]
-    for da, db in deltas:
-        proj.append((proj[-1][0] + da, proj[-1][1] + db))
+    flat, dists, ab, to_next, iterations = _row_major(rows, n_mid)
+    # each projection step, from a midpoint's centre to the next midpoint,
+    # violates the monotone advance unless it is ordered and its type lies
+    # in theta'
+    delta = ab[to_next] - ab[~to_next][:last]
+    da, db = delta.T
+    dc = -da - db
+    slack = 1e-9 * np.maximum(1.0, np.abs(da) + np.abs(db))
+    ordered = (da >= db - slack) & (db >= dc - slack)
+    phi = chamber_angle(np.sort(np.stack([da, db, dc], axis=-1)[ordered])[:, ::-1])
+    violations = last - int(np.count_nonzero(theta_prime.contains(phi)))
+    projections = np.cumsum(np.vstack([np.zeros(2), delta]), axis=0)
     return MorseFlatReport(
         max_distance=max(dists),
         distances=dists,
-        projections=tuple(proj),
+        projections=tuple(map(tuple, projections.tolist())),
         monotone=violations == 0,
         violations=violations,
         flat=flat,

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from functools import reduce
+from functools import cached_property, reduce
 from typing import Sequence
 
 import numpy as np
@@ -42,6 +42,8 @@ _R_LD = rotation(2.0 * np.pi / 3.0, dtype=np.longdouble)
 _R.flags.writeable = _R_LD.flags.writeable = False
 _ROT = Isometry(_R)
 _FR, _FR2 = FIsometry.from_pair(_R, _R.T), FIsometry.from_pair(_R.T, _R)
+# the identity letter, which pads the shorter words of a ragged fold
+_FI = FIsometry.identity()
 
 TYPE_I = "typeI"
 TYPE_II = "typeII"
@@ -130,20 +132,14 @@ class Representation:
             x_pair, FIsometry(x_pair.matinv.T, x_pair.mat.T, x_pair.lmi, x_pair.lm), _FR, _FR2)
         self._letters_ld = _letter_table(*x_ld, _R_LD, _R_LD.T)
         self._f2_gens: FIsometry | None = None
-        self._x: Point | None = None
-        self._rho_a: Isometry | None = None
 
-    @property
+    @cached_property
     def x(self) -> Point:
-        if self._x is None:
-            self._x = self.fx.to_point()
-        return self._x
+        return self.fx.to_point()
 
-    @property
+    @cached_property
     def rho_a(self) -> Isometry:
-        if self._rho_a is None:
-            self._rho_a = inversion_at(self.x)
-        return self._rho_a
+        return inversion_at(self.x)
 
     def f2_generators(self) -> FIsometry:
         """Factored isometries of the four free generators of the
@@ -213,20 +209,19 @@ def evaluate(rep: Representation, w: ModWord) -> Isometry:
 
 
 def f2_fisometries(rep: Representation, words: Sequence[F2Word]) -> FIsometry:
-    """The factored isometries of the words, as one stack.  The words are
-    folded together letter by letter from the left, starting at the
-    identity, so each entry is its own fold by ``fcompose`` bit for bit."""
-    table = rep.f2_generators()
-    n = len(words)
-    mat, matinv = np.tile(np.eye(3), (n, 1, 1)), np.tile(np.eye(3), (n, 1, 1))
-    lm, lmi = np.zeros(n), np.zeros(n)
-    for depth in range(max((len(w.letters) for w in words), default=0)):
-        rows = [i for i, w in enumerate(words) if len(w.letters) > depth]
-        step = fcompose(FIsometry(mat[rows], matinv[rows], lm[rows], lmi[rows]),
-                        table[[words[i].letters[depth] for i in rows]])
-        mat[rows], matinv[rows], lm[rows], lmi[rows] = step.mat, step.matinv, step.lm, step.lmi
-    mat.flags.writeable = matinv.flags.writeable = False
-    return FIsometry(mat, matinv, lm, lmi)
+    """The factored isometries of the words, as one stack with read-only
+    factors.  The words are folded together letter by letter from the
+    left, starting at the identity, one ``fcompose`` per letter column;
+    a shorter word is padded with the identity letter (index 4 of the
+    table), which changes nothing: I M is M, and its max |entry| is 1.
+    So each entry is its own fold by ``fcompose`` bit for bit."""
+    table = fstack([*rep.f2_generators(), _FI])
+    letters = np.full((len(words), max(map(len, words), default=0)), 4)
+    for row, w in zip(letters, words):
+        row[:len(w)] = w.letters
+    out = reduce(fcompose, map(table.__getitem__, letters.T), table[np.full(len(words), 4)])
+    out.mat.flags.writeable = out.matinv.flags.writeable = False
+    return out
 
 
 def f2_fisometry(rep: Representation, w: F2Word) -> FIsometry:

@@ -57,15 +57,19 @@ class ConvergenceError(GeometryError):
 
 
 def raise_first(checks) -> None:
-    """Raise the error of the first entry of a stack that fails a check.
+    """Raise the error of the first entry of a stack that fails a check;
+    return if no entry fails one.
 
     ``checks`` lists ``(failed, error)`` pairs in the order an unstacked
     call makes them: ``failed`` is a boolean array over the leading stack
-    axes (0-d for an unstacked call), and ``error(index)`` builds the
-    exception of the entry at ``index``.  The first entry in C order that
-    fails any check raises the error of the first check it fails, with
-    ``row`` set to the entry's index along the first stack axis.
+    axes (0-d for an unstacked call, read without a numpy reduction), and
+    ``error(index)`` builds the exception of the entry at ``index``.  The
+    first entry in C order that fails any check raises the error of the
+    first check it fails, with ``row`` set to the entry's index along the
+    first stack axis.
     """
+    if not any(np.count_nonzero(f) if f.ndim else f for f, _ in checks):
+        return
     failed = np.stack([f for f, _ in checks], axis=-1)
     flat = failed.reshape(-1, len(checks))
     entry = int(np.flatnonzero(flat.any(axis=1))[0])

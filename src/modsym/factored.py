@@ -40,17 +40,16 @@ import numpy as np
 
 from .errors import DomainError, RegularityError, raise_first
 from .flats import Flat, _check_regular, _flat_minimize
-from .symspace import Point, _any, _cross, _dot, _norm, _unstacked
+from .symspace import Point, _cross, _dot, _norm, _unstacked
 
 
 def _rescaled(m: np.ndarray, logscale):
     """Each 3x3 matrix of ``m`` over its max |entry|, and ``logscale``
     plus the log of that divisor."""
     s = np.abs(m).max(axis=(-2, -1))
-    finite = np.isfinite(s)
-    if _any(~finite | (s == 0.0)):
-        raise_first([(~finite, lambda i: DomainError("factor matrix is outside the float64 range")),
-                     (s == 0.0, lambda i: DomainError("degenerate factor matrix"))])
+    raise_first([(~np.isfinite(s),
+                  lambda i: DomainError("factor matrix is outside the float64 range")),
+                 (s == 0.0, lambda i: DomainError("degenerate factor matrix"))])
     return m / s[..., None, None], logscale + _unstacked(np.log(s))
 
 
@@ -133,10 +132,8 @@ def _lambdas(sg, sgi, lg, lgi) -> np.ndarray:
     """(l1, l2, l3) from the singular values of G and G^{-1} and their
     log-scales: l1 from sigma_1(G), l3 from sigma_1(G^{-1}), l2 = -l1 - l3.
     A product whose top singular value underflowed to 0 has no logarithm."""
-    under = ~((sg[..., 0] > 0.0) & (sgi[..., 0] > 0.0))
-    if _any(under):
-        raise_first([(under, lambda i: DomainError(
-            "relative factor product underflows the float64 range"))])
+    raise_first([(~((sg[..., 0] > 0.0) & (sgi[..., 0] > 0.0)), lambda i: DomainError(
+        "relative factor product underflows the float64 range"))])
     l1 = 2.0 * (np.log(sg[..., 0]) + lg)
     l3 = -2.0 * (np.log(sgi[..., 0]) + lgi)
     lam = np.empty(l1.shape + (3,))

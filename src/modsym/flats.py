@@ -14,9 +14,7 @@ diag(b, C) with C a 2x2 SPD block and b det(C) = 1.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
-from functools import reduce
 
 import numpy as np
 
@@ -32,7 +30,6 @@ from .symspace import (
     P0,
     P1,
     Point,
-    _any,
     _cross,
     _dot,
     _norm,
@@ -85,9 +82,8 @@ def chamber_angle(v: np.ndarray):
     """Type angle in [0, pi/3] of a sorted trace-free triple; leading stack
     axes give one angle per triple."""
     v = np.asarray(v, dtype=float)
-    zero = _norm(v) < 1e-300
-    if _any(zero):
-        raise_first([(zero, lambda i: DomainError("chamber angle of the zero vector is undefined"))])
+    raise_first([(_norm(v) < 1e-300,
+                  lambda i: DomainError("chamber angle of the zero vector is undefined"))])
     return _unstacked(_chamber_phi(v))
 
 
@@ -113,8 +109,9 @@ class ModelInterval:
     def symmetric(cls, halfwidth: float) -> "ModelInterval":
         return cls(ZETA - halfwidth, ZETA + halfwidth)
 
-    def contains(self, phi: float) -> bool:
-        return self.lo <= phi <= self.hi
+    def contains(self, phi):
+        """Whether phi lies in the interval; one answer per entry of an array."""
+        return (self.lo <= phi) & (phi <= self.hi)
 
 
 def segment_type(p: Point, q: Point) -> float:
@@ -230,13 +227,6 @@ def coords_from_point(p: Point) -> ParallelCoords:
 # -- zeta angles -------------------------------------------------------------
 
 
-def _raise_failed(checks) -> None:
-    """Raise the first error of ``checks`` (see ``errors.raise_first``) if
-    any entry fails one."""
-    if _any(reduce(operator.or_, (failed for failed, _ in checks))):
-        raise_first(checks)
-
-
 def _check_regular(lam: np.ndarray, *more) -> None:
     """Reject a segment with descending log-eigenvalues ``lam`` that is
     degenerate, at or too near a wall, or numerically tied; ``more`` adds
@@ -251,7 +241,7 @@ def _check_regular(lam: np.ndarray, *more) -> None:
          lambda i: RegularityError("eigenvalue tie: segment is numerically singular")),
         *more,
     ]
-    _raise_failed(checks)
+    raise_first(checks)
 
 
 def _regular_frame(p: Point, q: Point):
@@ -367,7 +357,7 @@ class Flag:
     def __post_init__(self):
         point, line, checks = _unit_flags(np.asarray(self.point, dtype=float),
                                           np.asarray(self.line, dtype=float))
-        _raise_failed(checks)
+        raise_first(checks)
         point.flags.writeable = False
         line.flags.writeable = False
         object.__setattr__(self, "point", point)
@@ -393,7 +383,7 @@ class Flat:
     def __post_init__(self):
         frame = np.array(self.frame, dtype=float)
         frame, checks = _normalised_frames(frame, np.linalg.det(frame))
-        _raise_failed(checks)
+        raise_first(checks)
         frame.flags.writeable = False
         object.__setattr__(self, "frame", frame)
 
@@ -410,7 +400,7 @@ def flat_from_flags(f_minus: Flag, f_plus: Flag, tol: float = 1e-8) -> Flat:
     the resulting determinant to stay away from zero.
     """
     g, _, checks = _opposed_frames(f_plus.point, f_plus.line, f_minus.point, f_minus.line, tol)
-    _raise_failed(checks)
+    raise_first(checks)
     return Flat(frame=g)
 
 

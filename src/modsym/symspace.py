@@ -293,12 +293,6 @@ def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a[..., _NEXT] * b[..., _AFTER] - a[..., _AFTER] * b[..., _NEXT]
 
 
-def _any(mask) -> bool:
-    """Whether any entry of a boolean stack is set.  A 0-d mask is read
-    directly: numpy's reduction costs more than the check itself."""
-    return bool(mask.any() if mask.ndim else mask)
-
-
 def _unstacked(x):
     """A 0-d result as a Python float, as an unstacked call returns it."""
     return float(x) if x.ndim == 0 else x

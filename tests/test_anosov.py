@@ -272,7 +272,10 @@ def _reference_sector_flag(n, p, q, opposite=False):
     return Flag(point=point, line=line)
 
 
-def _reference_morse_flat_check(rep, window, theta_prime, project=fflat_project):
+def _reference_morse_flat_check(rep, window, theta_prime, project=fflat_project, kinds=None):
+    """The per-midpoint loop; ``kinds``, if given, collects the kind of
+    each violating step: "unordered", or "type" for an ordered step whose
+    type leaves ``theta_prime``."""
     seq = midpoint_sequence(rep, window)
     n_mid = len(seq.words) - 1
     forward = [FIsometry.identity() for _ in range(n_mid)]
@@ -309,7 +312,7 @@ def _reference_morse_flat_check(rep, window, theta_prime, project=fflat_project)
             a2, b2, _, next_steps = project(nxt, flat, noise_cap=1.0)
             proj_pairs.append(((a, b), (a2, b2)))
         iterations.append((steps, next_steps))
-    violations = 0
+    violations = []
     proj = [(0.0, 0.0)]
     for (a, b), (a2, b2) in proj_pairs:
         da, db = a2 - a, b2 - b
@@ -317,12 +320,14 @@ def _reference_morse_flat_check(rep, window, theta_prime, project=fflat_project)
         proj.append((proj[-1][0] + da, proj[-1][1] + db))
         slack = 1e-9 * max(1.0, abs(da) + abs(db))
         if not (da >= db - slack and db >= dc - slack):
-            violations += 1
+            violations.append("unordered")
         elif not theta_prime.contains(chamber_angle(np.sort([da, db, dc])[::-1])):
-            violations += 1
+            violations.append("type")
+    if kinds is not None:
+        kinds.update(violations)
     return MorseFlatReport(
         max_distance=max(dists), distances=tuple(dists), projections=tuple(proj),
-        monotone=violations == 0, violations=violations, flat=flat0,
+        monotone=not violations, violations=len(violations), flat=flat0,
         iterations=tuple(iterations),
     )
 
@@ -441,26 +446,32 @@ def _morse_outcome(call):
             rpt.flat.frame.tobytes(), rpt.iterations)
 
 
-@pytest.mark.parametrize("windows, errors", [
-    pytest.param(lambda: _walk_windows(120, 9), {DomainError, RegularityError}, id="walks"),
-    pytest.param(_far_walk_windows, {DomainError, OppositionError}, id="far-walks"),
+@pytest.mark.parametrize("windows, errors, violations", [
+    pytest.param(lambda: _walk_windows(120, 9), {DomainError, RegularityError},
+                 {"unordered", "type"}, id="walks"),
+    pytest.param(_far_walk_windows, {DomainError, OppositionError}, {"unordered"},
+                 id="far-walks"),
     pytest.param(lambda: _stratified_windows(60, 8), {ConvergenceError, OppositionError},
-                 id="stratified"),
+                 {"unordered", "type"}, id="stratified"),
 ])
-def test_stacked_morse_and_triangle_equal_loops(windows, errors):
+def test_stacked_morse_and_triangle_equal_loops(windows, errors, violations):
     """Morse's stacked stages and the stacked triangle give the reports and
-    the first errors of the per-midpoint and per-vertex loops."""
-    met = set()
+    the first errors of the per-midpoint and per-vertex loops.  The
+    returned reports hold the kinds of violating step listed, both kinds
+    over the three sets, so the stacked tally meets both branches of the
+    loop's."""
+    met, kinds = set(), set()
     for point, window in windows():
         rep = rep_from_coords(Coordinates(*point))
         out = _morse_outcome(lambda: morse_flat_check(rep, window, THETA_INTERVAL))
         assert out == _morse_outcome(
-            lambda: _reference_morse_flat_check(rep, window, THETA_INTERVAL))
+            lambda: _reference_morse_flat_check(rep, window, THETA_INTERVAL, kinds=kinds))
         if isinstance(out[0], type):
             met.add(out[0])
         assert _outcome(lambda: triangle_report(rep)) == _outcome(
             lambda: _reference_triangle_report(rep))
     assert errors <= met
+    assert violations <= kinds
 
 
 def test_stratified_windows_stall_before_a_later_opposition():
@@ -545,6 +556,42 @@ def test_row_major_meets_errors_in_loop_order():
     with pytest.raises(DomainError, match="first stage at row 3"):
         anosov._row_major(run(3, 4), 5)
     assert anosov._row_major(run(3, 1), 1) == 1
+
+
+@pytest.mark.parametrize("shape", [(), (5,), (5, 2)])
+def test_raise_first_returns_or_raises_the_first_failing_entry(shape):
+    """No failing entry: ``raise_first`` returns None, for an unstacked
+    (0-d) check as for stacked ones.  Otherwise the first entry in C order
+    that fails raises the error of the first check it fails, with ``row``
+    its index along the first stack axis."""
+    def checks(first, second):
+        return [(first, lambda i: DomainError(f"first check at {i}")),
+                (second, lambda i: RegularityError(f"second check at {i}"))]
+
+    def mask(*entries):
+        failed = np.zeros(shape, dtype=bool)
+        for entry in entries:
+            failed[entry] = True
+        return failed
+
+    clear = mask()
+    assert raise_first(checks(clear, clear)) is None
+    if not shape:
+        assert raise_first(checks(np.False_, np.float64(1.0) == 0.0)) is None
+        cases = [((mask(), mask(())), (RegularityError, "second check at ()", None)),
+                 ((mask(()), mask(())), (DomainError, "first check at ()", None))]
+    elif len(shape) == 1:
+        cases = [((mask(3), mask(1, 4)), (RegularityError, "second check at (1,)", 1)),
+                 ((mask(1), mask(1)), (DomainError, "first check at (1,)", 1)),
+                 ((mask(0), mask()), (DomainError, "first check at (0,)", 0))]
+    else:
+        cases = [((mask((2, 1)), mask((2, 0), (4, 1))),
+                  (RegularityError, "second check at (2, 0)", 2)),
+                 ((mask((3, 1), (4, 0)), mask((3, 1))), (DomainError, "first check at (3, 1)", 3))]
+    for masks, expected in cases:
+        with pytest.raises(GeometryError) as info:
+            raise_first(checks(*masks))
+        assert (type(info.value), str(info.value), info.value.row) == expected
 
 
 def test_verdict_stats_carry_the_equidistance_defect():

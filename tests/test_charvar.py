@@ -10,6 +10,7 @@ from modsym.charvar import (
     TraceReport,
     coords_from_rep,
     evaluate,
+    f2_fisometries,
     f2_fisometry,
     fuchsian_classify,
     is_reducible,
@@ -22,7 +23,7 @@ from modsym.charvar import (
     trace_of_word,
     trace_symmetry_check,
 )
-from modsym.errors import DomainError, ParityError, PreconditionError
+from modsym.errors import ConditioningError, DomainError, ParityError, PreconditionError
 from modsym.factored import FIsometry, fcompose
 from modsym.modgroup import (
     _F2_SUBSTITUTION,
@@ -218,6 +219,26 @@ def test_f2_fisometry_is_the_fcompose_loop():
     for name in ("x", "Y", "xyXY", "yyxYxxyX"):
         w = f2_from_string(name)
         assert _same_fisometry(f2_fisometry(rep, w), _fcompose_chain(gens[k] for k in w.letters))
+    # one ragged call: the shorter words are padded with the identity letter
+    words = [f2_from_string(name) for name in ("e", "x", "Y", "xyXY", "yyxYxxyX")]
+    ragged = f2_fisometries(rep, words)
+    for k, w in enumerate(words):
+        assert _same_fisometry(ragged[k], _fcompose_chain(gens[j] for j in w.letters)), w
+    empty = f2_fisometries(rep, [])
+    assert empty.mat.shape == (0, 3, 3) and empty.lm.shape == (0,)
+    for stack in (ragged, empty, f2_fisometries(rep, words[:1] * 2), f2_fisometry(rep, words[1])):
+        assert not (stack.mat.flags.writeable or stack.matinv.flags.writeable)
+
+
+def test_explicit_fixed_point_is_formed_once_where_it_fits():
+    """``x`` and ``rho_a`` are formed on first read and kept; where the
+    explicit point does not fit, every read raises again."""
+    far = rep_from_coords(Coordinates(1.0, 20.0, 0.5))
+    for _ in range(2):
+        with pytest.raises(ConditioningError):
+            far.x
+    rep = rep_from_coords(Coordinates(1.0, 4.0, 0.5))
+    assert rep.rho_a is rep.rho_a and rep.x is rep.x
 
 
 @pytest.mark.parametrize("s", [0.0, 0.7, 2.0])

@@ -10,6 +10,7 @@ from modsym.errors import (
     GeometryError,
     OppositionError,
     RegularityError,
+    raise_first,
 )
 from modsym.flats import (
     Flag,
@@ -437,7 +438,7 @@ def test_stacked_flat_frames_equal_per_pair_flats():
     assert (d ** (1.0 / 3.0) != [x ** (1.0 / 3.0) for x in d.tolist()]).any()
     for k in np.flatnonzero(failed):
         with pytest.raises(GeometryError) as info:
-            flats._raise_failed([(f[k:], error) for f, error in checks])
+            raise_first([(f[k:], error) for f, error in checks])
         assert (type(info.value), str(info.value), info.value.row) == (*expected[k], 0)
 
 
