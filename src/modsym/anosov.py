@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
 from functools import cached_property, lru_cache
-from itertools import accumulate, zip_longest
+from itertools import accumulate, islice, repeat, zip_longest
 from typing import Sequence
 
 import numpy as np
@@ -520,20 +520,20 @@ class PeripheralGrowthReport:
     is loxodromic, with ``kappa = log |mu_1 / mu_3|``, and ``"log"``
     otherwise, with ``kappa`` the slope of ``gaps`` against ``log ns``.
 
-    ``factors`` is (p, lp, pinv, lpi): rho(baba) = p e^lp and its inverse
-    pinv e^lpi, as float64 matrices with log-scales.  ``gaps`` folds
-    their powers on first read; on the ``"log"`` side
+    ``element`` is rho(baba) as an FIsometry of its unscaled float64
+    matrix and that of its inverse, with their log-scales.  ``gaps``
+    folds its powers on first read; on the ``"log"`` side
     ``peripheral_growth`` has formed them already, for kappa.
     """
 
     ns: np.ndarray
     model: str            # "log" or "linear"
     kappa: float
-    factors: tuple
+    element: FIsometry
 
     @cached_property
     def gaps(self) -> np.ndarray:
-        return _peripheral_spread(self.factors, len(self.ns))
+        return _peripheral_spread(self.element, len(self.ns))
 
 
 # Largest binary exponent the float64 copy of a word matrix may reach:
@@ -549,46 +549,23 @@ def _as_float(m: np.ndarray):
     return np.ldexp(m, -k).astype(float), k * float(np.log(2.0))
 
 
-def _peripheral_powers(p: np.ndarray, lp: float, pinv: np.ndarray, lpi: float, n_max: int):
-    """The normalized matrices of P^n and P^-n for n = 1..n_max, as an
-    (n_max, 2, 3, 3) stack, with their (n_max, 2) log-scales, where
-    P = p e^lp and P^-1 = pinv e^lpi.  Step n forms [P^(n-1), P^-1] @
-    [P, P^-(n-1)] as one (2, 3, 3) product and divides each matrix by its
-    max |entry|; its log-scale is the previous one plus the factor's plus
-    the log of that divisor, summed in that order.  The divisors are
-    checked once, after the loop, in the order a loop of unstacked
-    rescales meets them (step, then forward before inverse), and the
-    first that is not finite, or is 0, raises its DomainError."""
-    powers = np.empty((n_max, 2, 3, 3))
-    scales = np.empty((n_max, 2))
-    left, right = np.stack([np.eye(3), pinv]), np.stack([p, np.eye(3)])
-    # a failed step spreads inf and nan through the later ones, which
-    # the check after the loop reports as the first failure
-    with np.errstate(all="ignore"):
-        for n in range(n_max):
-            prod = left @ right
-            s = np.abs(prod).reshape(2, 9).max(axis=1)
-            np.divide(prod, s[:, None, None], out=powers[n])
-            scales[n] = s
-            left[0], right[1] = powers[n]
-    bad = ~np.isfinite(scales) | (scales == 0.0)
-    if bad.any():
-        first = scales.reshape(-1)[np.argmax(bad)]
-        raise DomainError("degenerate factor matrix" if first == 0.0
-                          else "factor matrix is outside the float64 range")
-    logs = np.empty((n_max, 2))
-    lm = lmi = 0.0
-    for n, (ls, lsi) in enumerate(np.log(scales).tolist()):
-        lm, lmi = (lm + lp) + ls, (lmi + lpi) + lsi
-        logs[n] = lm, lmi
-    return powers, logs
+def _peripheral_powers(element: FIsometry, n_max: int) -> FIsometry:
+    """P^n for n = 1..n_max as an (n_max,) stack, where ``element`` is P:
+    step n is ``fcompose(P^(n-1), P)`` from the identity, so the inverse
+    the fold maintains is P^-n.  The first step whose product leaves the
+    float64 range or is 0 raises its DomainError, forward before
+    inverse."""
+    # such a product overflows or turns NaN in matmul, before _rescaled
+    # raises for it
+    with np.errstate(over="ignore", invalid="ignore"):
+        powers = accumulate(repeat(element, n_max), fcompose, initial=FIsometry.identity())
+        return fstack(islice(powers, 1, None))
 
 
-def _peripheral_spread(factors, n_max: int) -> np.ndarray:
-    """lambda_1 - lambda_3 of P^n for n = 1..n_max, where ``factors`` is
-    (p, lp, pinv, lpi) as ``_peripheral_powers`` takes them."""
-    powers, logs = _peripheral_powers(*factors, n_max)
-    l1, l3 = _cartan_pair(powers[:, 0], powers[:, 1], logs[:, 0], logs[:, 1])
+def _peripheral_spread(element: FIsometry, n_max: int) -> np.ndarray:
+    """lambda_1 - lambda_3 of P^n for n = 1..n_max, where ``element`` is P."""
+    powers = _peripheral_powers(element, n_max)
+    l1, l3 = _cartan_pair(powers.mat, powers.matinv, powers.lm, powers.lmi)
     return l1 - l3
 
 
@@ -616,13 +593,14 @@ def peripheral_growth(rep: Representation, n_max: int) -> PeripheralGrowthReport
     baba = matrix_of(rep, BABA)
     tau = np.trace(baba)
     ns = np.arange(1, n_max + 1, dtype=float)
-    factors = (*_as_float(baba), *_as_float(matrix_of(rep, ABAB)))
+    (p, lp), (pinv, lpi) = _as_float(baba), _as_float(matrix_of(rep, ABAB))
+    element = FIsometry(p, pinv, lp, lpi)
     if tau < -1.0 - SURFACE_TOL or tau > 3.0 + SURFACE_TOL:
-        return PeripheralGrowthReport(ns=ns, model="linear", factors=factors,
+        return PeripheralGrowthReport(ns=ns, model="linear", element=element,
                                       kappa=float(2.0 * np.arccosh(abs(tau - 1) / 2)))
-    gaps = _peripheral_spread(factors, n_max)
+    gaps = _peripheral_spread(element, n_max)
     fit = np.column_stack([np.log(ns), np.ones_like(ns)])
-    report = PeripheralGrowthReport(ns=ns, model="log", factors=factors,
+    report = PeripheralGrowthReport(ns=ns, model="log", element=element,
                                     kappa=float(np.linalg.lstsq(fit, gaps, rcond=None)[0][0]))
     # fill the cache of ``gaps``: cached_property stores in the instance
     # dict, which a frozen dataclass leaves to object.__setattr__

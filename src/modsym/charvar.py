@@ -131,6 +131,7 @@ class Representation:
         self._letters = _letter_table(
             x_pair, FIsometry(x_pair.matinv.T, x_pair.mat.T, x_pair.lmi, x_pair.lm), _FR, _FR2)
         self._letters_ld = _letter_table(*x_ld, _R_LD, _R_LD.T)
+        self._f2_table: FIsometry | None = None
         self._f2_gens: FIsometry | None = None
 
     @cached_property
@@ -143,15 +144,18 @@ class Representation:
 
     def f2_generators(self) -> FIsometry:
         """Factored isometries of the four free generators of the
-        index-six subgroup, as one read-only stack in letter order."""
+        index-six subgroup, as one read-only stack in letter order: the
+        first four rows of ``_f2_table``, whose fifth row is the identity
+        letter that ``f2_fisometries`` pads shorter words with."""
         if self._f2_gens is None:
             # the four words have four letters each: fold them position by
             # position, each position's four letters as one stack
             columns = zip(*(_letter_picks(self._letters, _F2_SUBSTITUTION[k]) for k in range(4)))
             gens = reduce(fcompose, map(fstack, columns), FIsometry.identity())
-            for a in (gens.mat, gens.matinv, gens.lm, gens.lmi):
+            table = fstack([*gens, _FI])
+            for a in (table.mat, table.matinv, table.lm, table.lmi):
                 a.flags.writeable = False
-            self._f2_gens = gens
+            self._f2_table, self._f2_gens = table, table[:4]
         return self._f2_gens
 
     def validate(self, tol: float = 1e-10) -> bool:
@@ -215,7 +219,8 @@ def f2_fisometries(rep: Representation, words: Sequence[F2Word]) -> FIsometry:
     a shorter word is padded with the identity letter (index 4 of the
     table), which changes nothing: I M is M, and its max |entry| is 1.
     So each entry is its own fold by ``fcompose`` bit for bit."""
-    table = fstack([*rep.f2_generators(), _FI])
+    rep.f2_generators()  # builds the table once per representation
+    table = rep._f2_table
     letters = np.full((len(words), max(map(len, words), default=0)), 4)
     for row, w in zip(letters, words):
         row[:len(w)] = w.letters

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, RegularityError, raise_first
-from .flats import Flat, _check_regular, _flat_minimize
+from .flats import _check_regular
 from .symspace import Point, _cross, _dot, _norm, _unstacked
 
 
@@ -196,17 +196,4 @@ def fmidpoint(p: FIsometry, q: FIsometry) -> FIsometry:
     return FIsometry.from_pair(
         p.mat @ quarter, quarter_inv @ p.matinv, p.lm, p.lmi,
     )
-
-
-def fflat_project(p: FIsometry, flat: Flat, noise_cap: float = 1e-6):
-    """Nearest point on the flat from a factored point; (a, b, distance,
-    Newton steps taken).
-
-    Newton steps on the closed-form Hessian, as ``flats._flat_minimize``,
-    which ``flat_project`` and the Morse flat check share: a stack of
-    factored points projects in one solve, one entry each.
-    ``noise_cap`` is the largest gradient at which a stalled solve still
-    returns: coordinate-grade projections of far-away points pass 1.0.
-    """
-    return _flat_minimize(flat.frame, p.mat, p.matinv, p.lm, p.lmi, noise_cap)
 

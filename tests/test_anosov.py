@@ -51,7 +51,6 @@ from modsym.factored import (
     fact,
     fcompose,
     fdistance,
-    fflat_project,
     finverse,
     fmidpoint,
     fzeta_direction,
@@ -59,7 +58,7 @@ from modsym.factored import (
     seg_lambdas,
     seg_log_vector,
 )
-from modsym.flats import Flag, ModelInterval, chamber_angle, flat_from_flags
+from modsym.flats import Flag, ModelInterval, _flat_minimize, chamber_angle, flat_from_flags
 from modsym.modgroup import (
     G1,
     G2_INV,
@@ -272,10 +271,12 @@ def _reference_sector_flag(n, p, q, opposite=False):
     return Flag(point=point, line=line)
 
 
-def _reference_morse_flat_check(rep, window, theta_prime, project=fflat_project, kinds=None):
-    """The per-midpoint loop; ``kinds``, if given, collects the kind of
-    each violating step: "unordered", or "type" for an ordered step whose
-    type leaves ``theta_prime``."""
+def _reference_morse_flat_check(rep, window, theta_prime, caps=(1e-6, 1.0), kinds=None):
+    """The per-midpoint loop, projecting each centre and each next
+    midpoint with ``_flat_minimize`` at the noise caps ``caps``;
+    ``kinds``, if given, collects the kind of each violating step:
+    "unordered", or "type" for an ordered step whose type leaves
+    ``theta_prime``."""
     seq = midpoint_sequence(rep, window)
     n_mid = len(seq.words) - 1
     forward = [FIsometry.identity() for _ in range(n_mid)]
@@ -304,12 +305,14 @@ def _reference_morse_flat_check(rep, window, theta_prime, project=fflat_project,
         flat = flat_from_flags(f_minus, f_plus)
         if flat0 is None:
             flat0 = flat
-        a, b, d, steps = project(origin, flat)
+        a, b, d, steps = _flat_minimize(flat.frame, origin.mat, origin.matinv,
+                                        origin.lm, origin.lmi, caps[0])
         dists.append(d)
         next_steps = None
         if n < n_mid - 1:
             nxt = _at_row(n, lambda: fact(to_chart, fact(seq.steps[n], seq.local_mids[n + 1])))
-            a2, b2, _, next_steps = project(nxt, flat, noise_cap=1.0)
+            a2, b2, _, next_steps = _flat_minimize(flat.frame, nxt.mat, nxt.matinv,
+                                                   nxt.lm, nxt.lmi, caps[1])
             proj_pairs.append(((a, b), (a2, b2)))
         iterations.append((steps, next_steps))
     violations = []
@@ -479,9 +482,6 @@ def test_stratified_windows_stall_before_a_later_opposition():
     stalls at one midpoint and the flags of a later midpoint are not
     opposite: the loop meets the stall first, and so must the stacked
     stages, which make every flat before they project."""
-    def never_stalls(p, flat, noise_cap=1e-6):
-        return fflat_project(p, flat, noise_cap=np.inf)
-
     found = 0
     for point, window in _stratified_windows(60, 8):
         rep = rep_from_coords(Coordinates(*point))
@@ -489,7 +489,7 @@ def test_stratified_windows_stall_before_a_later_opposition():
         if out[0] is not ConvergenceError:
             continue
         later = _morse_outcome(lambda: _reference_morse_flat_check(
-            rep, window, THETA_INTERVAL, project=never_stalls))
+            rep, window, THETA_INTERVAL, caps=(np.inf, np.inf)))
         if later[0] is OppositionError:
             found += 1
             assert out == _morse_outcome(
@@ -1308,8 +1308,8 @@ def test_peripheral_growth_precondition():
 
 
 def _reference_peripheral_powers(p, lp, pinv, lpi, n_max):
-    """The power fold _peripheral_powers replaced: per step, two 3x3
-    products, each rescaled and checked at once by factored._rescaled."""
+    """The power fold as a plain loop: per step, two 3x3 products, each
+    rescaled and checked at once by factored._rescaled."""
     powers = np.empty((n_max, 2, 3, 3))
     logs = np.empty((n_max, 2))
     mat, inv = np.eye(3), np.eye(3)
@@ -1328,17 +1328,20 @@ PERIPHERAL_POINTS = [(1, 400, 0.5), (0, 257, 1.3), (1, 1.1440460924196174, 0), (
 
 
 def test_peripheral_powers_equal_unstacked_loop():
-    """The stacked power fold forms each power by the same product and
-    division as the per-step loop it replaced, and sums the log-scales in
-    the same order: powers, log-scales, spread (whenever the report forms
-    it), model and kappa are the same bit for bit."""
+    """The fcompose power fold forms each power by the same product and
+    division as the per-step loop, and sums the log-scales in the same
+    order: powers, log-scales, spread (whenever the report forms it),
+    model and kappa are the same bit for bit."""
     for point in PERIPHERAL_POINTS:
         rep = rep_from_coords(Coordinates(*point))
-        factors = (*anosov._as_float(anosov.matrix_of(rep, BABA)),
-                   *anosov._as_float(anosov.matrix_of(rep, anosov.ABAB)))
-        powers, logs = anosov._peripheral_powers(*factors, 64)
-        want_powers, want_logs = _reference_peripheral_powers(*factors, 64)
-        assert np.array_equal(powers, want_powers) and np.array_equal(logs, want_logs), point
+        (p, lp), (pinv, lpi) = (anosov._as_float(anosov.matrix_of(rep, BABA)),
+                                anosov._as_float(anosov.matrix_of(rep, anosov.ABAB)))
+        powers = anosov._peripheral_powers(FIsometry(p, pinv, lp, lpi), 64)
+        want_powers, want_logs = _reference_peripheral_powers(p, lp, pinv, lpi, 64)
+        assert powers.mat.shape == (64, 3, 3) and powers.lm.shape == (64,), point
+        for got, want in ((powers.mat, want_powers[:, 0]), (powers.matinv, want_powers[:, 1]),
+                          (powers.lm, want_logs[:, 0]), (powers.lmi, want_logs[:, 1])):
+            assert np.array_equal(got, want), point
         l1, l3 = anosov._cartan_pair(want_powers[:, 0], want_powers[:, 1],
                                      want_logs[:, 0], want_logs[:, 1])
         rpt = peripheral_growth(rep, 64)
@@ -1355,9 +1358,9 @@ def _count_power_folds(monkeypatch):
     calls = []
     fold = anosov._peripheral_powers
 
-    def counted(*args):
-        calls.append(args[-1])
-        return fold(*args)
+    def counted(element, n_max):
+        calls.append(n_max)
+        return fold(element, n_max)
 
     monkeypatch.setattr(anosov, "_peripheral_powers", counted)
     return calls
@@ -1397,7 +1400,7 @@ def test_loxodromic_spread_folds_once_on_first_read(monkeypatch):
 def test_loxodromic_fold_error_raises_on_first_read(monkeypatch):
     """On the loxodromic side the fold's DomainError raises where the
     spread is read, not in peripheral_growth."""
-    def failing(*args):
+    def failing(element, n_max):
         raise DomainError("factor matrix is outside the float64 range")
 
     monkeypatch.setattr(anosov, "_peripheral_powers", failing)
@@ -1437,13 +1440,12 @@ _NILPOTENT = np.diag([1.0, 1.0], k=1)
 ], ids=["forward-inf", "inverse-zero", "both-forward-first", "inverse-before-forward",
         "forward-step-3"])
 def test_peripheral_powers_errors_match_unstacked_loop(p, pinv, message):
-    """The scales are checked after the loop, and the first failure in
-    (step, forward/inverse) order raises the loop's error, with no row and
-    no warning."""
+    """The first failure in (step, forward/inverse) order raises the
+    loop's error, with no row and no warning."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(DomainError, match=message) as got:
-            anosov._peripheral_powers(p, 0.0, pinv, 0.0, 8)
+            anosov._peripheral_powers(FIsometry(p, pinv), 8)
     with np.errstate(all="ignore"), pytest.raises(DomainError) as want:
         _reference_peripheral_powers(p, 0.0, pinv, 0.0, 8)
     assert str(got.value) == str(want.value)

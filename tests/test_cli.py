@@ -230,6 +230,25 @@ def test_rep_info_fixed_point(tmp_path):
     assert info["peripheral_growth"]["model"] == "log"
 
 
+# sha256 of the rep-info JSON at three points where rho(baba) is not
+# loxodromic, so that its kappa is fitted to the folded peripheral powers:
+# every field bit for bit, kappa among them.  Recorded before the powers
+# were folded by fcompose.
+_LOG_SIDE_REP_INFO_SHA256 = {
+    "0,0,0": "c5eebf695354956b1ddf22593deca0b11a1b4c3ab3d7f71bfb78accdab734e2b",
+    "0.5,0.75,0.5": "29ef54c89583938f102f4e05788d79464dd003a1b2733d94a798f96a54e92dbb",
+    "0.3,0.2,0.5": "abbab9ccc04d6f42750816c1e6fbcfad3eb782de3ee23f4c327b04ba6d24bc14",
+}
+
+
+@pytest.mark.parametrize("coords", sorted(_LOG_SIDE_REP_INFO_SHA256))
+def test_log_side_rep_info_is_pinned(coords, tmp_path):
+    out = tmp_path / "info.json"
+    assert run_cli(["rep-info", "--coords", coords, "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["peripheral_growth"]["model"] == "log"
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == _LOG_SIDE_REP_INFO_SHA256[coords]
+
+
 def test_rep_info_on_surface_reports_b2aba(tmp_path, capsys):
     from modsym.charvar import schwartz_t
 
