@@ -718,8 +718,7 @@ def morse_flat_check(
         row, to_next = row[keep], to_next[keep]
         targets = fstack([origin, *nxt])[np.where(to_next, row + 1, 0)]
         try:
-            a, b, d, n_steps = _flat_minimize(frames[row], targets.mat, targets.matinv,
-                                              targets.lm, targets.lmi, np.where(to_next, 1.0, 1e-6))
+            a, b, d, n_steps = _flat_minimize(frames[row], targets, np.where(to_next, 1.0, 1e-6))
             raise_first(checks)
         except GeometryError as exc:
             # the rows before passed every stage, so this is the loop's
@@ -815,7 +814,7 @@ def anosov_verdict(c: Coordinates, config: VerdictConfig | None = None) -> Anoso
         stats["min_spacing"] = straight.min_spacing
         stats["type_min"] = straight.type_min
         stats["type_max"] = straight.type_max
-    except (RegularityError, DegenerateTriangleError, DomainError) as exc:
+    except (RegularityError, DomainError) as exc:
         stats["straightness_error"] = str(exc)
 
     gaps = cartan_gap_scan(rep, cfg.max_len, cfg.samples, cfg.seed)

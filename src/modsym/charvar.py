@@ -42,8 +42,6 @@ _R_LD = rotation(2.0 * np.pi / 3.0, dtype=np.longdouble)
 _R.flags.writeable = _R_LD.flags.writeable = False
 _ROT = Isometry(_R)
 _FR, _FR2 = FIsometry.from_pair(_R, _R.T), FIsometry.from_pair(_R.T, _R)
-# the identity letter, which pads the shorter words of a ragged fold
-_FI = FIsometry.identity()
 
 TYPE_I = "typeI"
 TYPE_II = "typeII"
@@ -125,7 +123,7 @@ class Representation:
         self.coords = coords
         self.fx = fx
         self.rot = _ROT
-        # _fold's letter tables, factored and in extended precision: "a"
+        # the letter tables, factored and in extended precision: "a"
         # holds x as a linear map and its contragredient; _letter_picks
         # carries rho(a)'s orientation
         self._letters = _letter_table(
@@ -152,7 +150,7 @@ class Representation:
             # position, each position's four letters as one stack
             columns = zip(*(_letter_picks(self._letters, _F2_SUBSTITUTION[k]) for k in range(4)))
             gens = reduce(fcompose, map(fstack, columns), FIsometry.identity())
-            table = fstack([*gens, _FI])
+            table = fstack([*gens, FIsometry.identity()])
             for a in (table.mat, table.matinv, table.lm, table.lmi):
                 a.flags.writeable = False
             self._f2_table, self._f2_gens = table, table[:4]
@@ -247,16 +245,16 @@ def _letter_picks(table, syllables):
         reversed_state ^= syll == "a"
 
 
-def _fold(table, syllables, one, mul=operator.matmul):
-    """Fold ``syllables`` left to right over ``table`` with the product
-    ``mul``, starting at ``one``: the reduce of their ``_letter_picks``.
+def _fold(table, syllables, one):
+    """Fold ``syllables`` left to right over ``table`` with ``@``, starting
+    at ``one``: the reduce of their ``_letter_picks``.
 
-    The number type is the table's: ``matrix_of`` and ``matrices_at``
-    fold extended-precision matrices with ``@``, any leading stack axes
-    being the table's.  ``Representation.f2_generators`` reduces the
-    same picks of its four words with ``fcompose``, side by side as one
-    stack per letter position."""
-    return reduce(mul, _letter_picks(table, syllables), one)
+    ``matrix_of`` and ``matrices_at`` fold extended-precision matrices,
+    any leading stack axes being the table's.
+    ``Representation.f2_generators`` reduces the same picks of its four
+    words with ``fcompose``, side by side as one stack per letter
+    position."""
+    return reduce(operator.matmul, _letter_picks(table, syllables), one)
 
 
 def _letter_table(x, xstar, r, r2) -> dict:

@@ -39,8 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, RegularityError, raise_first
-from .flats import _check_regular
-from .symspace import Point, _cross, _dot, _norm, _unstacked
+from .symspace import Point, _check_regular, _cross, _dot, _norm, _unstacked
 
 
 def _rescaled(m: np.ndarray, logscale):

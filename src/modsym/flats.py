@@ -18,18 +18,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    ConvergenceError,
-    DomainError,
-    OppositionError,
-    RegularityError,
-    raise_first,
-)
+from .errors import ConvergenceError, DomainError, GeometryError, OppositionError, raise_first
+from .factored import FIsometry, _lambdas, _product, _rescaled, finverse, fstack
 from .symspace import (
+    CHAMBER_MAX,
+    EIGEN_TIE_TOL,
     F1,
     P0,
     P1,
+    REGULARITY_WALL_TOL,
+    ZETA,
     Point,
+    _chamber_phi,
+    _check_regular,
     _cross,
     _dot,
     _norm,
@@ -40,18 +41,6 @@ from .symspace import (
     matrix_angle,
     rotation,
 )
-
-CHAMBER_MAX = np.pi / 3.0
-ZETA = np.pi / 6.0
-
-# Orthonormal frame of the trace-zero plane used for chamber angles.
-_E1 = np.array([1.0, 0.0, -1.0]) / np.sqrt(2.0)
-_E2 = np.array([1.0, -2.0, 1.0]) / np.sqrt(6.0)
-
-# A segment counts as regular when its chamber angle keeps this distance
-# from both walls; eigenvalue ties below the tie tolerance are rejected.
-REGULARITY_WALL_TOL = 1e-6
-EIGEN_TIE_TOL = 1e-9
 
 PROJECTION_TOL = 1e-10
 PROJECTION_MAX_ITER = 500
@@ -71,11 +60,6 @@ def cartan_projection(g: np.ndarray) -> np.ndarray:
     lam = np.log(sv)
     lam = lam - lam.mean()
     return np.sort(lam)[::-1]
-
-
-def _chamber_phi(v: np.ndarray) -> np.ndarray:
-    """Chamber angle of each sorted trace-free triple of a stack, unchecked."""
-    return np.clip(np.arctan2(_dot(v, _E2), _dot(v, _E1)) + ZETA, 0.0, CHAMBER_MAX)
 
 
 def chamber_angle(v: np.ndarray):
@@ -225,23 +209,6 @@ def coords_from_point(p: Point) -> ParallelCoords:
 
 
 # -- zeta angles -------------------------------------------------------------
-
-
-def _check_regular(lam: np.ndarray, *more) -> None:
-    """Reject a segment with descending log-eigenvalues ``lam`` that is
-    degenerate, at or too near a wall, or numerically tied; ``more`` adds
-    (failed, error) checks made after these (see ``errors.raise_first``).
-    Leading stack axes of ``lam`` check one segment each."""
-    phi = _chamber_phi(lam)
-    checks = [
-        (_norm(lam) < 1e-12, lambda i: DomainError("segment undefined for coincident points")),
-        (np.minimum(phi, CHAMBER_MAX - phi) < REGULARITY_WALL_TOL,
-         lambda i: RegularityError(f"segment type {phi[i]:.3e} is too close to a wall")),
-        ((lam[..., 0] - lam[..., 1] < EIGEN_TIE_TOL) | (lam[..., 1] - lam[..., 2] < EIGEN_TIE_TOL),
-         lambda i: RegularityError("eigenvalue tie: segment is numerically singular")),
-        *more,
-    ]
-    raise_first(checks)
 
 
 def _regular_frame(p: Point, q: Point):
@@ -408,18 +375,17 @@ _E_AB = np.array([[1.0, 0.0, -1.0], [0.0, 1.0, -1.0]])
 _GRAM_INV = np.array([[2.0, -1.0], [-1.0, 2.0]]) / 3.0
 
 
-def _flat_lambdas(a, b, g, ginv, f_p, finv_p, lp, lpi):
-    """Distance at chart points (a, b) and G(a, b) = D^{-1/2} g^{-1} F_p,
-    one per entry of the stacks."""
+def _flat_lambdas(a, b, g, ginv, target):
+    """Distance from ``target`` to the chart points (a, b), and
+    G(a, b) = D^{-1/2} g^{-1} F for the factor F of the target, one per
+    entry of the stacks."""
     half = np.empty(a.shape + (3,))
     half[..., 0], half[..., 1], half[..., 2] = -a / 2.0, -b / 2.0, (a + b) / 2.0
     half = np.exp(half)
-    gh = (ginv * half[..., :, None]) @ f_p
-    gh_i = finv_p @ (g * (1.0 / half)[..., None, :])
-    lam = np.empty(a.shape + (3,))
-    lam[..., 0] = l1 = 2.0 * (np.log(np.linalg.svd(gh, compute_uv=False)[..., 0]) + lp)
-    lam[..., 2] = l3 = -2.0 * (np.log(np.linalg.svd(gh_i, compute_uv=False)[..., 0]) + lpi)
-    lam[..., 1] = -l1 - l3
+    point = FIsometry(g * (1.0 / half)[..., None, :], ginv * half[..., :, None])
+    gh, gh_i, lg, lgi = _product(finverse(point), target)
+    lam = _lambdas(np.linalg.svd(gh, compute_uv=False), np.linalg.svd(gh_i, compute_uv=False),
+                   lg, lgi)
     return _norm(lam), gh
 
 
@@ -429,14 +395,15 @@ def _compact(go, *arrays):
     return arrays if go is None else tuple(x[go] for x in arrays)
 
 
-def _flat_minimize(frame, f_p, finv_p, lp, lpi, noise_cap=1e-6):
+def _flat_minimize(frame, target: FIsometry, noise_cap=1e-6):
     """Minimize half the squared distance from the factored point
-    (f_p e^{lp})(f_p e^{lp})^T over the flat of ``frame``, in its affine
-    (a, b) chart.
+    ``target`` over the flat of ``frame``, in its affine (a, b) chart.
 
-    Works entirely through G(a, b) = D^{-1/2} g^{-1} F_p and its inverse,
-    whose top singular values give all three relative log-eigenvalues by
-    duality.  Undamped Newton steps: with G G^T = U diag(e^l) U^T and
+    Works entirely through the relative factor product
+    G(a, b) = D^{-1/2} g^{-1} F of the flat point
+    g D^{1/2}, D = diag(e^a, e^b, e^{-a-b}), and the target, whose
+    relative log-eigenvalues ``factored._lambdas`` reads by duality.
+    Undamped Newton steps: with G G^T = U diag(e^l) U^T and
     E~_k = U^T E_k U for E_a = diag(1, 0, -1), E_b = diag(0, 1, -1), the
     curvature R(X,Y)Z = -[[X,Y],Z]/4 gives the Hessian
     H_kl = sum_ij E~_k,ij E~_l,ij phi(l_i - l_j), phi(mu) = (mu/2)/tanh(mu/2)
@@ -446,42 +413,29 @@ def _flat_minimize(frame, f_p, finv_p, lp, lpi, noise_cap=1e-6):
     the current point if the gradient is below ``noise_cap`` and raises
     ConvergenceError otherwise.
 
-    All arguments take leading stack axes, broadcast together, for one
-    solve per entry; the steps run on the stack of entries still going.
-    An entry leaves it when it returns or fails, and with it every later
-    entry in C order, which a loop over the entries would not reach: the
-    first entry that fails raises its error, with ``row`` set as by
-    ``errors.raise_first``.  Each entry equals the unstacked call bit for
-    bit; an unstacked call is the zero-axis case and returns Python
-    numbers.
+    A (n, 3, 3) ``frame`` with a target stack and caps of length n, or one
+    cap for all, makes one solve per entry; the steps run on the stack of
+    entries still going.  An entry leaves it when it returns or fails,
+    and with it every later entry, which a loop over the entries would not
+    reach: the first entry that fails raises its error, with ``row`` set
+    to its index.  An entry whose factor products leave the float64 range
+    fails the checks of ``factored._rescaled`` or ``_lambdas`` at once.
+    Each entry equals the unstacked call bit for bit; an unstacked call
+    is the one-entry case, returns Python numbers and raises with no
+    ``row``.
     """
-    shape = np.broadcast_shapes(np.shape(frame)[:-2], np.shape(f_p)[:-2], np.shape(finv_p)[:-2],
-                                np.shape(lp), np.shape(lpi), np.shape(noise_cap))
-
-    def entries(x, tail=()):
-        x = np.asarray(x, dtype=float)
-        if x.shape != shape + tail:
-            x = np.broadcast_to(x, shape + tail)
-        return x.reshape((-1,) + tail)
-
-    g, f_p, finv_p = (entries(m, (3, 3)) for m in (frame, f_p, finv_p))
-    lp, lpi, cap = (entries(x) for x in (lp, lpi, noise_cap))
+    stacked = np.ndim(frame) == 3
+    g = np.asarray(frame, dtype=float)
+    if not stacked:
+        g, target = g[None], fstack([target])
     ginv = np.linalg.inv(g)
     n = len(g)
-
-    h = ginv @ f_p
-    hs = np.max(np.abs(h), axis=(-2, -1))[:, None, None]
-    hh = (h / hs) @ (h / hs).swapaxes(-1, -2)
-    dlog = (np.log(np.maximum(np.diagonal(hh, axis1=-2, axis2=-1), 1e-300))
-            + 2.0 * (lp + np.log(hs[:, 0, 0]))[:, None])
-    mean = dlog.mean(axis=-1)
-    a, b = dlog[:, 0] - mean, dlog[:, 1] - mean
-
+    cap = np.broadcast_to(noise_cap, n)
     out = np.empty((3, n))
     steps = np.zeros(n, dtype=int)
     first, error = n, None
     rows = np.arange(n)
-    inputs = (g, ginv, f_p, finv_p, lp, lpi)
+    inputs = (g, ginv, target)
 
     def settle(done, failed=None, make_error=None):
         """Return the ``done`` entries at the current point and keep the
@@ -497,61 +451,69 @@ def _flat_minimize(frame, f_p, finv_p, lp, lpi, noise_cap=1e-6):
         steps[rows[done]] = iteration
         return ~done & (rows < first)
 
-    dist, gh = _flat_lambdas(a, b, *inputs)
-    for iteration in range(PROJECTION_MAX_ITER):
-        w, uvecs = np.linalg.eigh(gh @ gh.swapaxes(-1, -2))
-        # at w <= 0 the gradient products are at their cancellation floor
-        floor = w[:, 0] <= 0
-        go = settle(floor & (cap >= 1e-2), floor & ~(cap >= 1e-2),
-                    lambda k: DomainError("degenerate relative matrix in flat projection"))
-        rows, a, b, dist, w, uvecs, cap, *inputs = _compact(
-            go, rows, a, b, dist, w, uvecs, cap, *inputs)
-        if not rows.size:
-            break
-        ell = np.log(w)
-        # E~_k = U^T E_k U; the log vector's components along (E_a, E_b)
-        # are the traces of E~_k against diag(l)
-        e_t = np.einsum("ki,...ia,...ib->...kab", _E_AB, uvecs, uvecs)
-        rhs = np.einsum("...kii,...i->...k", e_t, ell)
-        gnorm = np.sqrt(np.maximum(_dot((rhs[:, None, :] @ _GRAM_INV)[:, 0], rhs), 0.0))
-        go = settle(gnorm <= PROJECTION_TOL)
-        rows, a, b, dist, ell, e_t, rhs, gnorm, cap, *inputs = _compact(
-            go, rows, a, b, dist, ell, e_t, rhs, gnorm, cap, *inputs)
-        if not rows.size:
-            break
-        half_gap = (ell[:, :, None] - ell[:, None, :]) / 2.0
-        phi = np.divide(half_gap, np.tanh(half_gap), out=np.ones_like(half_gap),
-                        where=half_gap != 0.0)
-        hess = np.einsum("...kab,...lab,...ab->...kl", e_t, e_t, phi)
-        delta = np.linalg.solve(hess, rhs[:, :, None])[:, :, 0]
-        a_try, b_try = a + delta[:, 0], b + delta[:, 1]
-        dist_try, gh_try = _flat_lambdas(a_try, b_try, *inputs)
-        # the gradient is at its noise floor.  On d, not d^2: a 1e-14
-        # floor on d^2 ends a solve at d = 7e-4 with d 7e-12 too large
-        stall = dist - dist_try <= 5e-15 * np.maximum(1.0, dist)
-        go = settle(stall & (gnorm <= cap), stall & ~(gnorm <= cap),
-                    lambda k: ConvergenceError("flat projection stalled", iterations=iteration,
-                                               grad_norm=float(gnorm[k])))
-        rows, a, b, dist, gh, gnorm, cap, *inputs = _compact(
-            go, rows, a_try, b_try, dist_try, gh_try, gnorm, cap, *inputs)
-        if not rows.size:
-            break
-    else:
-        first, error = int(rows[0]), ConvergenceError(
-            "flat projection did not converge", iterations=PROJECTION_MAX_ITER,
-            grad_norm=float(gnorm[0]))
+    try:
+        h, lh = _rescaled(ginv @ target.mat, target.lm)
+        dlog = (np.log(np.maximum(np.diagonal(h @ h.swapaxes(-1, -2), axis1=-2, axis2=-1), 1e-300))
+                + 2.0 * lh[:, None])
+        mean = dlog.mean(axis=-1)
+        a, b = dlog[:, 0] - mean, dlog[:, 1] - mean
+        dist, gh = _flat_lambdas(a, b, *inputs)
+        for iteration in range(PROJECTION_MAX_ITER):
+            w, uvecs = np.linalg.eigh(gh @ gh.swapaxes(-1, -2))
+            # at w <= 0 the gradient products are at their cancellation floor
+            floor = w[:, 0] <= 0
+            go = settle(floor & (cap >= 1e-2), floor & ~(cap >= 1e-2),
+                        lambda k: DomainError("degenerate relative matrix in flat projection"))
+            rows, a, b, dist, w, uvecs, cap, *inputs = _compact(
+                go, rows, a, b, dist, w, uvecs, cap, *inputs)
+            if not rows.size:
+                break
+            ell = np.log(w)
+            # E~_k = U^T E_k U; the log vector's components along (E_a, E_b)
+            # are the traces of E~_k against diag(l)
+            e_t = np.einsum("ki,...ia,...ib->...kab", _E_AB, uvecs, uvecs)
+            rhs = np.einsum("...kii,...i->...k", e_t, ell)
+            gnorm = np.sqrt(np.maximum(_dot((rhs[:, None, :] @ _GRAM_INV)[:, 0], rhs), 0.0))
+            go = settle(gnorm <= PROJECTION_TOL)
+            rows, a, b, dist, ell, e_t, rhs, gnorm, cap, *inputs = _compact(
+                go, rows, a, b, dist, ell, e_t, rhs, gnorm, cap, *inputs)
+            if not rows.size:
+                break
+            half_gap = (ell[:, :, None] - ell[:, None, :]) / 2.0
+            phi = np.divide(half_gap, np.tanh(half_gap), out=np.ones_like(half_gap),
+                            where=half_gap != 0.0)
+            hess = np.einsum("...kab,...lab,...ab->...kl", e_t, e_t, phi)
+            delta = np.linalg.solve(hess, rhs[:, :, None])[:, :, 0]
+            a_try, b_try = a + delta[:, 0], b + delta[:, 1]
+            dist_try, gh_try = _flat_lambdas(a_try, b_try, *inputs)
+            # the gradient is at its noise floor.  On d, not d^2: a 1e-14
+            # floor on d^2 ends a solve at d = 7e-4 with d 7e-12 too large
+            stall = dist - dist_try <= 5e-15 * np.maximum(1.0, dist)
+            go = settle(stall & (gnorm <= cap), stall & ~(gnorm <= cap),
+                        lambda k: ConvergenceError("flat projection stalled", iterations=iteration,
+                                                   grad_norm=float(gnorm[k])))
+            rows, a, b, dist, gh, gnorm, cap, *inputs = _compact(
+                go, rows, a_try, b_try, dist_try, gh_try, gnorm, cap, *inputs)
+            if not rows.size:
+                break
+        else:
+            first, error = int(rows[0]), ConvergenceError(
+                "flat projection did not converge", iterations=PROJECTION_MAX_ITER,
+                grad_norm=float(gnorm[0]))
+    except GeometryError as exc:
+        # a range check of the factored products, on the entries still going
+        first, error = int(rows[exc.row]), exc
     if error is not None:
-        failed = np.zeros(n, dtype=bool)
-        failed[first] = True
-        raise_first([(failed.reshape(shape), lambda i: error)])
-    if not shape:
+        error.row = first if stacked else None
+        raise error
+    if not stacked:
         return float(out[0, 0]), float(out[1, 0]), float(out[2, 0]), int(steps[0])
-    return (*out.reshape((3,) + shape), steps.reshape(shape))
+    return (*out, steps)
 
 
 def flat_project(p: Point, flat: Flat):
     """Nearest point on the flat; returns (a, b, distance)."""
-    a, b, dist, _ = _flat_minimize(flat.frame, p.sqrt(), p.inv_sqrt(), 0.0, 0.0)
+    a, b, dist, _ = _flat_minimize(flat.frame, FIsometry(p.sqrt(), p.inv_sqrt()))
     return a, b, dist
 
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConditioningError, DomainError
+from .errors import ConditioningError, DomainError, RegularityError, raise_first
 
 # Symmetry defect allowed on construction, relative to the matrix norm.
 SYMMETRY_TOL = 1e-12
@@ -281,6 +281,43 @@ def _frobenius(m: np.ndarray) -> np.ndarray:
     """Frobenius norm of each C-contiguous matrix of a stack, bit-equal to
     np.linalg.norm of each matrix."""
     return _norm(m.reshape(m.shape[:-2] + (-1,)))
+
+
+# -- chamber angle and the regularity policy --------------------------------
+
+CHAMBER_MAX = np.pi / 3.0
+ZETA = np.pi / 6.0
+
+# Orthonormal frame of the trace-zero plane used for chamber angles.
+_E1 = np.array([1.0, 0.0, -1.0]) / np.sqrt(2.0)
+_E2 = np.array([1.0, -2.0, 1.0]) / np.sqrt(6.0)
+
+# A segment counts as regular when its chamber angle keeps this distance
+# from both walls; eigenvalue ties below the tie tolerance are rejected.
+REGULARITY_WALL_TOL = 1e-6
+EIGEN_TIE_TOL = 1e-9
+
+
+def _chamber_phi(v: np.ndarray) -> np.ndarray:
+    """Chamber angle of each sorted trace-free triple of a stack, unchecked."""
+    return np.clip(np.arctan2(_dot(v, _E2), _dot(v, _E1)) + ZETA, 0.0, CHAMBER_MAX)
+
+
+def _check_regular(lam: np.ndarray, *more) -> None:
+    """Reject a segment with descending log-eigenvalues ``lam`` that is
+    degenerate, at or too near a wall, or numerically tied; ``more`` adds
+    (failed, error) checks made after these (see ``errors.raise_first``).
+    Leading stack axes of ``lam`` check one segment each."""
+    phi = _chamber_phi(lam)
+    checks = [
+        (_norm(lam) < 1e-12, lambda i: DomainError("segment undefined for coincident points")),
+        (np.minimum(phi, CHAMBER_MAX - phi) < REGULARITY_WALL_TOL,
+         lambda i: RegularityError(f"segment type {phi[i]:.3e} is too close to a wall")),
+        ((lam[..., 0] - lam[..., 1] < EIGEN_TIE_TOL) | (lam[..., 1] - lam[..., 2] < EIGEN_TIE_TOL),
+         lambda i: RegularityError("eigenvalue tie: segment is numerically singular")),
+        *more,
+    ]
+    raise_first(checks)
 
 
 _NEXT = np.array([1, 2, 0])

@@ -305,14 +305,12 @@ def _reference_morse_flat_check(rep, window, theta_prime, caps=(1e-6, 1.0), kind
         flat = flat_from_flags(f_minus, f_plus)
         if flat0 is None:
             flat0 = flat
-        a, b, d, steps = _flat_minimize(flat.frame, origin.mat, origin.matinv,
-                                        origin.lm, origin.lmi, caps[0])
+        a, b, d, steps = _flat_minimize(flat.frame, origin, caps[0])
         dists.append(d)
         next_steps = None
         if n < n_mid - 1:
             nxt = _at_row(n, lambda: fact(to_chart, fact(seq.steps[n], seq.local_mids[n + 1])))
-            a2, b2, _, next_steps = _flat_minimize(flat.frame, nxt.mat, nxt.matinv,
-                                                   nxt.lm, nxt.lmi, caps[1])
+            a2, b2, _, next_steps = _flat_minimize(flat.frame, nxt, caps[1])
             proj_pairs.append(((a, b), (a2, b2)))
         iterations.append((steps, next_steps))
     violations = []

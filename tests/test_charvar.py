@@ -1,4 +1,5 @@
 import warnings
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -177,11 +178,11 @@ def _reference_f2_generators(x_mat, x_inv):
 
 
 def _reference_word_folds(rep):
-    """The four F2 generators as four unstacked ``charvar._fold`` calls
-    over the factored letters, one word at a time, which the stacked
-    position-by-position fold replaced."""
-    return [charvar._fold(rep._letters, _F2_SUBSTITUTION[k], FIsometry.identity(), fcompose)
-            for k in range(4)]
+    """The four F2 generators as four unstacked ``fcompose`` folds of the
+    factored letters' ``charvar._letter_picks``, one word at a time, which
+    the stacked position-by-position fold replaced."""
+    return [reduce(fcompose, charvar._letter_picks(rep._letters, _F2_SUBSTITUTION[k]),
+                   FIsometry.identity()) for k in range(4)]
 
 
 @pytest.mark.parametrize("t", [1.0, 6.0, 16.0, 100.0, 300.0])

@@ -1,9 +1,12 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from modsym import symspace
+from modsym import factored, symspace
 from modsym.charvar import Coordinates, f2_fisometry, rep_from_coords
 from modsym.errors import DomainError, GeometryError, RegularityError
 from modsym.factored import (
@@ -311,3 +314,18 @@ def test_stacked_check_raises_for_the_first_failing_entry():
     with pytest.raises(DomainError, match="coincident points") as info:
         seg_frame(FIsometry.identity(), same)
     assert info.value.row is None
+
+
+@pytest.mark.parametrize("module, later", [(factored, "flats"), (symspace, "factored"),
+                                           (symspace, "flats")])
+def test_module_imports_nothing_later_in_the_chain(module, later):
+    """The modules form one chain, symspace -> factored -> flats: factored
+    reads the regularity policy from symspace, so flats can build on
+    factored, and the explicit kernel stays independent of both."""
+    names = []
+    for node in ast.walk(ast.parse(Path(module.__file__).read_text())):
+        if isinstance(node, ast.ImportFrom):
+            names += [f"{node.module or ''}.{alias.name}" for alias in node.names]
+        elif isinstance(node, ast.Import):
+            names += [alias.name for alias in node.names]
+    assert not [name for name in names if later in name.split(".")]

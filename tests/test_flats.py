@@ -12,6 +12,7 @@ from modsym.errors import (
     RegularityError,
     raise_first,
 )
+from modsym.factored import FIsometry, fdistance
 from modsym.flats import (
     Flag,
     ModelInterval,
@@ -293,11 +294,26 @@ def test_flat_newton_converges_on_random_points():
     flat = flats.Flat(frame=np.eye(3))
     for k in range(400):
         p = random_point(np.random.default_rng(k), 1.5)
-        a, b, d, steps = flats._flat_minimize(flat.frame, p.sqrt(), p.inv_sqrt(), 0.0, 0.0)
+        a, b, d, steps = flats._flat_minimize(flat.frame, FIsometry(p.sqrt(), p.inv_sqrt()))
         assert steps <= 6
         y = flat.point_at(a, b)
         assert np.max(np.abs(np.diag(symspace.log_map(y, p).vec))) <= 1e-6
         assert d == pytest.approx(symspace.distance(p, y), abs=1e-9)
+
+
+def test_flat_minimize_distance_is_fdistance():
+    """The solver's distance is ``factored.fdistance`` from the target to
+    the flat point at (a, b), g diag(e^{a/2}, e^{b/2}, e^{-(a+b)/2}) with
+    its inverse, built as the solver builds it, on random flats."""
+    for k in range(400):
+        rng = np.random.default_rng(k)
+        p = random_point(rng, 1.5)
+        frame = flats.Flat(frame=rng.normal(size=(3, 3))).frame
+        target = FIsometry(p.sqrt(), p.inv_sqrt())
+        a, b, d, _ = flats._flat_minimize(frame, target)
+        half = np.exp([-a / 2.0, -b / 2.0, (a + b) / 2.0])
+        point = FIsometry(frame * (1.0 / half), np.linalg.inv(frame) * half[:, None])
+        assert d == fdistance(point, target), k
 
 
 def _far_projections(count, seed):
@@ -323,6 +339,11 @@ def _far_projections(count, seed):
     return entries
 
 
+def _solve(frame, mat, matinv, lp, lpi, cap):
+    """``_flat_minimize`` on one ``_far_projections`` entry, or a stack of them."""
+    return flats._flat_minimize(frame, FIsometry(mat, matinv, lp, lpi), cap)
+
+
 def _error_outcome(exc):
     return type(exc), str(exc), getattr(exc, "iterations", None), getattr(exc, "grad_norm", None)
 
@@ -345,7 +366,7 @@ def _stacked_projections(entries):
     error it raises with its row."""
     frame, mat, matinv, lp, lpi, cap = (np.array(x) for x in zip(*entries))
     try:
-        out = flats._flat_minimize(frame, mat, matinv, lp, lpi, cap)
+        out = _solve(frame, mat, matinv, lp, lpi, cap)
     except GeometryError as exc:
         return _error_outcome(exc), exc.row
     return [_bits(*entry) for entry in zip(*out)]
@@ -357,13 +378,13 @@ def test_stacked_flat_minimize_equals_unstacked_calls():
     fails raises its unstacked error (message, iterations and gradient),
     even where a later entry fails at an earlier step."""
     entries = _far_projections(60, 21)
-    single = [_projection_outcome(lambda: flats._flat_minimize(*e)) for e in entries]
+    single = [_projection_outcome(lambda: _solve(*e)) for e in entries]
     kinds = {o[1] if isinstance(o[0], type) else "ok" for o in single}
     assert kinds == {"ok", "flat projection stalled",
                      "degenerate relative matrix in flat projection"}
     ok = [e for e, o in zip(entries, single) if not isinstance(o[0], type)]
     assert _stacked_projections(ok) == [o for o in single if not isinstance(o[0], type)]
-    assert [type(x) for x in flats._flat_minimize(*ok[0])] == [float, float, float, int]
+    assert [type(x) for x in _solve(*ok[0])] == [float, float, float, int]
     rng = np.random.default_rng(4)
     for _ in range(40):
         pick = rng.choice(len(entries), size=7, replace=False)
@@ -378,22 +399,18 @@ def test_stacked_flat_minimize_equals_unstacked_calls():
     assert _stacked_projections([entries[k] for k in (late, early)]) == (single[late], 0)
 
 
-def test_flat_minimize_stack_axes_broadcast():
-    """Two stack axes, one frame for every entry and per-entry caps: each
-    entry is its unstacked call."""
-    entries = _far_projections(12, 5)
-    frame = entries[0][0]
-    shared = [(e[1:], _projection_outcome(lambda: flats._flat_minimize(frame, *e[1:])))
-              for e in entries]
-    ok = [(e, o) for e, o in shared if not isinstance(o[0], type)][:6]
-    mat, matinv, lp, lpi, cap = (np.array(x) for x in zip(*(e for e, _ in ok)))
-    a, b, d, steps = flats._flat_minimize(frame, mat.reshape(2, 3, 3, 3),
-                                          matinv.reshape(2, 3, 3, 3), lp.reshape(2, 3),
-                                          lpi.reshape(2, 3), cap.reshape(2, 3))
-    assert a.shape == b.shape == d.shape == steps.shape == (2, 3)
-    got = [_bits(*x) for x in zip(a.ravel(), b.ravel(), d.ravel(), steps.ravel())]
-    assert got == [o for _, o in ok]
-    assert sorted(set(cap.tolist())) == [1e-6, 1.0]
+def test_flat_minimize_range_check_raises_with_its_row():
+    """A target whose relative factor product degenerates fails
+    ``factored._rescaled``'s check at once, with ``row`` its stack index,
+    or None unstacked."""
+    frame, mat, matinv, lp, lpi, cap = (np.array(x) for x in zip(*_far_projections(3, 5)))
+    mat[4] = 0.0
+    with pytest.raises(DomainError, match="degenerate factor matrix") as info:
+        _solve(frame, mat, matinv, lp, lpi, cap)
+    assert info.value.row == 4
+    with pytest.raises(DomainError, match="degenerate factor matrix") as info:
+        _solve(*(x[4] for x in (frame, mat, matinv, lp, lpi, cap)))
+    assert info.value.row is None
 
 
 def _flag_pairs(count, seed):
