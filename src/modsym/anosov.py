@@ -152,17 +152,30 @@ def _local_midpoints(x: FIsometry, steps: FIsometry):
 
 
 def midpoint_sequence(rep: Representation, window: Sequence[F2Word]) -> MidpointSequence:
+    """The midpoint sequence of the orbit of ``rep.fx`` along the window,
+    with the steps between consecutive words, their local midpoints and
+    the equidistance defect max |d(m, x) - d(m, step x)| / max(1, d(m, x)).
+
+    The representation memoizes the last window built on it, as the
+    read-only stacks and the defect, with no reference back to itself: a
+    repeat call on the same words (``morse_flat_check`` after its caller
+    built the sequence) wraps that entry in a new MidpointSequence.  A
+    window whose sequence raises leaves the entry as it was.
+    """
     words = tuple(window)
     if len(words) < 3:
         raise ValueError("geodesic window must contain at least 3 words")
+    if rep._last_window is not None and rep._last_window[0] == words:
+        return MidpointSequence(rep, *rep._last_window)
     step_words = [f2_mul(f2_inverse(w_prev), w_next) for w_prev, w_next in zip(words, words[1:])]
     n = len(step_words)
     steps = _row_major(lambda k: f2_fisometries(rep, step_words[:k]), n)
     mids, dp, dq = _row_major(lambda k: _local_midpoints(rep.fx, steps[:k]), n)
-    return MidpointSequence(
-        rep=rep, words=words, steps=steps, local_mids=mids,
-        equidistance_defect=max([0.0, *(np.abs(dp - dq) / np.fmax(1.0, dp)).tolist()]),
-    )
+    for a in (steps.lm, steps.lmi, mids.lm, mids.lmi):
+        a.flags.writeable = False
+    rep._last_window = (words, steps, mids,
+                   max([0.0, *(np.abs(dp - dq) / np.fmax(1.0, dp)).tolist()]))
+    return MidpointSequence(rep, *rep._last_window)
 
 
 @dataclass(frozen=True)

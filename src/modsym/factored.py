@@ -85,7 +85,8 @@ class FIsometry:
 
     @classmethod
     def identity(cls) -> "FIsometry":
-        return cls.from_pair(np.eye(3), np.eye(3))
+        """The identity, one shared read-only instance."""
+        return _IDENTITY
 
     @classmethod
     def from_point(cls, p: Point) -> "FIsometry":
@@ -95,6 +96,9 @@ class FIsometry:
         """The image of the identity as an explicit Point; only valid at
         moderate scales."""
         return Point((self.mat @ self.mat.T) * np.exp(2.0 * self.lm))
+
+
+_IDENTITY = FIsometry.from_pair(np.eye(3), np.eye(3))
 
 
 def fstack(isometries, axis: int = 0) -> FIsometry:

@@ -403,6 +403,10 @@ def _flat_minimize(frame, target: FIsometry, noise_cap=1e-6):
     G(a, b) = D^{-1/2} g^{-1} F of the flat point
     g D^{1/2}, D = diag(e^a, e^b, e^{-a-b}), and the target, whose
     relative log-eigenvalues ``factored._lambdas`` reads by duality.
+    ``frame`` must have determinant one, as the frames of ``Flat`` and
+    ``_flat_frames`` have: duality takes the middle log-eigenvalue from
+    a zero sum, which holds only then, and with another determinant the
+    steps stall (``ConvergenceError``) on most targets.  Nothing checks it.
     Undamped Newton steps: with G G^T = U diag(e^l) U^T and
     E~_k = U^T E_k U for E_a = diag(1, 0, -1), E_b = diag(0, 1, -1), the
     curvature R(X,Y)Z = -[[X,Y],Z]/4 gives the Hessian

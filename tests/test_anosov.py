@@ -75,6 +75,8 @@ from modsym.modgroup import (
 )
 from modsym.symspace import matrix_angle, rotation
 
+import mp_matrix_route as route
+
 THETA_INTERVAL = ModelInterval.symmetric(np.pi / 8)
 
 
@@ -1212,10 +1214,10 @@ def _mp_peripheral_slope(c: Coordinates, dps: int) -> float:
     """log |mu_1 / mu_3| of the eigenvalues of rho(baba), from a dps-digit
     matrix."""
     with mpmath.workdps(dps):
-        x, xinv = highprec._x_pair(c.s, c.t, c.theta)
-        rot = highprec._rotation(2 * mpmath.pi / 3)
+        x, xinv = route.x_pair(c.s, c.t, c.theta)
+        rot = route.rotation(2 * mpmath.pi / 3)
         eigs = sorted(abs(e) for e in mpmath.eig(
-            highprec._word_matrix(BABA, x, xinv, rot, rot.T))[0])
+            route.word_matrix(BABA, x, xinv, rot, rot.T))[0])
         return float(mpmath.log(eigs[2] / eigs[0]))
 
 
@@ -1448,6 +1450,56 @@ def test_peripheral_powers_errors_match_unstacked_loop(p, pinv, message):
         _reference_peripheral_powers(p, 0.0, pinv, 0.0, 8)
     assert str(got.value) == str(want.value)
     assert got.value.row is None and want.value.row is None
+
+
+def _count_sequences(monkeypatch):
+    """The number of midpoint sequences formed since the call, as a list
+    whose length grows by one with each."""
+    calls = []
+    local = anosov._local_midpoints
+    monkeypatch.setattr(anosov, "_local_midpoints",
+                        lambda *args: calls.append(args) or local(*args))
+    return calls
+
+
+def test_morse_reuses_the_callers_midpoint_sequence(monkeypatch):
+    """Morse after midpoint_sequence on the same representation and window
+    forms no second sequence, and reports what it reports on a fresh
+    representation; another window forms its own."""
+    point, window = (1.0, 4.0, 0.5), random_f2_geodesic(10, seed=0)
+    fresh = _morse_outcome(
+        lambda: morse_flat_check(rep_from_coords(Coordinates(*point)), window, THETA_INTERVAL))
+    rep = rep_from_coords(Coordinates(*point))
+    calls = _count_sequences(monkeypatch)
+    seq = midpoint_sequence(rep, window)
+    assert len(calls) == 1
+    assert _morse_outcome(lambda: morse_flat_check(rep, window, THETA_INTERVAL)) == fresh
+    assert len(calls) == 1
+    again = midpoint_sequence(rep, window)
+    assert again is not seq and again.steps is seq.steps and again.rep is rep
+    other = midpoint_sequence(rep, random_f2_geodesic(10, seed=1))
+    assert len(calls) == 2 and other.words != seq.words
+
+
+def test_raising_window_is_not_memoized(monkeypatch):
+    """A window whose sequence raises leaves the last good one memoized,
+    and raises the same error, at the same row, when asked again."""
+    rep = rep_from_coords(Coordinates(1.0, 4.0, 0.5))
+    good = random_f2_geodesic(10, seed=0)
+    # equal neighbours: step 1 is the identity, its midpoint coincides with x
+    bad = [F2Word(()), F2Word((0,)), F2Word((0,)), F2Word((0, 0))]
+    midpoint_sequence(rep, good)
+    calls = _count_sequences(monkeypatch)
+    errors = []
+    for _ in range(2):
+        with pytest.raises(DomainError, match="coincident points") as exc:
+            midpoint_sequence(rep, bad)
+        errors.append((str(exc.value), exc.value.row))
+    assert errors == [("segment undefined for coincident points", 1)] * 2
+    ran = len(calls)
+    assert ran >= 2
+    midpoint_sequence(rep, good)
+    assert len(calls) == ran
 
 
 def test_morse_flat_check_far_point():

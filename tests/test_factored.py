@@ -136,6 +136,14 @@ def test_fact_is_fcompose():
     assert fact is fcompose
 
 
+def test_identity_is_one_shared_read_only_instance():
+    identity = FIsometry.identity()
+    assert FIsometry.identity() is identity
+    assert _bits(identity) == _bits(FIsometry.from_pair(np.eye(3), np.eye(3)))
+    assert type(identity.lm) is float and type(identity.lmi) is float
+    assert not identity.mat.flags.writeable and not identity.matinv.flags.writeable
+
+
 def test_chart_by_the_inverse_is_the_chart_point_formula(rand_point):
     rep = rep_from_coords(Coordinates(1.0, 6.0, 0.5))
     far = [fact(f2_fisometry(rep, f2_from_string(w)), rep.fx) for w in ("x", "xyX")]

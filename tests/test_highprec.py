@@ -8,6 +8,8 @@ from modsym.errors import DegenerateTriangleError, DomainError
 from modsym.flats import ModelInterval
 from modsym.modgroup import f2_inverse, f2_mul, f2_to_mod, random_f2_geodesic
 
+import mp_matrix_route as route
+
 
 def test_cross_validates_fast_path_moderate():
     words = random_f2_geodesic(8, seed=2)
@@ -109,31 +111,31 @@ def test_straightness_stats_pinned(t, seed, expected):
 
 # -- reference for straightness_stats: the per-vertex loop it replaced,
 # which forms every step, midpoint and segment frame anew at each position
-# of the window.
+# of the window, on mp.matrix with mp.eigsy.
 
 
 def _reference_straightness_stats(s, t, theta, window):
     with mp.workdps(highprec.default_dps(s, t)):
-        x, xinv = highprec._x_pair(s, t, theta)
-        rot = highprec._rotation(2 * mp.pi / 3)
+        x, xinv = route.x_pair(s, t, theta)
+        rot = route.rotation(2 * mp.pi / 3)
 
         def rho(w):
-            return highprec._word_matrix(f2_to_mod(w), x, xinv, rot, rot.T)
+            return route.word_matrix(f2_to_mod(w), x, xinv, rot, rot.T)
 
         steps = [None]
         for w_prev, w_next in zip(window, window[1:]):
             steps.append(rho(f2_mul(f2_inverse(w_prev), w_next)))
         half = mp.mpf(0.5)
-        xis, xs = highprec._spd_pows(x, -half, half)
+        xis, xs = route.spd_pows(x, -half, half)
         mids = [None]
         for k in range(1, len(window)):
-            (root,) = highprec._spd_pows(xis * (steps[k] * x * steps[k].T) * xis, half)
+            (root,) = route.spd_pows(xis * (steps[k] * x * steps[k].T) * xis, half)
             mids.append(xs * root * xs)
 
         n_mid = len(window) - 1
-        pis = [None] + [highprec._spd_pows(m, -half)[0] for m in mids[1:n_mid]]
+        pis = [None] + [route.spd_pows(m, -half)[0] for m in mids[1:n_mid]]
         forward = [
-            highprec._rel_frame(pis[n + 1], steps[n + 1] * mids[n + 2] * steps[n + 1].T)
+            route.rel_frame(pis[n + 1], steps[n + 1] * mids[n + 2] * steps[n + 1].T)
             for n in range(n_mid - 1)
         ]
         spacings = [float(mp.sqrt(sum(v**2 for v in lam))) for lam, _ in forward]
@@ -141,9 +143,8 @@ def _reference_straightness_stats(s, t, theta, window):
         deficits = []
         for n in range(1, n_mid - 1):
             inv_step = steps[n] ** -1
-            _, back = highprec._rel_frame(pis[n + 1], inv_step * mids[n] * inv_step.T)
-            ang = highprec._angle_between(highprec._zeta_dir(back),
-                                          highprec._zeta_dir(forward[n][1]))
+            _, back = route.rel_frame(pis[n + 1], inv_step * mids[n] * inv_step.T)
+            ang = route.angle_between(route.zeta_dir(back), route.zeta_dir(forward[n][1]))
             deficits.append(float(mp.pi - ang))
     return {"deficits": deficits, "spacings": spacings, "types": types}
 
@@ -179,14 +180,81 @@ def test_eigsy_once_per_step_and_step_pair(monkeypatch, window):
     expected = (1 + len(set(steps)) + len(set(steps[:-1]))
                 + len(set(pairs)) + len(set(pairs[:-1])))
     calls = []
-    eigsy = mp.eigsy
-    monkeypatch.setattr(mp, "eigsy", lambda *args: calls.append(args) or eigsy(*args))
+    decompose = highprec._sym_eig_desc
+    monkeypatch.setattr(highprec, "_sym_eig_desc",
+                        lambda m: calls.append(m) or decompose(m))
     highprec.straightness_stats(1.0, 4.0, 0.5, window)
     count = len(calls)
     assert count == expected
     if all(len(w) == 1 for w in steps):
         # 4 letters, 12 reduced letter pairs
         assert count <= 33
+
+
+def _bits(values):
+    return [v._mpf_ for v in values]
+
+
+def _random_spd(rng, grades):
+    """a diag(e^grades) a^T for a random a, as nested lists of mpf."""
+    a = mp.matrix(rng.standard_normal((3, 3)).tolist())
+    m = a * mp.diag([mp.e ** g for g in grades]) * a.T
+    return m.tolist()
+
+
+def _test_matrices(rng):
+    return {
+        "random": _random_spd(rng, [0, 0, 0]),
+        "graded": _random_spd(rng, [40, 0, -40]),
+        # tred2 finds a zero scale in every column and reduces nothing
+        "diagonal": mp.diag([3, 1, 2]).tolist(),
+        "identity": mp.eye(3).tolist(),
+        "repeated": mp.diag([2, 2, 1]).tolist(),
+    }
+
+
+@pytest.mark.parametrize("dps", [30, 100, 200])
+def test_decomposition_matches_eigsy_bit_for_bit(dps):
+    rng = np.random.default_rng(dps)
+    with mp.workdps(dps):
+        for name, m in _test_matrices(rng).items():
+            vals, q = highprec._sym_eig_desc(m)
+            ref_vals, ref_q = route.sym_eig_desc(mp.matrix(m))
+            assert _bits(vals) == _bits(ref_vals), name
+            assert [_bits(row) for row in q] == [_bits(row) for row in ref_q.tolist()], name
+
+
+def test_triangle_angle_matches_matrix_route():
+    s, t, theta = 0.5, 2.0, 0.7
+    with mp.workdps(highprec.default_dps(s, t)):
+        x, _ = route.x_pair(s, t, theta)
+        rot = route.rotation(2 * mp.pi / 3)
+        y = rot * x * rot.T
+        (xis,) = route.spd_pows(x, mp.mpf(-0.5))
+        (lam_y, uy), (lam_z, uz) = route.rel_frame(xis, y), route.rel_frame(xis, rot * y * rot.T)
+        vy, vz = uy * mp.diag(lam_y) * uy.T, uz * mp.diag(lam_z) * uz.T
+        entries = [(i, j) for i in range(3) for j in range(3)]
+        ny = mp.sqrt(sum(vy[k] ** 2 for k in entries))
+        nz = mp.sqrt(sum(vz[k] ** 2 for k in entries))
+        c = sum(vy[k] * vz[k] for k in entries) / (ny * nz)
+        angle = float(mp.acos(max(min(c, mp.mpf(1)), mp.mpf(-1))))
+    assert highprec.triangle_angle(s, t, theta) == angle
+
+
+def test_no_mp_matrix_product_or_eigsy(monkeypatch):
+    """The oracle forms its products with mp.fdot on lists, and meets
+    mp.matrix only inside mp.inverse."""
+    calls = []
+    matrix = type(mp.matrix(1, 1))
+    for name in ("__mul__", "__rmul__", "__add__"):
+        method = getattr(matrix, name)
+        monkeypatch.setattr(matrix, name,
+                            lambda *args, name=name, method=method: calls.append(name)
+                            or method(*args))
+    monkeypatch.setattr(mp, "eigsy", lambda *args: calls.append("eigsy"))
+    highprec.straightness_stats(1.0, 4.0, 0.5, random_f2_geodesic(10, 0))
+    highprec.triangle_angle(0.5, 2.0, 0.7)
+    assert calls == []
 
 
 @pytest.mark.parametrize("n_words", [2, 3])

@@ -14,12 +14,14 @@ from modsym import anosov, charvar, highprec
 from modsym.charvar import BABA, Coordinates, matrix_of, rep_from_coords
 from modsym.modgroup import f2_from_string, normalize
 
+import mp_matrix_route as route
+
 
 def mp_trace_baba(s, t, theta, dps=60):
     with mp.workdps(dps):
-        x, xinv = highprec._x_pair(s, t, theta)
-        rot = highprec._rotation(2 * mp.pi / 3)
-        m = highprec._word_matrix(normalize("baba"), x, xinv, rot, rot.T)
+        x, xinv = route.x_pair(s, t, theta)
+        rot = route.rotation(2 * mp.pi / 3)
+        m = route.word_matrix(normalize("baba"), x, xinv, rot, rot.T)
         return m[0, 0] + m[1, 1] + m[2, 2]
 
 
