@@ -70,19 +70,21 @@ def _halfangle_blocks(s, t, alpha, dtype):
     """Closed-form pieces of x = S W S: S = exp(t p1) diagonal and
     W = exp(2 s R_alpha f1 R_{-alpha}) by the rank-two power identity.
 
-    Broadcasts over coordinate arrays (a scalar is shape ()): S, S^{-1}
-    and ``expw(factor)`` are (..., 3, 3) stacks, each entry computed by
-    the same operations, in the same order, as for one point.
+    Broadcasts over coordinate arrays (a scalar is shape ()), each factor
+    on the axes of the coordinate it depends on: S and S^{-1} are
+    (..., 3, 3) stacks on t's shape, ``expw(factor)`` on the broadcast
+    shape of s and alpha.  Each entry is computed by the same operations,
+    in the same order, as for one point, so on an open grid
+    (``np.ix_``) every transcendental runs once per axis value.
     """
     s, t, alpha = dtype(s), dtype(t), dtype(alpha)
-    blocks = np.broadcast(s, t, alpha).shape + (3, 3)
     one = dtype(1.0)
-    S = np.zeros(blocks, dtype=dtype)
-    Si = np.zeros(blocks, dtype=dtype)
+    S = np.zeros(t.shape + (3, 3), dtype=dtype)
+    Si = np.zeros(t.shape + (3, 3), dtype=dtype)
     S[..., 0, 0] = Si[..., 0, 0] = one
     S[..., 1, 1] = Si[..., 2, 2] = np.exp(t / 2)
     S[..., 2, 2] = Si[..., 1, 1] = np.exp(-t / 2)
-    wt = np.zeros(blocks, dtype=dtype)
+    wt = np.zeros(alpha.shape + (3, 3), dtype=dtype)
     wt[..., 0, 1] = wt[..., 1, 0] = np.cos(alpha)
     wt[..., 0, 2] = wt[..., 2, 0] = np.sin(alpha)
     wt2 = wt @ wt

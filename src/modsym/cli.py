@@ -95,7 +95,11 @@ def _emit_table(columns, rows, config, fmt, out, footer="") -> None:
 def _emit(lines: list[str], out_path: str | None) -> None:
     text = "\n".join(lines) + "\n"
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
+        try:
+            fh = open(out_path, "w", encoding="utf-8")
+        except OSError as exc:
+            raise SystemExit(f"bad output path {out_path!r}: {exc.strerror or exc}") from exc
+        with fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -135,12 +139,17 @@ def _grid_points(axes: list[np.ndarray]) -> np.ndarray:
     return np.column_stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")])
 
 
+def _coordinate_axes(spec: str) -> list[np.ndarray]:
+    """The axes (s, t, theta) of a coordinate grid."""
+    axes = _parse_grid(spec, 3)
+    if (axes[0] < 0).any() or (axes[1] < 0).any():
+        raise SystemExit(f"bad grid {spec!r}; s and t must be >= 0")
+    return axes
+
+
 def _coordinate_grid(spec: str) -> np.ndarray:
     """Points (s, t, theta) of a coordinate grid, one per row."""
-    points = _grid_points(_parse_grid(spec, 3))
-    if (points[:, :2] < 0).any():
-        raise SystemExit(f"bad grid {spec!r}; s and t must be >= 0")
-    return points
+    return _grid_points(_coordinate_axes(spec))
 
 
 def _workers(jobs: int, tasks: int) -> int:
@@ -159,39 +168,58 @@ def _map_rows(fn, rows, jobs: int):
         return list(pool.map(fn, rows))
 
 
-# Grid commands evaluate at most this many points per batch, which bounds
+# Grid commands evaluate at most this many points per block, which bounds
 # the memory of the batched arrays at any grid size.
 _BLOCK_POINTS = 2048
 
 
-def _map_blocks(fn, points: np.ndarray, jobs: int) -> list:
-    """The rows ``fn`` makes of contiguous blocks of ``points`` (one point
-    per row), in order; there are at least as many blocks as workers."""
-    n_blocks = max(_workers(jobs, len(points)), -(-len(points) // _BLOCK_POINTS))
-    blocks = np.array_split(points, n_blocks)
-    return [row for rows in _map_rows(fn, blocks, jobs) for row in rows]
+def _grid_blocks(axes: list[np.ndarray], jobs: int) -> list[list[np.ndarray]]:
+    """The grid of ``axes`` cut into hyper-rectangles, each given by its
+    axis runs: one value of every axis before a split axis, a run of the
+    split axis, and all of every axis after it.  In order, their points
+    are the grid's in C order.  Each holds at most ``_BLOCK_POINTS``
+    points, and there are at least as many as ``jobs`` starts workers:
+    the split axis is the first one that allows both."""
+    sizes = [len(a) for a in axes]
+    workers = _workers(jobs, math.prod(sizes))
+    for k, size in enumerate(sizes):
+        lead, trail = math.prod(sizes[:k]), math.prod(sizes[k + 1:])
+        # the last axis always allows both: trail is 1, lead * size every point
+        if trail <= _BLOCK_POINTS and lead * size >= workers:
+            break
+    runs = max(-(-size // (_BLOCK_POINTS // trail)), -(-workers // lead))
+    return [[*(a[i:i + 1] for a, i in zip(axes, index)), run, *axes[k + 1:]]
+            for index in np.ndindex(*sizes[:k]) for run in np.array_split(axes[k], runs)]
 
 
-def _trace_block(points: np.ndarray) -> list:
-    """Trace-table rows for a block of points (s, t, theta), evaluated as
-    one batch.  A trace past the float64 range reads inf or nan, and the
-    summary line counts the rows whose residual is not finite."""
-    s, t, theta = points.T
+def _map_grid(fn, axes: list[np.ndarray], jobs: int) -> list:
+    """The rows ``fn`` makes of the ``_grid_blocks`` of ``axes``, in order."""
+    return [row for rows in _map_rows(fn, _grid_blocks(axes, jobs), jobs) for row in rows]
+
+
+def _trace_block(axes: list[np.ndarray]) -> list:
+    """Trace-table rows for a block given by its axis runs (s, t, theta),
+    evaluated as one open grid: each term that depends on one coordinate
+    is computed once per value of its axis.  A trace past the float64
+    range reads inf or nan, and the summary line counts the rows whose
+    residual is not finite."""
+    s, t, theta = np.ix_(*axes)
     theta = np.remainder(theta, np.pi)  # as Coordinates reduces it
     with np.errstate(over="ignore", invalid="ignore"):
         numeric = np.trace(charvar.matrices_at(s, t, theta, charvar.BABA),
-                           axis1=-2, axis2=-1).astype(float)
-        closed = charvar.trace_baba_closed_form(s=s, t=t, theta=theta).astype(float)
-        return np.column_stack([points, numeric, closed, np.abs(numeric - closed)]).tolist()
+                           axis1=-2, axis2=-1).astype(float).ravel()
+        closed = charvar.trace_baba_closed_form(s=s, t=t, theta=theta).astype(float).ravel()
+        return np.column_stack([_grid_points(axes), numeric, closed,
+                                np.abs(numeric - closed)]).tolist()
 
 
 def cmd_trace_table(args) -> int:
     if args.coords:
         c = _parse_coords(args.coords)
-        points = np.array([[c.s, c.t, c.theta]])
+        axes = [np.array([v]) for v in (c.s, c.t, c.theta)]
     else:
-        points = _coordinate_grid(args.grid)
-    results = _map_blocks(_trace_block, points, args.jobs)
+        axes = _coordinate_axes(args.grid)
+    results = _map_grid(_trace_block, axes, args.jobs)
     config = {"cmd": "trace-table", "grid": args.coords or args.grid}
     columns = ("s", "t", "theta", "tr_baba_numeric", "tr_baba_closed", "residual")
     _emit_table(columns, results, config, args.format, args.out)
@@ -205,31 +233,32 @@ def cmd_trace_table(args) -> int:
 # -- surface -----------------------------------------------------------------
 
 
-def _surface_block(points: np.ndarray) -> list:
+def _surface_block(axes: list[np.ndarray]) -> list:
     """Rows (s, theta, t, residual, status) along the tr = -1 surface for a
-    block of points (s, theta).  A row is ``ok`` only when t and the
-    residual are finite and the residual is within ``charvar.SURFACE_TOL``;
-    otherwise its status says why not."""
-    s, theta = points.T
+    block given by its axis runs (s, theta), evaluated as one open grid.
+    A row is ``ok`` only when t and the residual are finite and the
+    residual is within ``charvar.SURFACE_TOL``; otherwise its status says
+    why not."""
+    s, theta = np.ix_(*axes)
     tol = charvar.SURFACE_TOL
     with np.errstate(over="ignore", invalid="ignore"):
         t = charvar.schwartz_t(s, theta)
         closed = charvar.trace_baba_closed_form(s=s, t=t, theta=theta)
-        t = t.astype(float)
-        residual = np.abs(closed.astype(float) + 1.0)
+        t = t.astype(float).ravel()
+        residual = np.abs(closed.astype(float) + 1.0).ravel()
     reasons = ("ok", "error:t is not finite", "error:residual is not finite",
                f"error:residual above SURFACE_TOL {tol:g}")
     codes = np.select([~np.isfinite(t), ~np.isfinite(residual), residual > tol],
                       [1, 2, 3], default=0)
     status = [reasons[k] for k in codes.tolist()]
-    return list(zip(s.tolist(), theta.tolist(), t.tolist(), residual.tolist(), status))
+    return list(zip(*_grid_points(axes).T.tolist(), t.tolist(), residual.tolist(), status))
 
 
 def cmd_surface(args) -> int:
     axes = [_parse_axis(args.s_grid), _parse_axis(args.theta_grid)]
     if (axes[0] < 0).any():
         raise SystemExit(f"bad grid {args.s_grid!r}; s must be >= 0")
-    rows = _map_blocks(_surface_block, _grid_points(axes), 1)
+    rows = _map_grid(_surface_block, axes, 1)
     config = {"cmd": "surface", "s_grid": args.s_grid, "theta_grid": args.theta_grid}
     columns = ("s", "theta", "t", "residual", "status")
     _emit_table(columns, rows, config, args.format, args.out)

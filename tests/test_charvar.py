@@ -500,6 +500,40 @@ def test_closed_forms_broadcast_elementwise():
         assert surf[k] == schwartz_t(s[k], theta[k])
 
 
+def test_halfangle_blocks_keep_each_factor_on_its_axes():
+    s, t, alpha = np.ix_([0.0, 1.0], [0.0, 2.0, 3.0], [0.0, 0.5, 1.0, 2.0])
+    S, Si, expw = charvar._halfangle_blocks(s, t, alpha, np.longdouble)
+    assert S.shape == Si.shape == (1, 3, 1, 3, 3)
+    assert expw(2.0).shape == expw(-2.0).shape == (2, 1, 4, 3, 3)
+
+
+def _same_values(a, b):
+    """Equal by value, with NaN in the same places: the padding bytes of
+    longdouble are undefined, so bytes are not compared."""
+    assert a.dtype == b.dtype and a.shape == b.shape
+    assert np.array_equal(np.isnan(a), np.isnan(b))
+    assert np.array_equal(a, b, equal_nan=True)
+
+
+def test_open_grid_equals_the_dense_grid():
+    """Evaluated on an open grid, each term depends on one axis, and every
+    entry matches the dense evaluation, inf and NaN included."""
+    axes = ([0.0, -0.0, 0.7, 6000.0], [0.0, -0.0, 1.3, 6000.0], [0.0, -0.0, np.pi, 4.2])
+    open_grid = np.ix_(*(np.array(a) for a in axes))
+    dense = np.meshgrid(*axes, indexing="ij")
+    with np.errstate(all="ignore"):
+        mats = charvar.matrices_at(*open_grid, BABA)
+        _same_values(mats, charvar.matrices_at(*dense, BABA))
+        closed = trace_baba_closed_form(s=open_grid[0], t=open_grid[1], theta=open_grid[2])
+        _same_values(closed, trace_baba_closed_form(s=dense[0], t=dense[1], theta=dense[2]))
+        s, theta = np.ix_(np.array(axes[0]), np.array(axes[2]))
+        dense_s, dense_theta = np.meshgrid(axes[0], axes[2], indexing="ij")
+        surf = schwartz_t(s, theta)
+        _same_values(surf, schwartz_t(dense_s, dense_theta))
+    assert np.isnan(mats).any() and np.isinf(mats).any()
+    assert np.isnan(closed).any() and np.isinf(closed).any() and np.isnan(surf).any()
+
+
 def test_float64_overflow_raises_domain_error():
     """At t=400 the extended-precision matrices pass the float64 range:
     the float copies must raise, not return -inf or reach LAPACK."""

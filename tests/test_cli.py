@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -711,6 +712,82 @@ def test_jobs_starts_at_most_one_worker_per_task_and_cpu(monkeypatch, capsys):
     assert run_cli(["trace-table", "--jobs", "500"]) == 0
     assert started[3:] == [4] and mapped[3:] == [4]
     assert capsys.readouterr().out.count("\n") == 127
+
+
+@pytest.mark.parametrize("shape, workers, block_points, n_blocks", [
+    ((1, 1, 1), 1, 2048, 1),
+    ((5, 5, 5), 4, 2048, 4),
+    ((3, 4, 4), 1, 7, 12),
+    ((3, 4, 4), 4, 7, 12),
+    ((1, 1, 5000), 1, 2048, 3),
+    ((1, 1, 5000), 4, 2048, 4),
+    ((100, 100), 1, 2048, 5),
+    ((1, 2), 4, 2048, 2),
+])
+def test_grid_blocks_cut_the_grid_in_order(shape, workers, block_points, n_blocks,
+                                           monkeypatch):
+    """The blocks are hyper-rectangles (single values of the axes before
+    the split axis, whole axes after it) whose points, in order, are the
+    grid's in C order; each holds at most _BLOCK_POINTS points, and there
+    are at least as many as workers."""
+    monkeypatch.setattr(cli, "_BLOCK_POINTS", block_points)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: workers)
+    axes = [np.linspace(k, k + 1, n) for k, n in enumerate(shape)]
+    blocks = cli._grid_blocks(axes, jobs=500)
+    assert len(blocks) == n_blocks >= min(workers, np.prod(shape))
+    points = np.concatenate([cli._grid_points(block) for block in blocks])
+    assert np.array_equal(points, cli._grid_points(axes))
+    for block in blocks:
+        assert np.prod([len(run) for run in block]) <= block_points
+        assert any(all(len(run) == 1 for run in block[:k])
+                   and all(run is axis for run, axis in zip(block[k + 1:], axes[k + 1:]))
+                   for k in range(len(axes)))
+
+
+@pytest.mark.parametrize("grid, block_points", [
+    ("0:2:2,0:3:5,0:3.1:3", 7),  # blocks split inside the t axis
+    ("0:2:2,0:3:2,0:4.2:9", 4),  # and inside the theta axis
+])
+def test_trace_table_split_blocks_keep_the_bytes(grid, block_points, tmp_path,
+                                                 monkeypatch):
+    whole = tmp_path / "whole.csv"
+    run_cli(["trace-table", "--grid", grid, "--out", str(whole)])
+    monkeypatch.setattr(cli, "_BLOCK_POINTS", block_points)
+    assert len(cli._grid_blocks(cli._coordinate_axes(grid), 2)) > 2
+    for jobs in ("1", "2"):
+        split = tmp_path / f"split{jobs}.csv"
+        run_cli(["trace-table", "--grid", grid, "--jobs", jobs, "--out", str(split)])
+        assert split.read_bytes() == whole.read_bytes()
+
+
+_SCAN_POINT = ["anosov-scan", "--grid", "1:1:1,2:2:1,0.5:0.5:1", "--max-len", "3",
+               "--samples", "10"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["trace-table", "--coords", "0.3,2.1,4.5"],
+    ["surface", "--s-grid", "1:1:1", "--theta-grid", "0.5:0.5:1"],
+    _SCAN_POINT,
+    ["rep-info", "--coords", "1,4,0.5"],
+])
+@pytest.mark.parametrize("where", ["directory", "missing"])
+def test_bad_output_path_ends_with_a_message(argv, where, tmp_path, capsys):
+    path = tmp_path if where == "directory" else tmp_path / "missing" / "out.csv"
+    with pytest.raises(SystemExit, match=f"^bad output path {re.escape(repr(str(path)))}: "):
+        run_cli(argv + ["--out", str(path)])
+    assert capsys.readouterr().out == ""
+
+
+def test_bad_gap_table_and_summary_paths_end_with_a_message(tmp_path, capsys):
+    with pytest.raises(SystemExit, match=f"^bad output path {re.escape(repr(str(tmp_path)))}: "):
+        run_cli(_SCAN_POINT + ["--gap-table", str(tmp_path)])
+    out = tmp_path / "scan.csv"
+    summary = tmp_path / "scan.csv.summary.json"
+    summary.mkdir()
+    with pytest.raises(SystemExit, match=f"^bad output path {re.escape(repr(str(summary)))}: "):
+        run_cli(_SCAN_POINT + ["--out", str(out)])
+    assert out.exists()
+    assert capsys.readouterr().out == ""
 
 
 @pytest.mark.parametrize("option, message", [

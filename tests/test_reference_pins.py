@@ -3,7 +3,8 @@
 extended-precision word matrices (``charvar.matrix_of``).  The digests
 were recorded before the kernel decomposed each relative segment once
 and before a representation kept its extended-precision letter table,
-so they show that neither change moved a bit."""
+so they show that neither change moved a bit.  The grid commands are
+pinned by the bytes they write."""
 
 import hashlib
 
@@ -105,3 +106,38 @@ def test_rep_info_word_is_pinned(coords, capsys):
     assert cli.main(["rep-info", "--coords", coords, "--word", "baBa"]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == REP_INFO_SHA256[coords]
+
+
+# sha256 of stdout plus stderr of the grid commands, recorded before they
+# evaluated each block as an open grid.  The grids cover theta >= pi
+# (reduced for the computation, printed as given), -0.0 axes, traces that
+# overflow to inf and nan, surface rows flagged "error:" past s of about
+# 6.2 and rows whose t or residual is not finite.
+GRID_SHA256 = {
+    "trace-table": "5f522a72b514d66b6ab1f04d56f07e3128ae1e90ee3b482bd16093ebb5bed978",
+    "trace-table --grid 0:3:20,0:3:20,0:3.1:20":
+        "2729850ca8a978a02bd6621bd61233ed47ccf69c579bfd2efc0dadc8959e609c",
+    "trace-table --grid 0:2.5:3,0:3:4,0:4.2:4":
+        "c162b8f1198a02ceb95b9ab6a8be2e89e91667ee49b20f7d4c24024dd0de26ef",
+    "trace-table --grid=-0:1:3,-0:2:3,-0:7:4":
+        "85640e00d3091d85e64188876cda15e11518e0892af923543fd9fcd9b8774296",
+    "trace-table --grid 0:9000:7,0:12000:5,0:6:3":
+        "70effe48f17d1b91d5cee6a95aa3ec1cc723bae91bc9af031a0be8319ebb443d",
+    "trace-table --coords 0.3,2.1,4.5":
+        "acfc7ea3befaa53313b40dd1495d47f642b7eeed207948cb4bb40c25e26dfaeb",
+    "trace-table --format json": "2f40d31b0ade72f9bd8bfa4a47e0a684905a09ced5905ec4ac45cdb3725c762a",
+    "surface": "1109b43bfa398064228ee004ddc51813d7256b236a9b22bcabe2d2d3f0f77d2c",
+    "surface --s-grid 5:7:21 --theta-grid 0:3.1:32":
+        "9e122500f5848bf5274a009db45e1e4fe99c8d10acd55a3560abb531322cabe3",
+    "surface --s-grid 0:3000:50 --theta-grid=-0:6:40":
+        "2b554b5f0996e357993279e00bc0b2fb96b20b39bf3ea1eb65f007eec7a2a3f8",
+    "surface --format json": "bae6b446cc985040e83614227c2b7dbc8a7d61c6eb7613793b21311e4d5786b7",
+}
+
+
+@pytest.mark.parametrize("command", sorted(GRID_SHA256))
+def test_grid_command_is_pinned(command, capsys):
+    assert cli.main(command.split()) == 0
+    captured = capsys.readouterr()
+    digest = hashlib.sha256((captured.out + captured.err).encode()).hexdigest()
+    assert digest == GRID_SHA256[command]
