@@ -156,26 +156,29 @@ def midpoint_sequence(rep: Representation, window: Sequence[F2Word]) -> Midpoint
     with the steps between consecutive words, their local midpoints and
     the equidistance defect max |d(m, x) - d(m, step x)| / max(1, d(m, x)).
 
-    The representation memoizes the last window built on it, as the
-    read-only stacks and the defect, with no reference back to itself: a
-    repeat call on the same words (``morse_flat_check`` after its caller
-    built the sequence) wraps that entry in a new MidpointSequence.  A
-    window whose sequence raises leaves the entry as it was.
+    A repeat call on the last window built (``morse_flat_check`` after
+    its caller built the sequence) wraps the stacks of ``_window_stacks``
+    in a new MidpointSequence.
     """
     words = tuple(window)
     if len(words) < 3:
         raise ValueError("geodesic window must contain at least 3 words")
-    if rep._last_window is not None and rep._last_window[0] == words:
-        return MidpointSequence(rep, *rep._last_window)
+    return MidpointSequence(rep, words, *_window_stacks(rep, words))
+
+
+@lru_cache(maxsize=1)
+def _window_stacks(rep: Representation, words: tuple[F2Word, ...]):
+    """The steps and local midpoints of a window, as read-only stacks, and
+    its equidistance defect.  The one entry is the last window built,
+    keyed by the representation and the words; a window that raises
+    leaves it as it was."""
     step_words = [f2_mul(f2_inverse(w_prev), w_next) for w_prev, w_next in zip(words, words[1:])]
     n = len(step_words)
     steps = _row_major(lambda k: f2_fisometries(rep, step_words[:k]), n)
     mids, dp, dq = _row_major(lambda k: _local_midpoints(rep.fx, steps[:k]), n)
     for a in (steps.lm, steps.lmi, mids.lm, mids.lmi):
         a.flags.writeable = False
-    rep._last_window = (words, steps, mids,
-                   max([0.0, *(np.abs(dp - dq) / np.fmax(1.0, dp)).tolist()]))
-    return MidpointSequence(rep, *rep._last_window)
+    return steps, mids, max([0.0, *(np.abs(dp - dq) / np.fmax(1.0, dp)).tolist()])
 
 
 @dataclass(frozen=True)
@@ -354,18 +357,6 @@ def _times_letters(mats: np.ndarray, letter: np.ndarray, table: np.ndarray):
     return mats
 
 
-def _distinct(values: np.ndarray):
-    """The distinct entries of a non-negative integer array, ascending,
-    and the place of each entry among them: np.unique with
-    return_inverse, in time linear in the largest entry."""
-    seen = np.zeros(int(values.max()) + 1, dtype=bool)
-    seen[values] = True
-    distinct = np.flatnonzero(seen)
-    place = np.empty(len(seen), dtype=np.int64)
-    place[distinct] = np.arange(len(distinct))
-    return distinct, place[values]
-
-
 @lru_cache(maxsize=4)
 def _scan_tables(max_len: int, budget: int | None, seed: int | None):
     """The word tables of a gap scan, as read-only arrays shared by every
@@ -409,7 +400,7 @@ def _prefix_tree(levels):
         live = levels[k - 1:]
         keys = np.concatenate([4 * r + np.concatenate([lv[:, k - 1], lv[:, lv.shape[1] - k] ^ 1])
                                for r, lv in zip(rows, live)])
-        nodes, place = _distinct(keys)
+        nodes, place = np.unique(keys, return_inverse=True)
         parent, letter = np.divmod(nodes, 4)
         rows = np.split(place, np.cumsum([2 * len(lv) for lv in live[:-1]]))
         yield parent.astype(np.int32), letter.astype(np.int8), rows.pop(0).astype(np.int32)

@@ -133,9 +133,6 @@ class Representation:
         self._letters_ld = _letter_table(*x_ld, _R_LD, _R_LD.T)
         self._f2_table: FIsometry | None = None
         self._f2_gens: FIsometry | None = None
-        # the last window anosov.midpoint_sequence built on this
-        # representation: (words, steps, local_mids, equidistance_defect)
-        self._last_window: tuple | None = None
 
     @cached_property
     def x(self) -> Point:

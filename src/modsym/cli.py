@@ -16,6 +16,7 @@ with a comment line echoing the configuration hash.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import math
@@ -268,9 +269,8 @@ def cmd_surface(args) -> int:
 # -- anosov scan ---------------------------------------------------------------
 
 
-def _verdict_row(task) -> tuple:
-    s, t, theta, max_len, samples, window, seed = task
-    cfg = anosov.VerdictConfig(max_len=max_len, samples=samples, window=window, seed=seed)
+def _verdict_row(cfg: anosov.VerdictConfig, point) -> tuple:
+    s, t, theta = point
     try:
         v = anosov.anosov_verdict(charvar.Coordinates(s, t, theta), cfg)
     except GeometryError as exc:
@@ -308,16 +308,16 @@ def _check_scan_options(args) -> None:
 
 def cmd_anosov_scan(args) -> int:
     _check_scan_options(args)
-    tasks = [
-        (*point, args.max_len, args.samples, args.window, args.seed)
-        for point in _coordinate_grid(args.grid).tolist()
-    ]
-    if args.gap_table and len(tasks) != 1:
+    points = _coordinate_grid(args.grid).tolist()
+    if args.gap_table and len(points) != 1:
         raise SystemExit("--gap-table needs a single-point grid")
-    results = _map_rows(_verdict_row, tasks, args.jobs)
+    cfg = anosov.VerdictConfig(max_len=args.max_len, samples=args.samples, window=args.window,
+                               seed=args.seed)
+    results = _map_rows(functools.partial(_verdict_row, cfg), points, args.jobs)
     if args.gap_table:
-        # after the verdict, which runs the same scan and so meets its errors first
-        _write_gap_table(args.gap_table, tasks[0][:3], args.max_len, args.samples, args.seed)
+        # after the verdict, which runs the same scan and so meets its errors first;
+        # a tuple, as the configuration hash spells the coordinates
+        _write_gap_table(args.gap_table, tuple(points[0]), args.max_len, args.samples, args.seed)
     config = {
         "cmd": "anosov-scan", "grid": args.grid, "max_len": args.max_len,
         "samples": args.samples, "window": args.window, "seed": args.seed,

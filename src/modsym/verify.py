@@ -8,6 +8,7 @@ replaces every default (so an absurd override must fail the run).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -22,14 +23,6 @@ class CheckResult:
     name: str
     passed: bool
     detail: str
-
-
-class _Tol:
-    def __init__(self, override: float | None):
-        self.override = override
-
-    def __call__(self, default: float) -> float:
-        return default if self.override is None else self.override
 
 
 def random_tangent(rng, scale=0.7) -> np.ndarray:
@@ -55,7 +48,7 @@ def _result(suite, name, residual, tol) -> CheckResult:
                        f"residual {residual:.3e} vs tol {tol:.1e}")
 
 
-def suite_symspace(tol: _Tol, seed: int = 0) -> list[CheckResult]:
+def suite_symspace(tol: Callable[[float], float], seed: int = 0) -> list[CheckResult]:
     rng = np.random.default_rng(seed)
     out = []
 
@@ -135,7 +128,7 @@ def suite_symspace(tol: _Tol, seed: int = 0) -> list[CheckResult]:
     return out
 
 
-def suite_flats(tol: _Tol, seed: int = 1) -> list[CheckResult]:
+def suite_flats(tol: Callable[[float], float], seed: int = 1) -> list[CheckResult]:
     rng = np.random.default_rng(seed)
     out = []
 
@@ -213,7 +206,7 @@ def suite_flats(tol: _Tol, seed: int = 1) -> list[CheckResult]:
     return out
 
 
-def suite_modgroup(tol: _Tol, seed: int = 2) -> list[CheckResult]:
+def suite_modgroup(tol: Callable[[float], float], seed: int = 2) -> list[CheckResult]:
     rng = np.random.default_rng(seed)
     out = []
 
@@ -255,7 +248,7 @@ def _longdouble_mantissa() -> int:
     return int(np.finfo(np.longdouble).nmant)
 
 
-def suite_charvar(tol: _Tol, seed: int = 3) -> list[CheckResult]:
+def suite_charvar(tol: Callable[[float], float], seed: int = 3) -> list[CheckResult]:
     rng = np.random.default_rng(seed)
     out = []
 
@@ -310,7 +303,7 @@ def suite_charvar(tol: _Tol, seed: int = 3) -> list[CheckResult]:
     return out
 
 
-def suite_anosov(tol: _Tol, seed: int = 4) -> list[CheckResult]:
+def suite_anosov(tol: Callable[[float], float], seed: int = 4) -> list[CheckResult]:
     out = []
 
     rep = charvar.rep_from_coords(charvar.Coordinates(0.8, 2.0, 0.9))
@@ -378,7 +371,9 @@ _SUITES = {
 
 def run_suites(module_filter: str | None = None, tol_override: float | None = None,
                seed: int = 0) -> list[CheckResult]:
-    tol = _Tol(tol_override)
+    def tol(default: float) -> float:
+        return default if tol_override is None else tol_override
+
     results: list[CheckResult] = []
     for idx, (name, suite) in enumerate(_SUITES.items()):
         if module_filter is not None and name != module_filter:

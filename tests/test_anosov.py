@@ -1,10 +1,12 @@
 import dataclasses
+import gc
 import itertools
 import math
 import os
 import subprocess
 import sys
 import warnings
+import weakref
 from functools import reduce
 
 import mpmath
@@ -1500,6 +1502,25 @@ def test_raising_window_is_not_memoized(monkeypatch):
     assert ran >= 2
     midpoint_sequence(rep, good)
     assert len(calls) == ran
+
+
+def test_representation_holds_no_window():
+    rep = rep_from_coords(Coordinates(1.0, 4.0, 0.5))
+    midpoint_sequence(rep, random_f2_geodesic(10, seed=0))
+    assert not hasattr(rep, "_last_window")
+
+
+def test_window_memo_lets_a_dropped_representation_go():
+    """The memo holds one window: a representation its caller dropped is
+    collected once a window is built on another."""
+    window = random_f2_geodesic(10, seed=0)
+    rep = rep_from_coords(Coordinates(1.0, 4.0, 0.5))
+    midpoint_sequence(rep, window)
+    dropped = weakref.ref(rep)
+    del rep
+    midpoint_sequence(rep_from_coords(Coordinates(2.0, 1.0, 0.5)), window)
+    gc.collect()
+    assert dropped() is None
 
 
 def test_morse_flat_check_far_point():

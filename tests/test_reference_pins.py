@@ -3,15 +3,17 @@
 extended-precision word matrices (``charvar.matrix_of``).  The digests
 were recorded before the kernel decomposed each relative segment once
 and before a representation kept its extended-precision letter table,
-so they show that neither change moved a bit.  The grid commands are
-pinned by the bytes they write."""
+so they show that neither change moved a bit.  The grid commands and
+the gap table are pinned by the bytes they write, and the gap scan's
+word tables by their arrays, both recorded before the prefix tree
+numbered its nodes with ``np.unique``."""
 
 import hashlib
 
 import numpy as np
 import pytest
 
-from modsym import cli
+from modsym import anosov, cli
 from modsym.charvar import Coordinates, matrices_at, matrix_of, rep_from_coords
 from modsym.errors import GeometryError
 from modsym.flats import flag_of_sector, flat_from_flags, segment_type, zeta_direction
@@ -141,3 +143,44 @@ def test_grid_command_is_pinned(command, capsys):
     captured = capsys.readouterr()
     digest = hashlib.sha256((captured.out + captured.err).encode()).hexdigest()
     assert digest == GRID_SHA256[command]
+
+
+# sha256 over the dtype, shape and bytes of each array of a gap scan's word
+# tables, levels first, then the prefix tree depth by depth: complete
+# levels and sampled ones, down to a budget that draws fewer words per
+# length than the short lengths hold and up to a max-len of 40
+SCAN_TABLES_SHA256 = {
+    (3, None, None): "2ab2afcb6f1eaf56181d628f88dce89411f3d947a2a0cc9d26862a09782fa3fc",
+    (8, None, None): "240bc006efb1df4edb3e6d0e2505ec6bf0d9adff705d3af5a1fa8371bf0e1490",
+    (10, 50000, 0): "118181e40b2df39969cac2cee2c61861555f880460242f31776b1324fdfb3f11",
+    (9, 30000, 3): "87a6188a449fe9f5bd7f4f95c229b5ac1d20a2d31a274fffd2b642135c9621f9",
+    (6, 300, 5): "dc15097f36279f63890e57cff1795efe5b14e51f3f1dccfb1d738b2f441234c9",
+    (40, 4000, 1): "3ad2bc45cdc0874aefb7b0a913e1cb35ccc0be3a5857f3c43128e505d106fc52",
+}
+
+
+@pytest.mark.parametrize("key", list(SCAN_TABLES_SHA256), ids=str)
+def test_scan_tables_are_pinned(key):
+    levels, tree = anosov._scan_tables.__wrapped__(*key)
+    digest = hashlib.sha256()
+    for a in (*levels, *(a for depth in tree for a in depth)):
+        digest.update(f"{a.dtype.str}{a.shape}".encode())
+        digest.update(a.tobytes())
+    assert digest.hexdigest() == SCAN_TABLES_SHA256[key]
+
+
+# sha256 of the whole gap table at (0.8, 2, 0.5), the footer with its
+# configuration hash and fitted line included
+GAP_TABLE_SHA256 = {
+    "--max-len 6": "716929ad9b1578bcded2953896f2959690adf1e84a55d02d2c0ae40fadfe5cec",
+    "--max-len 8 --samples 2000 --seed 3":
+        "033cce5b99702cfe931936b003087e68105208453659bf499e1353e95767d2c4",
+}
+
+
+@pytest.mark.parametrize("options", sorted(GAP_TABLE_SHA256))
+def test_gap_table_bytes_are_pinned(options, tmp_path):
+    gaps = tmp_path / "gaps.csv"
+    assert cli.main(["anosov-scan", "--grid", "0.8:0.8:1,2:2:1,0.5:0.5:1", *options.split(),
+                     "--gap-table", str(gaps), "--out", str(tmp_path / "scan.csv")]) == 0
+    assert hashlib.sha256(gaps.read_bytes()).hexdigest() == GAP_TABLE_SHA256[options]
