@@ -35,6 +35,7 @@ from .errors import (
     GeometryError,
     PreconditionError,
     RegularityError,
+    _row_major,
     raise_first,
 )
 from .factored import (
@@ -125,22 +126,6 @@ class MidpointSequence:
     @cached_property
     def midpoints(self) -> tuple[FIsometry, ...]:
         return tuple(fact(f2_fisometries(self.rep, self.words[:-1]), self.local_mids))
-
-
-def _row_major(run, rows: int):
-    """``run(rows)``, where ``run(n)`` makes one stacked pass over the first
-    n rows of a loop whose rows are independent.  The pass meets its stages
-    in turn, where the loop would meet its rows in turn: when a stage fails
-    at row r, the rows before r may fail a later stage, and the loop would
-    raise that first.  So they run again, and the row-r error stands only
-    if they pass."""
-    try:
-        return run(rows)
-    except GeometryError as exc:
-        error = exc
-    if error.row:
-        _row_major(run, error.row)
-    raise error
 
 
 def _local_midpoints(x: FIsometry, steps: FIsometry):
@@ -660,11 +645,11 @@ def morse_flat_check(
     (``_row_major``): a chart or frame stage's error carries the
     midpoint as ``row``; a flag, flat or projection error, met row by
     row in the loop's order, carries none, since the rows before it
-    passed every stage.  Raises:
+    passed every stage, and nor does a window-end fold's.  Raises:
 
-    - DomainError from a chart product that leaves the float64 range or
-      degenerates, and from a sector frame whose relative factor product
-      underflows or whose ends coincide;
+    - DomainError from a window-end fold or a chart product that leaves
+      the float64 range or degenerates, and from a sector frame whose
+      relative factor product underflows or whose ends coincide;
     - RegularityError from a sector frame whose segment lies too close
       to a wall, has tied eigenvalues or a degenerate frame;
     - OppositionError when the flags fail to be in general position;
@@ -681,8 +666,13 @@ def morse_flat_check(
     # is the stack (ahead[last - k], behind[k]), one step on the left of
     # fold k - 1
     left = fstack([steps[last - 1::-1], finverse(steps[:last])], axis=1)
-    fold_pairs = fstack(accumulate(left, lambda g, step: fcompose(step, g),
-                                   initial=fstack([FIsometry.identity()] * 2)))
+    try:
+        fold_pairs = fstack(accumulate(left, lambda g, step: fcompose(step, g),
+                                       initial=fstack([FIsometry.identity()] * 2)))
+    except GeometryError as exc:
+        # the loop folds each end unstacked, before any midpoint: no row
+        exc.row = None
+        raise
     # slot 0 of a midpoint holds the window end ahead, slot 1 the end
     # behind; the first and last midpoints have one end, which fills both
     # slots, and the slot of the missing end reads the opposite sector

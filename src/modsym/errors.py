@@ -7,7 +7,8 @@ class GeometryError(Exception):
     """Base class for all numerical-geometry errors raised by modsym.
 
     ``row`` is set by a call on stacked inputs: the index, along the first
-    stack axis, of the entry that failed (see ``raise_first``)."""
+    stack axis, of the entry whose error a loop would meet first, found by
+    ``raise_first`` within a check and by ``_row_major`` across checks."""
 
     row: int | None = None
 
@@ -78,3 +79,19 @@ def raise_first(checks) -> None:
     if index:
         exc.row = index[0]
     raise exc
+
+
+def _row_major(run, rows: int):
+    """``run(rows)``, where ``run(n)`` makes one stacked pass over the first
+    n rows of a loop whose rows are independent.  The pass meets its stages
+    in turn, where the loop would meet its rows in turn: when a stage fails
+    at row r, the rows before r may fail a later stage, and the loop would
+    raise that first.  So they run again, and the row-r error stands only
+    if they pass."""
+    try:
+        return run(rows)
+    except GeometryError as exc:
+        error = exc
+    if error.row:
+        _row_major(run, error.row)
+    raise error

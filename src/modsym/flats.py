@@ -18,7 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError, GeometryError, OppositionError, raise_first
+from .errors import (ConvergenceError, DomainError, GeometryError, OppositionError, _row_major,
+                     raise_first)
 from .factored import FIsometry, _lambdas, _product, _rescaled, finverse, fstack
 from .symspace import (
     CHAMBER_MAX,
@@ -419,97 +420,93 @@ def _flat_minimize(frame, target: FIsometry, noise_cap=1e-6):
 
     A (n, 3, 3) ``frame`` with a target stack and caps of length n, or one
     cap for all, makes one solve per entry; the steps run on the stack of
-    entries still going.  An entry leaves it when it returns or fails,
-    and with it every later entry, which a loop over the entries would not
-    reach: the first entry that fails raises its error, with ``row`` set
-    to its index.  An entry whose factor products leave the float64 range
-    fails the checks of ``factored._rescaled`` or ``_lambdas`` at once.
-    Each entry equals the unstacked call bit for bit; an unstacked call
-    is the one-entry case, returns Python numbers and raises with no
-    ``row``.
+    entries still going, which an entry leaves when it returns.  A pass
+    raises the first failure it meets at once, with ``row`` its index,
+    and ``errors._row_major`` reruns the entries before it: the error is
+    the one a loop over the entries meets first.  An entry whose factor
+    products leave the float64 range fails the checks of
+    ``factored._rescaled`` or ``_lambdas``.  Each entry equals the
+    unstacked call bit for bit; an unstacked call is the one-entry case,
+    returns Python numbers and raises with no ``row``.
     """
     stacked = np.ndim(frame) == 3
     g = np.asarray(frame, dtype=float)
     if not stacked:
         g, target = g[None], fstack([target])
     ginv = np.linalg.inv(g)
-    n = len(g)
-    cap = np.broadcast_to(noise_cap, n)
-    out = np.empty((3, n))
-    steps = np.zeros(n, dtype=int)
-    first, error = n, None
-    rows = np.arange(n)
-    inputs = (g, ginv, target)
+    caps = np.broadcast_to(noise_cap, len(g))
 
-    def settle(done, failed=None, make_error=None):
-        """Return the ``done`` entries at the current point and keep the
-        error of the first ``failed`` one; the mask of the entries that go
-        on, which are all before any that failed, or None if all do."""
-        nonlocal first, error
-        if failed is not None and failed.any():
-            k = int(np.argmax(failed))
-            first, error = int(rows[k]), make_error(k)
-        elif not done.any():
-            return None
-        out[:, rows[done]] = a[done], b[done], dist[done]
-        steps[rows[done]] = iteration
-        return ~done & (rows < first)
+    def newton(n):
+        """One pass over the first n entries; its first failure raises."""
+        out = np.empty((3, n))
+        steps = np.zeros(n, dtype=int)
+        rows, cap, inputs = np.arange(n), caps[:n], (g[:n], ginv[:n], target[:n])
 
-    try:
-        h, lh = _rescaled(ginv @ target.mat, target.lm)
-        dlog = (np.log(np.maximum(np.diagonal(h @ h.swapaxes(-1, -2), axis1=-2, axis2=-1), 1e-300))
-                + 2.0 * lh[:, None])
-        mean = dlog.mean(axis=-1)
-        a, b = dlog[:, 0] - mean, dlog[:, 1] - mean
-        dist, gh = _flat_lambdas(a, b, *inputs)
-        for iteration in range(PROJECTION_MAX_ITER):
-            w, uvecs = np.linalg.eigh(gh @ gh.swapaxes(-1, -2))
-            # at w <= 0 the gradient products are at their cancellation floor
-            floor = w[:, 0] <= 0
-            go = settle(floor & (cap >= 1e-2), floor & ~(cap >= 1e-2),
-                        lambda k: DomainError("degenerate relative matrix in flat projection"))
-            rows, a, b, dist, w, uvecs, cap, *inputs = _compact(
-                go, rows, a, b, dist, w, uvecs, cap, *inputs)
-            if not rows.size:
-                break
-            ell = np.log(w)
-            # E~_k = U^T E_k U; the log vector's components along (E_a, E_b)
-            # are the traces of E~_k against diag(l)
-            e_t = np.einsum("ki,...ia,...ib->...kab", _E_AB, uvecs, uvecs)
-            rhs = np.einsum("...kii,...i->...k", e_t, ell)
-            gnorm = np.sqrt(np.maximum(_dot((rhs[:, None, :] @ _GRAM_INV)[:, 0], rhs), 0.0))
-            go = settle(gnorm <= PROJECTION_TOL)
-            rows, a, b, dist, ell, e_t, rhs, gnorm, cap, *inputs = _compact(
-                go, rows, a, b, dist, ell, e_t, rhs, gnorm, cap, *inputs)
-            if not rows.size:
-                break
-            half_gap = (ell[:, :, None] - ell[:, None, :]) / 2.0
-            phi = np.divide(half_gap, np.tanh(half_gap), out=np.ones_like(half_gap),
-                            where=half_gap != 0.0)
-            hess = np.einsum("...kab,...lab,...ab->...kl", e_t, e_t, phi)
-            delta = np.linalg.solve(hess, rhs[:, :, None])[:, :, 0]
-            a_try, b_try = a + delta[:, 0], b + delta[:, 1]
-            dist_try, gh_try = _flat_lambdas(a_try, b_try, *inputs)
-            # the gradient is at its noise floor.  On d, not d^2: a 1e-14
-            # floor on d^2 ends a solve at d = 7e-4 with d 7e-12 too large
-            stall = dist - dist_try <= 5e-15 * np.maximum(1.0, dist)
-            go = settle(stall & (gnorm <= cap), stall & ~(gnorm <= cap),
-                        lambda k: ConvergenceError("flat projection stalled", iterations=iteration,
-                                                   grad_norm=float(gnorm[k])))
-            rows, a, b, dist, gh, gnorm, cap, *inputs = _compact(
-                go, rows, a_try, b_try, dist_try, gh_try, gnorm, cap, *inputs)
-            if not rows.size:
-                break
-        else:
-            first, error = int(rows[0]), ConvergenceError(
-                "flat projection did not converge", iterations=PROJECTION_MAX_ITER,
-                grad_norm=float(gnorm[0]))
-    except GeometryError as exc:
-        # a range check of the factored products, on the entries still going
-        first, error = int(rows[exc.row]), exc
-    if error is not None:
-        error.row = first if stacked else None
-        raise error
+        def settle(done):
+            """Return the ``done`` entries at the current point; the mask of
+            the entries that go on, or None if all do."""
+            if not done.any():
+                return None
+            out[:, rows[done]] = a[done], b[done], dist[done]
+            steps[rows[done]] = iteration
+            return ~done
+
+        try:
+            h, lh = _rescaled(ginv[:n] @ target.mat[:n], target.lm[:n])
+            dlog = np.log(np.maximum(np.diagonal(h @ h.swapaxes(-1, -2), axis1=-2, axis2=-1),
+                                     1e-300)) + 2.0 * lh[:, None]
+            mean = dlog.mean(axis=-1)
+            a, b = dlog[:, 0] - mean, dlog[:, 1] - mean
+            dist, gh = _flat_lambdas(a, b, *inputs)
+            for iteration in range(PROJECTION_MAX_ITER):
+                w, uvecs = np.linalg.eigh(gh @ gh.swapaxes(-1, -2))
+                # at w <= 0 the gradient products are at their cancellation floor
+                floor = w[:, 0] <= 0
+                raise_first([(floor & ~(cap >= 1e-2), lambda i: DomainError(
+                    "degenerate relative matrix in flat projection"))])
+                rows, a, b, dist, w, uvecs, cap, *inputs = _compact(
+                    settle(floor), rows, a, b, dist, w, uvecs, cap, *inputs)
+                if not rows.size:
+                    break
+                ell = np.log(w)
+                # E~_k = U^T E_k U; the log vector's components along (E_a, E_b)
+                # are the traces of E~_k against diag(l)
+                e_t = np.einsum("ki,...ia,...ib->...kab", _E_AB, uvecs, uvecs)
+                rhs = np.einsum("...kii,...i->...k", e_t, ell)
+                gnorm = np.sqrt(np.maximum(_dot((rhs[:, None, :] @ _GRAM_INV)[:, 0], rhs), 0.0))
+                rows, a, b, dist, ell, e_t, rhs, gnorm, cap, *inputs = _compact(
+                    settle(gnorm <= PROJECTION_TOL), rows, a, b, dist, ell, e_t, rhs, gnorm, cap,
+                    *inputs)
+                if not rows.size:
+                    break
+                half_gap = (ell[:, :, None] - ell[:, None, :]) / 2.0
+                phi = np.divide(half_gap, np.tanh(half_gap), out=np.ones_like(half_gap),
+                                where=half_gap != 0.0)
+                hess = np.einsum("...kab,...lab,...ab->...kl", e_t, e_t, phi)
+                delta = np.linalg.solve(hess, rhs[:, :, None])[:, :, 0]
+                a_try, b_try = a + delta[:, 0], b + delta[:, 1]
+                dist_try, gh_try = _flat_lambdas(a_try, b_try, *inputs)
+                # the gradient is at its noise floor.  On d, not d^2: a 1e-14
+                # floor on d^2 ends a solve at d = 7e-4 with d 7e-12 too large
+                stall = dist - dist_try <= 5e-15 * np.maximum(1.0, dist)
+                raise_first([(stall & ~(gnorm <= cap), lambda i: ConvergenceError(
+                    "flat projection stalled", iterations=iteration,
+                    grad_norm=float(gnorm[i])))])
+                rows, a, b, dist, gh, gnorm, cap, *inputs = _compact(
+                    settle(stall), rows, a_try, b_try, dist_try, gh_try, gnorm, cap, *inputs)
+                if not rows.size:
+                    break
+            else:
+                raise_first([(np.ones(rows.size, dtype=bool), lambda i: ConvergenceError(
+                    "flat projection did not converge", iterations=PROJECTION_MAX_ITER,
+                    grad_norm=float(gnorm[i])))])
+        except GeometryError as exc:
+            # from the entries still going to the stack
+            exc.row = int(rows[exc.row]) if stacked else None
+            raise
+        return out, steps
+
+    out, steps = _row_major(newton, len(g))
     if not stacked:
         return float(out[0, 0]), float(out[1, 0]), float(out[2, 0]), int(steps[0])
     return (*out, steps)

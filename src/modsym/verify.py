@@ -300,6 +300,16 @@ def suite_charvar(tol: Callable[[float], float], seed: int = 3) -> list[CheckRes
           and not charvar.is_reducible(charvar.rep_from_coords(charvar.Coordinates(1.0, 1.0, 0.7))))
     out.append(CheckResult("charvar", "reducibility-anchors", ok,
                            "s=0 reducible, interior irreducible"))
+
+    # the twin theta -> pi - theta: x at pi - theta is Q x^{-1} Q^T at theta
+    q = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, -1.0], [0.0, -1.0, 0.0]])
+    s, t = rng.uniform(0, 3, (2, 200))
+    theta = rng.uniform(0, np.pi, 200)
+    x_twin = charvar.generators_at(s, t, np.pi - theta)[0]
+    conj = q @ charvar.generators_at(s, t, theta)[1] @ q.T
+    res = float((np.abs(x_twin - conj).max(axis=(-2, -1))
+                 / np.abs(x_twin).max(axis=(-2, -1))).max())
+    out.append(_result("charvar", "twin-generators", res, tol(1e-14)))
     return out
 
 
@@ -357,6 +367,26 @@ def suite_anosov(tol: Callable[[float], float], seed: int = 4) -> list[CheckResu
 
     res = seq.equidistance_defect
     out.append(_result("anosov", "midpoint-equidistance", res, tol(1e-9)))
+
+    # the twin theta -> pi - theta swaps the generators x and y (letter k
+    # to k ^ 2) and the two gaps, and maps a segment type phi to pi/3 - phi
+    rep_twin = charvar.rep_from_coords(charvar.Coordinates(0.8, 2.0, np.pi - 0.9))
+    # complete max-len 6 scans over tables built here, which leave the
+    # scan cache and the suite's one public scan call as they were
+    tables = anosov._scan_tables.__wrapped__(6, None, None)
+    gaps, twin_gaps = (anosov._gap_report(r, tables, True, seed) for r in (rep, rep_twin))
+    res = max(np.abs(np.sort(gaps.gap12) - np.sort(twin_gaps.gap23)).max(),
+              np.abs(np.sort(gaps.gap23) - np.sort(twin_gaps.gap12)).max())
+    out.append(_result("anosov", "twin-gap-scan", float(res), tol(1e-10)))
+
+    twin_words = [modgroup.F2Word(tuple(k ^ 2 for k in w.letters)) for w in words]
+    sr_twin = anosov.straightness_report(anosov.midpoint_sequence(rep_twin, twin_words), interval)
+    res = max(
+        abs(sr1.min_zeta_angle - sr_twin.min_zeta_angle),
+        abs(sr1.min_spacing - sr_twin.min_spacing),
+        abs(sr1.type_min - (np.pi / 3 - sr_twin.type_max)),
+    )
+    out.append(_result("anosov", "twin-straightness", res, tol(1e-10)))
     return out
 
 

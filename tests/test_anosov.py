@@ -13,7 +13,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from modsym import anosov, cli, highprec, symspace
+from modsym import anosov, cli, flats, highprec, symspace
 from modsym.anosov import (
     MidpointSequence,
     MorseFlatReport,
@@ -45,6 +45,7 @@ from modsym.errors import (
     OppositionError,
     PreconditionError,
     RegularityError,
+    _row_major,
     raise_first,
 )
 from modsym.factored import (
@@ -135,6 +136,18 @@ def test_midpoint_sequence_shapes_and_equidistance():
     assert len(short.midpoints) == 2
     with pytest.raises(ValueError):
         midpoint_sequence(rep, words[:2])
+
+
+@pytest.mark.parametrize("call, match", [
+    pytest.param(lambda rep: straightness_report(
+        midpoint_sequence(rep, random_f2_geodesic(2, 0)), THETA_INTERVAL),
+        "at least 3 midpoints", id="straightness-3-words"),
+    pytest.param(lambda rep: cartan_gap_scan(rep, 0), "max_len must be >= 1",
+                 id="gap-scan-max-len-0"),
+])
+def test_anosov_input_checks(call, match):
+    with pytest.raises(ValueError, match=match):
+        call(rep_from_coords(Coordinates(0.7, 2.0, 0.4)))
 
 
 def test_midpoints_are_global_translates_of_local_midpoints():
@@ -479,6 +492,24 @@ def test_stacked_morse_and_triangle_equal_loops(windows, errors, violations):
     assert violations <= kinds
 
 
+@pytest.mark.parametrize("point, word", [
+    ((0.8846661689645557, 625.8745277722776, 2.9988258718075684), "XyxyXYxxy"),
+    ((0.21083963361318847, 671.9353446455827, 0.531996219024501), "XYxxYx"),
+    ((2.7374371777393236, 377.4725096830284, 2.9518474565402952), "YxxYxYXYX"),
+    ((2.498068890828778, 589.4874548279116, 1.2218851915261864), "YXyXXYXXXYx"),
+])
+def test_morse_window_end_fold_errors_carry_no_row(point, word):
+    """Far out in t a product of the window-end fold, ahead and behind,
+    degenerates.  The loop folds each end unstacked before any midpoint,
+    so its error carries no ``row``, and neither may the stacked fold's."""
+    rep = rep_from_coords(Coordinates(*point))
+    window = [f2_from_string(word[:k] or "e") for k in range(len(word) + 1)]
+    out = _morse_outcome(lambda: morse_flat_check(rep, window, THETA_INTERVAL))
+    assert out[:3] == (DomainError, "degenerate factor matrix", None)
+    assert out == _morse_outcome(
+        lambda: _reference_morse_flat_check(rep, window, THETA_INTERVAL))
+
+
 def test_stratified_windows_stall_before_a_later_opposition():
     """Among the stratified windows are some where a flat projection
     stalls at one midpoint and the flags of a later midpoint are not
@@ -558,6 +589,13 @@ def test_row_major_meets_errors_in_loop_order():
     with pytest.raises(DomainError, match="first stage at row 3"):
         anosov._row_major(run(3, 4), 5)
     assert anosov._row_major(run(3, 1), 1) == 1
+
+
+def test_row_major_is_defined_once():
+    """The stacked passes of the orbit layer and of the flat solver
+    share ``errors._row_major``."""
+    assert anosov._row_major is _row_major
+    assert flats._row_major is _row_major
 
 
 @pytest.mark.parametrize("shape", [(), (5,), (5, 2)])

@@ -41,11 +41,11 @@ def test_verify_json_is_one_document(tol, code, capsys):
     assert run_cli(["verify", "--format", "json", *tol]) == code
     captured = capsys.readouterr()
     results = json.loads(captured.out)
-    assert len(results) == 30
+    assert len(results) == 33
     assert all(sorted(r) == ["detail", "name", "passed", "suite"] for r in results)
     passed = sum(r["passed"] for r in results)
-    assert (passed == 30) == (code == 0)
-    assert captured.err == f"{passed}/30 checks passed\n"
+    assert (passed == 33) == (code == 0)
+    assert captured.err == f"{passed}/33 checks passed\n"
 
 
 def test_verify_tolerance_injection_fails(capsys):

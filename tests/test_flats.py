@@ -12,7 +12,7 @@ from modsym.errors import (
     RegularityError,
     raise_first,
 )
-from modsym.factored import FIsometry, fdistance
+from modsym.factored import FIsometry, fdistance, fstack
 from modsym.flats import (
     Flag,
     ModelInterval,
@@ -117,6 +117,19 @@ def test_model_interval_validation():
         ModelInterval(0.1, 0.2)
     with pytest.raises(ValueError):
         ModelInterval(-0.1, np.pi / 3 + 0.1)
+
+
+@pytest.mark.parametrize("call, error, match", [
+    pytest.param(lambda: cartan_projection(np.diag([1.0, np.nan, 1.0])), DomainError,
+                 "finite 3x3 matrix", id="cartan-nan"),
+    pytest.param(lambda: ModelInterval(0.3, 0.8), ValueError, "symmetric",
+                 id="asymmetric-interval"),
+    pytest.param(lambda: ParallelCoords(s=-0.1, alpha=0.0, r=0.0, t=0.5, beta=0.0), ValueError,
+                 "nonnegative", id="negative-s"),
+])
+def test_flats_input_checks(call, error, match):
+    with pytest.raises(error, match=match):
+        call()
 
 
 def test_projection_fixed_on_parallel_set():
@@ -372,11 +385,26 @@ def _stacked_projections(entries):
     return [_bits(*entry) for entry in zip(*out)]
 
 
+def _zero_target(entry):
+    """A ``_far_projections`` entry with its target's factor zeroed, which
+    fails ``factored._rescaled``'s check before the first step."""
+    frame, mat, matinv, lp, lpi, cap = entry
+    return frame, np.zeros_like(mat), matinv, lp, lpi, cap
+
+
+def _first_failure(outcomes):
+    """What a loop over the entries gives: every outcome, or the first
+    error with its index."""
+    first = next((i for i, o in enumerate(outcomes) if isinstance(o[0], type)), None)
+    return outcomes if first is None else (outcomes[first], first)
+
+
 def test_stacked_flat_minimize_equals_unstacked_calls():
     """A stack of solves with mixed noise caps gives each entry's
     unstacked result bit for bit; the first entry in stack order that
     fails raises its unstacked error (message, iterations and gradient),
-    even where a later entry fails at an earlier step."""
+    even where a later entry fails at an earlier step.  So do stacks that
+    mix in targets failing the range check before any step."""
     entries = _far_projections(60, 21)
     single = [_projection_outcome(lambda: _solve(*e)) for e in entries]
     kinds = {o[1] if isinstance(o[0], type) else "ok" for o in single}
@@ -388,28 +416,65 @@ def test_stacked_flat_minimize_equals_unstacked_calls():
     rng = np.random.default_rng(4)
     for _ in range(40):
         pick = rng.choice(len(entries), size=7, replace=False)
-        outcomes = [single[k] for k in pick]
-        first = next((i for i, o in enumerate(outcomes) if isinstance(o[0], type)), None)
-        expected = outcomes if first is None else (outcomes[first], first)
+        expected = _first_failure([single[k] for k in pick])
         assert _stacked_projections([entries[k] for k in pick]) == expected
     # a stall at step 2 ahead of a stall at step 0: the loop meets the
     # first entry's error, though the stack meets the second's first
     late, early = (next(k for k, o in enumerate(single)
                         if o[0] is ConvergenceError and o[2] == n) for n in (2, 0))
     assert _stacked_projections([entries[k] for k in (late, early)]) == (single[late], 0)
+    entries += [_zero_target(e) for e in entries[:20]]
+    single += [_projection_outcome(lambda: _solve(*e)) for e in entries[120:]]
+    assert {o[1] for o in single[120:]} == {"degenerate factor matrix"}
+    rng = np.random.default_rng(9)
+    for _ in range(400):
+        pick = rng.choice(len(entries), size=7, replace=False)
+        expected = _first_failure([single[k] for k in pick])
+        assert _stacked_projections([entries[k] for k in pick]) == expected
 
 
 def test_flat_minimize_range_check_raises_with_its_row():
     """A target whose relative factor product degenerates fails
-    ``factored._rescaled``'s check at once, with ``row`` its stack index,
-    or None unstacked."""
-    frame, mat, matinv, lp, lpi, cap = (np.array(x) for x in zip(*_far_projections(3, 5)))
-    mat[4] = 0.0
+    ``factored._rescaled``'s check before the first step.  A stack raises
+    the error a loop over its entries meets first, with ``row`` its stack
+    index: an earlier entry's error after a later range check, the range
+    check's after earlier entries that return.  Unstacked, the error has
+    no ``row``."""
+    entries = _far_projections(3, 5)
+    entries[4] = _zero_target(entries[4])
+    single = [_projection_outcome(lambda: _solve(*e)) for e in entries]
+    assert single[0][:2] == (DomainError, "degenerate relative matrix in flat projection")
+    assert _stacked_projections(entries) == (single[0], 0)
+    assert not any(isinstance(single[k][0], type) for k in (1, 3, 5))
+    assert single[4] == (DomainError, "degenerate factor matrix", None, None)
+    assert _stacked_projections([entries[k] for k in (1, 3, 5, 4)]) == (single[4], 3)
     with pytest.raises(DomainError, match="degenerate factor matrix") as info:
-        _solve(frame, mat, matinv, lp, lpi, cap)
-    assert info.value.row == 4
-    with pytest.raises(DomainError, match="degenerate factor matrix") as info:
-        _solve(*(x[4] for x in (frame, mat, matinv, lp, lpi, cap)))
+        _solve(*entries[4])
+    assert info.value.row is None
+
+
+def test_flat_minimize_iteration_cap_raises_did_not_converge(monkeypatch):
+    """With the cap at one Newton step, targets that need two or three
+    fail with ``did not converge``: a stack raises its first entry's
+    unstacked error, with ``row`` 0."""
+    frame = np.eye(3)
+    targets = []
+    for k in range(100):
+        p = random_point(np.random.default_rng(k), 1.5)
+        target = FIsometry(p.sqrt(), p.inv_sqrt())
+        if flats._flat_minimize(frame, target)[3] in (2, 3):
+            targets.append(target)
+    targets = targets[:8]
+    assert len(targets) == 8
+    monkeypatch.setattr(flats, "PROJECTION_MAX_ITER", 1)
+    single = [_projection_outcome(lambda: flats._flat_minimize(frame, t)) for t in targets]
+    assert all(o[:3] == (ConvergenceError, "flat projection did not converge", 1)
+               for o in single)
+    with pytest.raises(ConvergenceError) as info:
+        flats._flat_minimize(np.broadcast_to(frame, (8, 3, 3)), fstack(targets))
+    assert (_error_outcome(info.value), info.value.row) == (single[0], 0)
+    with pytest.raises(ConvergenceError) as info:
+        flats._flat_minimize(frame, targets[0])
     assert info.value.row is None
 
 

@@ -90,6 +90,18 @@ def test_parity_homomorphism(rng):
         assert p12 == ((p1[0] + p2[0]) % 2, (p1[1] + p2[1]) % 3)
 
 
+@pytest.mark.parametrize("call, match", [
+    pytest.param(lambda: ModWord(("c",)), "invalid syllable", id="modword-letter"),
+    pytest.param(lambda: F2Word((7,)), "invalid letter", id="f2word-letter"),
+    pytest.param(lambda: list(f2_levels(-1)), "max_len must be >= 0", id="levels-negative"),
+    pytest.param(lambda: random_f2_geodesic(-1, 0), "length must be >= 0",
+                 id="geodesic-negative"),
+])
+def test_modgroup_input_checks(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()
+
+
 def test_f2_word_reduced_validation():
     with pytest.raises(ValueError):
         F2Word((G1, G1_INV))

@@ -45,6 +45,15 @@ def test_spd_exp_rejects_nonsymmetric():
         spd_exp(np.array([[0.0, 1.0, 0.0], [0, 0, 0], [0, 0, 0]]))
 
 
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda: symspace.check_symmetric(np.eye(2)), id="check-symmetric"),
+    pytest.param(lambda: Isometry(np.eye(2)), id="isometry"),
+])
+def test_symspace_rejects_non_3x3(call):
+    with pytest.raises(ValueError, match="expected a 3x3 matrix"):
+        call()
+
+
 def test_spd_exp_rejects_trace():
     with pytest.raises(ValueError):
         spd_exp(np.eye(3))
