@@ -73,13 +73,27 @@ def _json_cell(v):
     return v if isinstance(v, str) else float(v) if np.isfinite(v) else None
 
 
-def _emit_table(columns, rows, config, fmt, out, footer="") -> None:
+def _axis_prefixes(axes: list[np.ndarray]) -> list[str]:
+    """The leading CSV cells ``"x0,x1,...,"`` of every point of the grid of
+    ``axes``, in C order, with each axis value formatted once."""
+    prefixes = [""]
+    for axis in axes:
+        cells = [_FMT % v + "," for v in axis.tolist()]
+        prefixes = [p + c for p in prefixes for c in cells]
+    return prefixes
+
+
+def _emit_table(columns, rows, config, fmt, out, footer="", axes=()) -> None:
     """Write ``rows`` as CSV or, when ``fmt`` is ``"json"``, as a JSON
-    payload.  CSV prints strings as they are and numbers as ``%.17g``, with
-    the column kinds read off the first row, and ends with a comment
-    line holding the configuration hash and ``footer``.  JSON has no
-    ``nan`` or ``inf``: it writes those numbers as null."""
+    payload.  With ``axes``, the rows hold the cells of the grid's points
+    in C order, and the leading columns are the points' coordinates.  CSV
+    prints strings as they are and numbers as ``%.17g``, with the column
+    kinds read off the first row, and ends with a comment line holding
+    the configuration hash and ``footer``.  JSON has no ``nan`` or
+    ``inf``: it writes those numbers as null."""
     if fmt == "json":
+        if axes:
+            rows = [(*p, *row) for p, row in zip(_grid_points(axes).tolist(), rows, strict=True)]
         payload = {
             "config_hash": _config_hash(config),
             "rows": [{k: _json_cell(v) for k, v in zip(columns, row)} for row in rows],
@@ -87,20 +101,33 @@ def _emit_table(columns, rows, config, fmt, out, footer="") -> None:
         _emit([json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)], out)
         return
     row_fmt = ",".join("%s" if isinstance(v, str) else _FMT for v in rows[0])
+    prefixes = _axis_prefixes(axes) if axes else [""] * len(rows)
     lines = [",".join(columns)]
-    lines.extend(row_fmt % tuple(row) for row in rows)
+    lines.extend(p + row_fmt % tuple(row) for p, row in zip(prefixes, rows, strict=True))
     lines.append(f"# config={_config_hash(config)}{footer}")
     _emit(lines, out)
+
+
+def _open_out(path: str, mode: str):
+    try:
+        return open(path, mode, encoding="utf-8")
+    except OSError as exc:
+        raise SystemExit(f"bad output path {path!r}: {exc.strerror or exc}") from exc
+
+
+def _check_out_paths(*paths) -> None:
+    """End with ``bad output path ...`` before anything is computed if one
+    of ``paths`` (None for an output not asked for) cannot be opened for
+    writing.  Append mode truncates nothing."""
+    for path in paths:
+        if path:
+            _open_out(path, "a").close()
 
 
 def _emit(lines: list[str], out_path: str | None) -> None:
     text = "\n".join(lines) + "\n"
     if out_path:
-        try:
-            fh = open(out_path, "w", encoding="utf-8")
-        except OSError as exc:
-            raise SystemExit(f"bad output path {out_path!r}: {exc.strerror or exc}") from exc
-        with fh:
+        with _open_out(out_path, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -146,11 +173,6 @@ def _coordinate_axes(spec: str) -> list[np.ndarray]:
     if (axes[0] < 0).any() or (axes[1] < 0).any():
         raise SystemExit(f"bad grid {spec!r}; s and t must be >= 0")
     return axes
-
-
-def _coordinate_grid(spec: str) -> np.ndarray:
-    """Points (s, t, theta) of a coordinate grid, one per row."""
-    return _grid_points(_coordinate_axes(spec))
 
 
 def _workers(jobs: int, tasks: int) -> int:
@@ -199,19 +221,18 @@ def _map_grid(fn, axes: list[np.ndarray], jobs: int) -> list:
 
 
 def _trace_block(axes: list[np.ndarray]) -> list:
-    """Trace-table rows for a block given by its axis runs (s, t, theta),
-    evaluated as one open grid: each term that depends on one coordinate
-    is computed once per value of its axis.  A trace past the float64
-    range reads inf or nan, and the summary line counts the rows whose
-    residual is not finite."""
+    """Trace-table cells (numeric, closed, residual) for a block given by
+    its axis runs (s, t, theta), evaluated as one open grid: each term
+    that depends on one coordinate is computed once per value of its
+    axis.  A trace past the float64 range reads inf or nan, and the
+    summary line counts the rows whose residual is not finite."""
     s, t, theta = np.ix_(*axes)
     theta = np.remainder(theta, np.pi)  # as Coordinates reduces it
     with np.errstate(over="ignore", invalid="ignore"):
         numeric = np.trace(charvar.matrices_at(s, t, theta, charvar.BABA),
                            axis1=-2, axis2=-1).astype(float).ravel()
         closed = charvar.trace_baba_closed_form(s=s, t=t, theta=theta).astype(float).ravel()
-        return np.column_stack([_grid_points(axes), numeric, closed,
-                                np.abs(numeric - closed)]).tolist()
+        return list(zip(numeric.tolist(), closed.tolist(), np.abs(numeric - closed).tolist()))
 
 
 def cmd_trace_table(args) -> int:
@@ -220,11 +241,12 @@ def cmd_trace_table(args) -> int:
         axes = [np.array([v]) for v in (c.s, c.t, c.theta)]
     else:
         axes = _coordinate_axes(args.grid)
+    _check_out_paths(args.out)
     results = _map_grid(_trace_block, axes, args.jobs)
     config = {"cmd": "trace-table", "grid": args.coords or args.grid}
     columns = ("s", "t", "theta", "tr_baba_numeric", "tr_baba_closed", "residual")
-    _emit_table(columns, results, config, args.format, args.out)
-    finite = [row[5] for row in results if math.isfinite(row[5])]
+    _emit_table(columns, results, config, args.format, args.out, axes=axes)
+    finite = [row[2] for row in results if math.isfinite(row[2])]
     note = f", {len(results) - len(finite)} not finite" if len(finite) < len(results) else ""
     print(f"max residual {max(finite, default=np.nan):.3e} over {len(results)} rows{note}",
           file=sys.stderr)
@@ -235,8 +257,8 @@ def cmd_trace_table(args) -> int:
 
 
 def _surface_block(axes: list[np.ndarray]) -> list:
-    """Rows (s, theta, t, residual, status) along the tr = -1 surface for a
-    block given by its axis runs (s, theta), evaluated as one open grid.
+    """Cells (t, residual, status) along the tr = -1 surface for a block
+    given by its axis runs (s, theta), evaluated as one open grid.
     A row is ``ok`` only when t and the residual are finite and the
     residual is within ``charvar.SURFACE_TOL``; otherwise its status says
     why not."""
@@ -252,17 +274,18 @@ def _surface_block(axes: list[np.ndarray]) -> list:
     codes = np.select([~np.isfinite(t), ~np.isfinite(residual), residual > tol],
                       [1, 2, 3], default=0)
     status = [reasons[k] for k in codes.tolist()]
-    return list(zip(*_grid_points(axes).T.tolist(), t.tolist(), residual.tolist(), status))
+    return list(zip(t.tolist(), residual.tolist(), status))
 
 
 def cmd_surface(args) -> int:
     axes = [_parse_axis(args.s_grid), _parse_axis(args.theta_grid)]
     if (axes[0] < 0).any():
         raise SystemExit(f"bad grid {args.s_grid!r}; s must be >= 0")
+    _check_out_paths(args.out)
     rows = _map_grid(_surface_block, axes, 1)
     config = {"cmd": "surface", "s_grid": args.s_grid, "theta_grid": args.theta_grid}
     columns = ("s", "theta", "t", "residual", "status")
-    _emit_table(columns, rows, config, args.format, args.out)
+    _emit_table(columns, rows, config, args.format, args.out, axes=axes)
     return 0
 
 
@@ -270,6 +293,7 @@ def cmd_surface(args) -> int:
 
 
 def _verdict_row(cfg: anosov.VerdictConfig, point) -> tuple:
+    """The cells (verdict, c, minangle, minspacing) of one scan point."""
     s, t, theta = point
     try:
         v = anosov.anosov_verdict(charvar.Coordinates(s, t, theta), cfg)
@@ -277,7 +301,7 @@ def _verdict_row(cfg: anosov.VerdictConfig, point) -> tuple:
         point = ",".join(_FMT % x for x in (s, t, theta))
         raise SystemExit(f"anosov-scan at {point}: {exc}") from exc
     return (
-        s, t, theta, v.verdict,
+        v.verdict,
         v.stats.get("slope_c", float("nan")),
         v.stats.get("min_zeta_angle", float("nan")),
         v.stats.get("min_spacing", float("nan")),
@@ -308,9 +332,12 @@ def _check_scan_options(args) -> None:
 
 def cmd_anosov_scan(args) -> int:
     _check_scan_options(args)
-    points = _coordinate_grid(args.grid).tolist()
+    axes = _coordinate_axes(args.grid)
+    points = _grid_points(axes).tolist()
     if args.gap_table and len(points) != 1:
         raise SystemExit("--gap-table needs a single-point grid")
+    # in the order they are written
+    _check_out_paths(args.gap_table, args.out, args.out and args.out + ".summary.json")
     cfg = anosov.VerdictConfig(max_len=args.max_len, samples=args.samples, window=args.window,
                                seed=args.seed)
     results = _map_rows(functools.partial(_verdict_row, cfg), points, args.jobs)
@@ -323,14 +350,14 @@ def cmd_anosov_scan(args) -> int:
         "samples": args.samples, "window": args.window, "seed": args.seed,
     }
     columns = ("s", "t", "theta", "verdict", "c", "minangle", "minspacing")
-    _emit_table(columns, results, config, args.format, args.out)
+    _emit_table(columns, results, config, args.format, args.out, axes=axes)
     summary = {
         "config": config,
         "config_hash": _config_hash(config),
         "seed": args.seed,
         "rows": len(results),
         "verdicts": {
-            name: sum(1 for r in results if r[3] == name)
+            name: sum(1 for r in results if r[0] == name)
             for name in (anosov.EVIDENCE_ANOSOV, anosov.EVIDENCE_DEGENERATE,
                          anosov.INCONCLUSIVE)
         },
@@ -458,8 +485,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The one parser of the process, built on the first ``main`` call;
+    ``parse_args`` leaves it as it is, so every call shares it."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     return args.func(args)
 
 

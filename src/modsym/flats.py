@@ -18,8 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (ConvergenceError, DomainError, GeometryError, OppositionError, _row_major,
-                     raise_first)
+from .errors import (ConvergenceError, DomainError, GeometryError, OppositionError,
+                     PreconditionError, _row_major, raise_first)
 from .factored import FIsometry, _lambdas, _product, _rescaled, finverse, fstack
 from .symspace import (
     CHAMBER_MAX,
@@ -45,6 +45,10 @@ from .symspace import (
 
 PROJECTION_TOL = 1e-10
 PROJECTION_MAX_ITER = 500
+# how far from one the determinant of a frame handed to the flat solver
+# may be; the scaled frames Morse hands it reach 3e-10 on the geometry
+# bench windows
+FRAME_DET_TOL = 1e-6
 
 
 def cartan_projection(g: np.ndarray) -> np.ndarray:
@@ -407,7 +411,8 @@ def _flat_minimize(frame, target: FIsometry, noise_cap=1e-6):
     ``frame`` must have determinant one, as the frames of ``Flat`` and
     ``_flat_frames`` have: duality takes the middle log-eigenvalue from
     a zero sum, which holds only then, and with another determinant the
-    steps stall (``ConvergenceError``) on most targets.  Nothing checks it.
+    steps stall on most targets.  A frame whose determinant is off one by
+    more than ``FRAME_DET_TOL`` raises ``PreconditionError``.
     Undamped Newton steps: with G G^T = U diag(e^l) U^T and
     E~_k = U^T E_k U for E_a = diag(1, 0, -1), E_b = diag(0, 1, -1), the
     curvature R(X,Y)Z = -[[X,Y],Z]/4 gives the Hessian
@@ -435,6 +440,8 @@ def _flat_minimize(frame, target: FIsometry, noise_cap=1e-6):
         g, target = g[None], fstack([target])
     ginv = np.linalg.inv(g)
     caps = np.broadcast_to(noise_cap, len(g))
+    det = np.linalg.det(g)
+    off_one = ~(np.abs(det - 1.0) <= FRAME_DET_TOL)  # a NaN determinant too
 
     def newton(n):
         """One pass over the first n entries; its first failure raises."""
@@ -452,6 +459,8 @@ def _flat_minimize(frame, target: FIsometry, noise_cap=1e-6):
             return ~done
 
         try:
+            raise_first([(off_one[:n], lambda i: PreconditionError(
+                f"flat frame has determinant {det[i]:.17g}, not 1"))])
             h, lh = _rescaled(ginv[:n] @ target.mat[:n], target.lm[:n])
             dlog = np.log(np.maximum(np.diagonal(h @ h.swapaxes(-1, -2), axis1=-2, axis2=-1),
                                      1e-300)) + 2.0 * lh[:, None]

@@ -366,7 +366,7 @@ _VERDICT_STATS_SHA256 = {
 def test_default_grid_verdict_stats_are_pinned(max_len, samples):
     cfg = VerdictConfig(max_len=max_len, samples=samples)
     digest = hashlib.sha256()
-    for point in cli._coordinate_grid("0.5:2:4,1:8:4,0.5:0.5:1").tolist():
+    for point in cli._grid_points(cli._coordinate_axes("0.5:2:4,1:8:4,0.5:0.5:1")).tolist():
         stats = anosov_verdict(Coordinates(*point), cfg).stats
         digest.update(repr(sorted(stats.items())).encode())
     assert digest.hexdigest() == _VERDICT_STATS_SHA256[max_len, samples]
@@ -778,7 +778,11 @@ def test_bad_output_path_ends_with_a_message(argv, where, tmp_path, capsys):
     assert capsys.readouterr().out == ""
 
 
-def test_bad_gap_table_and_summary_paths_end_with_a_message(tmp_path, capsys):
+def test_bad_gap_table_and_summary_paths_end_with_a_message(tmp_path, capsys, monkeypatch):
+    def verdict(*args):
+        raise AssertionError("a verdict ran before the output paths were checked")
+
+    monkeypatch.setattr(cli.anosov, "anosov_verdict", verdict)
     with pytest.raises(SystemExit, match=f"^bad output path {re.escape(repr(str(tmp_path)))}: "):
         run_cli(_SCAN_POINT + ["--gap-table", str(tmp_path)])
     out = tmp_path / "scan.csv"
@@ -788,6 +792,137 @@ def test_bad_gap_table_and_summary_paths_end_with_a_message(tmp_path, capsys):
         run_cli(_SCAN_POINT + ["--out", str(out)])
     assert out.exists()
     assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["trace-table", "--coords", "0.3,2.1,4.5"],
+    ["surface", "--s-grid", "1:1:1", "--theta-grid", "0.5:0.5:1"],
+    _SCAN_POINT,
+])
+def test_bad_output_path_fails_before_computing(argv, tmp_path, monkeypatch, capsys):
+    """Every output path is checked before a grid block or a verdict runs,
+    in the order the outputs are written, and the check truncates none."""
+    def computed(*args):
+        raise AssertionError("computed before checking the output paths")
+
+    monkeypatch.setattr(cli, "_map_grid", computed)
+    monkeypatch.setattr(cli, "_map_rows", computed)
+    with pytest.raises(SystemExit, match=f"^bad output path {re.escape(repr(str(tmp_path)))}: "):
+        run_cli(argv + ["--out", str(tmp_path)])
+    if argv is _SCAN_POINT:
+        out, gaps = tmp_path / "scan.csv", tmp_path / "gaps.csv"
+        out.write_text("kept\n")
+        (tmp_path / "scan.csv.summary.json").mkdir()
+        with pytest.raises(SystemExit, match=f"^bad output path {re.escape(repr(str(tmp_path)))}"):
+            run_cli(argv + ["--out", str(out), "--gap-table", str(tmp_path)])
+        with pytest.raises(SystemExit, match=r"^bad output path .*summary\.json'"):
+            run_cli(argv + ["--out", str(out), "--gap-table", str(gaps)])
+        assert out.read_text() == "kept\n" and gaps.read_text() == ""
+    assert capsys.readouterr().out == ""
+
+
+def _emit_recorded(monkeypatch):
+    """Record the arguments of each ``cli._emit_table`` call, which still
+    writes its table."""
+    calls, emit = [], cli._emit_table
+
+    def recorded(columns, rows, config, fmt, out, footer="", axes=()):
+        calls.append((columns, rows, config, fmt, footer, axes))
+        emit(columns, rows, config, fmt, out, footer, axes)
+
+    monkeypatch.setattr(cli, "_emit_table", recorded)
+    return calls
+
+
+_JOBS = [["--jobs", "1"], ["--jobs", "2"]]
+
+
+@pytest.mark.parametrize("argv, tokens", [
+    (["trace-table", "--grid", "1:1:1,2:2:1,0:3.1:5000", *jobs], ())
+    for jobs in _JOBS] + [
+    (["trace-table", "--grid", "0:2:3,0:3:1000,0:3.1:3", *jobs], ()) for jobs in _JOBS] + [
+    (["trace-table", "--grid", "0:1:3,0:2:3,3:7:4", *jobs], (",5.6666666666666661,",))
+    for jobs in _JOBS] + [
+    (["trace-table", "--grid", "0:9000:7,0:12000:5,0:6:3", *jobs], (",-inf,", ",nan"))
+    for jobs in _JOBS] + [
+    (["trace-table", "--coords=-0,-0,4", *jobs], ("\n-0,-0,",)) for jobs in _JOBS] + [
+    (["trace-table", "--grid", "0.5:0.5:1,1:1:1,2:2:1", *jobs], ()) for jobs in _JOBS] + [
+    (["anosov-scan", "--grid", "0:1:2,0:2:2,0.5:4:2", "--max-len", "3", "--samples", "50", *jobs],
+     (",nan,",)) for jobs in _JOBS] + [
+    (["surface", "--s-grid", "0:3000:50", "--theta-grid=-0:6:40"], (",inf,", ",nan,")),
+    (["surface", "--s-grid", "1:1:1", "--theta-grid", "0.5:0.5:1"], ()),
+])
+def test_csv_axis_cells_equal_per_row_formatting(argv, tokens, tmp_path, monkeypatch):
+    """The CSV that formats each axis value once equals, byte for byte,
+    the per-row ``%.17g`` formatting of the whole rows, coordinates
+    included: on long and one-point axes, -0.0, theta >= pi and value cells
+    that overflow to inf or nan, whatever ``--jobs`` cuts.  (``linspace``
+    gives 0.0 for a -0 bound, so -0.0 reaches an axis through ``--coords``.)"""
+    calls = _emit_recorded(monkeypatch)
+    out = tmp_path / "axes.csv"
+    assert run_cli([*argv, "--out", str(out)]) == 0
+    (columns, cells, config, fmt, footer, axes), = calls
+    rows = [(*p, *c) for p, c in zip(cli._grid_points(axes).tolist(), cells, strict=True)]
+    per_row = tmp_path / "rows.csv"
+    cli._emit_table(columns, rows, config, fmt, str(per_row), footer)
+    assert out.read_bytes() == per_row.read_bytes()
+    assert all(token in out.read_text() for token in tokens)
+
+
+def test_repeated_main_calls_leak_no_state(tmp_path, capsys):
+    """One parser serves every call, and an option given to one call is
+    not seen by the next: each command's output equals its output as the
+    first call of a fresh parser."""
+    cli._parser.cache_clear()
+    first = tmp_path / "first.csv"
+    gaps = tmp_path / "gaps.csv"
+    commands = [
+        (["trace-table", "--coords", "0.3,2.1,4.5", "--out", str(first)],
+         ["trace-table", "--coords", "0.3,2.1,4.5"]),
+        ([*_SCAN_POINT, "--gap-table", str(gaps), "--out", str(tmp_path / "scan.csv")],
+         _SCAN_POINT),
+        (["surface", "--s-grid", "0:1:3", "--theta-grid", "0.5:1:2", "--format", "json"],
+         ["surface", "--s-grid", "0:1:3", "--theta-grid", "0.5:1:2"]),
+        (["anosov-scan", "--grid", "1:1:1,2:2:1,0.5:0.5:1", "--max-len", "4", "--seed", "3",
+          "--jobs", "2"], _SCAN_POINT),
+    ]
+    alone = []
+    for _, argv in commands:
+        cli._parser.cache_clear()
+        assert run_cli(argv) == 0
+        alone.append(capsys.readouterr())
+    for (before, argv), expected in zip(commands, alone):
+        assert run_cli(before) == 0
+        capsys.readouterr()
+        first.unlink(missing_ok=True)
+        gaps.unlink(missing_ok=True)
+        assert run_cli(argv) == 0
+        assert capsys.readouterr() == expected
+        assert not first.exists() and not gaps.exists()
+    assert cli._parser.cache_info().currsize == 1
+
+
+def test_parser_is_built_once_per_process(monkeypatch, capsys):
+    built, build = [], cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build())
+    cli._parser.cache_clear()
+    for argv in (["trace-table", "--coords", "0.3,2.1,4.5"], _SCAN_POINT,
+                 ["surface", "--s-grid", "1:1:1", "--theta-grid", "0.5:0.5:1"],
+                 ["rep-info", "--coords", "1,4,0.5"]):
+        assert run_cli(argv) == 0
+    with pytest.raises(SystemExit):
+        run_cli(["trace-table", "--no-such-option"])
+    assert run_cli(["trace-table", "--coords", "0.3,2.1,4.5"]) == 0
+    assert built == [1]
+    capsys.readouterr()
+
+
+def test_importing_the_cli_builds_no_parser():
+    src = str(Path(modsym.__file__).resolve().parents[1])
+    code = "import modsym.cli as c; print(c._parser.cache_info().currsize)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, timeout=120)
+    assert proc.returncode == 0 and proc.stdout == "0\n"
 
 
 @pytest.mark.parametrize("option, message", [

@@ -9,6 +9,7 @@ from modsym.errors import (
     DomainError,
     GeometryError,
     OppositionError,
+    PreconditionError,
     RegularityError,
     raise_first,
 )
@@ -329,10 +330,29 @@ def test_flat_minimize_distance_is_fdistance():
         assert d == fdistance(point, target), k
 
 
+def test_flat_minimize_rejects_a_frame_off_determinant_one():
+    """Raw normal frames, on which the steps stalled on 294 of 400 targets,
+    raise ``PreconditionError``; the same frames scaled to determinant one
+    by ``Flat`` all return.  The tolerance admits the rounding of a
+    normalised frame."""
+    for k in range(400):
+        rng = np.random.default_rng(k)
+        p = random_point(rng, 1.5)
+        frame = rng.normal(size=(3, 3))
+        target = FIsometry(p.sqrt(), p.inv_sqrt())
+        with pytest.raises(PreconditionError, match="^flat frame has determinant ") as info:
+            flats._flat_minimize(frame, target)
+        assert info.value.row is None
+        flats._flat_minimize(flats.Flat(frame=frame).frame, target)
+    scale = 1.0 + flats.FRAME_DET_TOL / 2.0
+    flats._flat_minimize(np.diag([scale, 1.0, 1.0]), FIsometry.identity())
+
+
 def _far_projections(count, seed):
-    """Frames and factored points up to distance 40 from the identity, in
-    pairs with noise caps 1e-6 and 1.0: about half return, the rest stall
-    after 0 to 7 steps or meet a degenerate relative matrix."""
+    """Frames of determinant one and factored points up to distance 40
+    from the identity, in pairs with noise caps 1e-6 and 1.0: over half
+    return, the rest stall after 1 to 3 steps or meet a degenerate
+    relative matrix."""
     rng = np.random.default_rng(seed)
 
     def rotation_matrix():
@@ -341,7 +361,7 @@ def _far_projections(count, seed):
 
     entries = []
     for _ in range(count):
-        frame = rng.normal(size=(3, 3))
+        frame = flats.Flat(frame=rng.normal(size=(3, 3))).frame
         v = np.array([1.0, rng.uniform(-1.0, 1.0), 0.0]) * rng.uniform(0.5, 40.0)
         v -= v.mean()
         r1, r2 = rotation_matrix(), rotation_matrix()
@@ -418,10 +438,10 @@ def test_stacked_flat_minimize_equals_unstacked_calls():
         pick = rng.choice(len(entries), size=7, replace=False)
         expected = _first_failure([single[k] for k in pick])
         assert _stacked_projections([entries[k] for k in pick]) == expected
-    # a stall at step 2 ahead of a stall at step 0: the loop meets the
+    # a stall at step 3 ahead of a stall at step 1: the loop meets the
     # first entry's error, though the stack meets the second's first
     late, early = (next(k for k, o in enumerate(single)
-                        if o[0] is ConvergenceError and o[2] == n) for n in (2, 0))
+                        if o[0] is ConvergenceError and o[2] == n) for n in (3, 1))
     assert _stacked_projections([entries[k] for k in (late, early)]) == (single[late], 0)
     entries += [_zero_target(e) for e in entries[:20]]
     single += [_projection_outcome(lambda: _solve(*e)) for e in entries[120:]]
@@ -451,6 +471,22 @@ def test_flat_minimize_range_check_raises_with_its_row():
     with pytest.raises(DomainError, match="degenerate factor matrix") as info:
         _solve(*entries[4])
     assert info.value.row is None
+
+
+def test_stacked_flat_minimize_raises_the_precondition_in_loop_order():
+    """Doubled frames (determinant 8) mixed into stacks of solves: a stack
+    raises the error a loop over its entries meets first, the precondition
+    of an entry after earlier entries' step failures, with ``row`` its
+    stack index."""
+    entries = _far_projections(30, 21)
+    entries += [(2.0 * frame, *rest) for frame, *rest in entries[:30]]
+    single = [_projection_outcome(lambda: _solve(*e)) for e in entries]
+    assert {o[0] for o in single[60:]} == {PreconditionError}
+    rng = np.random.default_rng(12)
+    for _ in range(100):
+        pick = rng.choice(len(entries), size=7, replace=False)
+        expected = _first_failure([single[k] for k in pick])
+        assert _stacked_projections([entries[k] for k in pick]) == expected
 
 
 def test_flat_minimize_iteration_cap_raises_did_not_converge(monkeypatch):
