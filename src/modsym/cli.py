@@ -53,10 +53,13 @@ def _parse_grid(spec: str, axes: int) -> list[np.ndarray]:
     return [_parse_axis(p) for p in parts]
 
 
-def _parse_coords(spec: str) -> charvar.Coordinates:
+def _parse_coords(spec: str) -> tuple[float, float, float]:
+    """The floats s, t, theta of ``spec`` as given, once
+    ``charvar.Coordinates`` accepts them (it would reduce theta)."""
     try:
         s, t, theta = (float(v) for v in spec.split(","))
-        return charvar.Coordinates(s, t, theta)
+        charvar.Coordinates(s, t, theta)
+        return s, t, theta
     except ValueError as exc:
         raise SystemExit(
             f"bad coordinates {spec!r}; expected finite s,t,theta with s, t >= 0") from exc
@@ -237,8 +240,7 @@ def _trace_block(axes: list[np.ndarray]) -> list:
 
 def cmd_trace_table(args) -> int:
     if args.coords:
-        c = _parse_coords(args.coords)
-        axes = [np.array([v]) for v in (c.s, c.t, c.theta)]
+        axes = [np.array([v]) for v in _parse_coords(args.coords)]
     else:
         axes = _coordinate_axes(args.grid)
     _check_out_paths(args.out)
@@ -405,7 +407,7 @@ def cmd_rep_info(args) -> int:
         raise SystemExit(f"bad --peripheral-n {args.peripheral_n}; expected at least 4")
     if not args.tol >= 0:
         raise SystemExit(f"bad --tol {args.tol:g}; expected tol >= 0")
-    c = _parse_coords(args.coords)
+    c = charvar.Coordinates(*_parse_coords(args.coords))
     try:
         # word literals use the alphabet a, b, B (= b^2), e.g. "baBa"
         word = charvar.normalize(args.word) if args.word else None

@@ -480,10 +480,12 @@ def test_trace_table_grid_matches_scalar_route(tmp_path, monkeypatch):
 
 
 def test_trace_table_single_point_and_json_match_scalar_route(tmp_path, capsys):
+    """As on a grid, theta is printed as given and reduced mod pi only for
+    the computation."""
     c = Coordinates(0.3, 2.1, 4.5)
     numeric = float(np.trace(matrix_of(rep_from_coords(c), BABA)))
     closed = float(trace_baba_closed_form(c))
-    expected = [c.s, c.t, c.theta, numeric, closed, abs(numeric - closed)]
+    expected = [c.s, c.t, 4.5, numeric, closed, abs(numeric - closed)]
     out = tmp_path / "p.csv"
     run_cli(["trace-table", "--coords", "0.3,2.1,4.5", "--out", str(out)])
     assert [float(v) for v in _csv_data(out)[0]] == expected
@@ -492,6 +494,23 @@ def test_trace_table_single_point_and_json_match_scalar_route(tmp_path, capsys):
     row = json.loads(capsys.readouterr().out)["rows"][0]
     assert [row[k] for k in ("s", "t", "theta", "tr_baba_numeric", "tr_baba_closed",
                              "residual")] == expected
+
+
+@pytest.mark.parametrize("theta", [0.5, np.pi, 4.5, 7.0])
+def test_trace_table_coords_print_as_the_one_point_grid(theta, capsys):
+    """``--coords s,t,theta`` prints the rows and summary of the one-point
+    ``--grid`` at the same values, theta as given; only the footer's
+    configuration, which records the option, differs."""
+    s, t, th = 0.3, 2.1, repr(theta)
+    outputs = []
+    for argv in (["--coords", f"{s},{t},{th}"], ["--grid", f"{s}:{s}:1,{t}:{t}:1,{th}:{th}:1"]):
+        assert run_cli(["trace-table", *argv]) == 0
+        captured = capsys.readouterr()
+        lines = captured.out.splitlines()
+        assert lines[-1].startswith("# config=")
+        outputs.append((lines[:-1], captured.err))
+    assert outputs[0] == outputs[1]
+    assert outputs[0][0][1].split(",")[2] == "%.17g" % theta
 
 
 def test_surface_matches_scalar_route(tmp_path, monkeypatch):

@@ -1,6 +1,11 @@
+import random
+
 import numpy as np
 import pytest
 from mpmath import mp
+from mpmath.libmp import (ComplexResult, fone, from_float, from_man_exp, fzero, mpf_neg, mpf_pow,
+                          mpf_sqrt)
+from mpmath.matrices import eigen_symmetric
 
 from modsym import anosov, highprec
 from modsym.charvar import Coordinates, rep_from_coords
@@ -210,6 +215,9 @@ def _test_matrices(rng):
         "diagonal": mp.diag([3, 1, 2]).tolist(),
         "identity": mp.eye(3).tolist(),
         "repeated": mp.diag([2, 2, 1]).tolist(),
+        # a tie below dps 50, two close eigenvalues above
+        "near-tie": mp.diag([2, 2 + mp.mpf(10) ** -50, 1]).tolist(),
+        "graded-200": _random_spd(rng, [200, 0, -200]),
     }
 
 
@@ -222,6 +230,66 @@ def test_decomposition_matches_eigsy_bit_for_bit(dps):
             ref_vals, ref_q = route.sym_eig_desc(mp.matrix(m))
             assert _bits(vals) == _bits(ref_vals), name
             assert [_bits(row) for row in q] == [_bits(row) for row in ref_q.tolist()], name
+
+
+@pytest.mark.parametrize("k, t", enumerate([1.0, 8.0, 14.0, 20.0]))
+def test_decomposition_matches_eigsy_on_the_oracle_matrices(monkeypatch, k, t):
+    """Every matrix straightness_stats decomposes on a window at (1, t,
+    0.5), at its dps (92 to 206), decomposes as mp.eigsy does it."""
+    captured = []
+    decompose = highprec._sym_eig_desc
+    monkeypatch.setattr(highprec, "_sym_eig_desc",
+                        lambda m: captured.append((mp.dps, m)) or decompose(m))
+    highprec.straightness_stats(1.0, t, 0.5, random_f2_geodesic(10, k))
+    assert captured
+    for dps, m in captured:
+        with mp.workdps(dps):
+            vals, q = decompose(m)
+            ref_vals, ref_q = route.sym_eig_desc(mp.matrix(m))
+        assert _bits(vals) == _bits(ref_vals)
+        assert [_bits(row) for row in q] == [_bits(row) for row in ref_q.tolist()]
+
+
+def _random_raw(rng, prec):
+    """A random nonnegative raw mpf of up to 2 prec + 16 bits: zero, a
+    power of two or an odd mantissa, with an exponent of either parity."""
+    exp = rng.randrange(-3 * prec, 3 * prec)
+    kind = rng.random()
+    if kind < 0.02:
+        return fzero
+    if kind < 0.1:
+        return from_man_exp(1, exp)
+    return from_man_exp(rng.getrandbits(rng.randrange(1, 2 * prec + 17)) | 1, exp)
+
+
+def test_sqrt_equals_mpf_sqrt_bit_for_bit():
+    """The oracle's square root, with math.isqrt, against libmp's, with
+    sqrtrem, on 12,000 inputs at precisions 53 to 2000 and three rounding
+    modes."""
+    rng = random.Random(34)
+    kinds = set()
+    for rnd in ("n", "f", "c"):
+        for _ in range(4000):
+            prec = rng.randrange(53, 2001)
+            v = _random_raw(rng, prec)
+            kinds.add(("zero" if not v[1] else "one" if v[1] == 1 else "odd", v[2] & 1))
+            assert highprec._sqrt(v, prec, rnd) == mpf_sqrt(v, prec, rnd), (v, prec, rnd)
+    assert kinds == {("zero", 0), ("one", 0), ("one", 1), ("odd", 0), ("odd", 1)}
+    with pytest.raises(ComplexResult):
+        highprec._sqrt(mpf_neg(fone), 53, "n")
+
+
+def test_half_powers_equal_mpf_pow_bit_for_bit():
+    """m^(1/2) and m^(-1/2) of _spd_pows, whose root at prec + 10 takes
+    the reciprocal rounding mode, against mpf_pow."""
+    rng = random.Random(35)
+    for rnd in ("n", "f", "c"):
+        for _ in range(400):
+            prec = rng.randrange(53, 2001)
+            v = _random_raw(rng, prec)
+            for e in (0.5, -0.5) if v[1] else (0.5,):
+                assert highprec._HALF_POWERS[e](v, prec, rnd) == \
+                    mpf_pow(v, from_float(e), prec, rnd), (v, prec, rnd, e)
 
 
 def test_triangle_angle_matches_matrix_route():
@@ -242,9 +310,14 @@ def test_triangle_angle_matches_matrix_route():
 
 
 def test_no_mp_matrix_product_or_eigsy(monkeypatch):
-    """The oracle forms its products with mp.fdot on lists, and meets
-    mp.matrix only inside mp.inverse."""
+    """The oracle forms its products and decompositions on raw libmp
+    values, and meets mp.matrix only inside mp.inverse: no mp.fdot, and
+    none of the EISPACK routines of mp.eigsy."""
     calls = []
+    monkeypatch.setattr(mp, "fdot", lambda *args, **kwargs: calls.append("fdot"))
+    for name in ("r_sy_tridiag", "tridiag_eigen"):
+        monkeypatch.setattr(eigen_symmetric, name,
+                            lambda *args, name=name, **kwargs: calls.append(name))
     matrix = type(mp.matrix(1, 1))
     for name in ("__mul__", "__rmul__", "__add__"):
         method = getattr(matrix, name)

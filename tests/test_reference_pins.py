@@ -126,7 +126,7 @@ GRID_SHA256 = {
     "trace-table --grid 0:9000:7,0:12000:5,0:6:3":
         "70effe48f17d1b91d5cee6a95aa3ec1cc723bae91bc9af031a0be8319ebb443d",
     "trace-table --coords 0.3,2.1,4.5":
-        "acfc7ea3befaa53313b40dd1495d47f642b7eeed207948cb4bb40c25e26dfaeb",
+        "b11bb5157a62c8757dc597be44175c84158ef37c43691413136bd417856d00d3",
     "trace-table --format json": "2f40d31b0ade72f9bd8bfa4a47e0a684905a09ced5905ec4ac45cdb3725c762a",
     "surface": "1109b43bfa398064228ee004ddc51813d7256b236a9b22bcabe2d2d3f0f77d2c",
     "surface --s-grid 5:7:21 --theta-grid 0:3.1:32":
