@@ -13,6 +13,7 @@ from .anosov import (
     TriangleReport,
     VerdictConfig,
     anosov_verdict,
+    anosov_verdicts,
     cartan_gap_scan,
     midpoint_sequence,
     morse_flat_check,

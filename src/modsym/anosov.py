@@ -25,6 +25,8 @@ from .charvar import (
     SURFACE_TOL,
     Coordinates,
     Representation,
+    _f2_fold,
+    _f2_tables,
     f2_fisometries,
     matrix_of,
     rep_from_coords,
@@ -129,11 +131,24 @@ class MidpointSequence:
 
 
 def _local_midpoints(x: FIsometry, steps: FIsometry):
-    """mid(x, step x) for each step of a stack, with its distances to both
-    ends."""
+    """mid(x, step x) for each step of a stack, with its equidistance defect
+    |d(m, x) - d(m, step x)| / max(1, d(m, x)).  The first stack axis of
+    ``steps`` is the midpoint axis; trailing stack axes hold the windows of
+    other points, whose x then stacks along them."""
     y = fact(steps, x)
     mids = fmidpoint(x, y)
-    return mids, fdistance(mids, x), fdistance(mids, y)
+    dp = fdistance(mids, x)
+    return mids, np.abs(dp - fdistance(mids, y)) / np.fmax(1.0, dp)
+
+
+def _step_words(words: tuple[F2Word, ...]) -> list[F2Word]:
+    """g_n^{-1} g_{n+1} for consecutive words of a window."""
+    return [f2_mul(f2_inverse(w_prev), w_next) for w_prev, w_next in zip(words, words[1:])]
+
+
+def _defect(ratios: list[float]) -> float:
+    """The equidistance defect of a window from its midpoints' ratios."""
+    return max([0.0, *ratios])
 
 
 def midpoint_sequence(rep: Representation, window: Sequence[F2Word]) -> MidpointSequence:
@@ -157,13 +172,13 @@ def _window_stacks(rep: Representation, words: tuple[F2Word, ...]):
     its equidistance defect.  The one entry is the last window built,
     keyed by the representation and the words; a window that raises
     leaves it as it was."""
-    step_words = [f2_mul(f2_inverse(w_prev), w_next) for w_prev, w_next in zip(words, words[1:])]
+    step_words = _step_words(words)
     n = len(step_words)
     steps = _row_major(lambda k: f2_fisometries(rep, step_words[:k]), n)
-    mids, dp, dq = _row_major(lambda k: _local_midpoints(rep.fx, steps[:k]), n)
+    mids, ratios = _row_major(lambda k: _local_midpoints(rep.fx, steps[:k]), n)
     for a in (steps.lm, steps.lmi, mids.lm, mids.lmi):
         a.flags.writeable = False
-    return steps, mids, max([0.0, *(np.abs(dp - dq) / np.fmax(1.0, dp)).tolist()])
+    return steps, mids, _defect(ratios.tolist())
 
 
 @dataclass(frozen=True)
@@ -182,7 +197,8 @@ class StraightnessReport:
 
 def _segments(steps: FIsometry, mids: FIsometry, count: int):
     """Segments n < count, from m_n to m_{n+1}, both in the chart of g_n:
-    the next midpoint in that chart, the log-eigenvalues and the spacing."""
+    the next midpoint in that chart, the log-eigenvalues and the spacing.
+    As in every window stage, the first stack axis is the midpoint axis."""
     nxt = fact(steps[:count], mids[1:count + 1])
     lam = seg_lambdas(mids[:count], nxt)
     spacing = _norm(lam)
@@ -205,15 +221,19 @@ def _vertex_angles(steps: FIsometry, mids: FIsometry, nxt: FIsometry, count: int
     return matrix_angle(directions[:, 0], directions[:, 1])
 
 
-def straightness_report(seq: MidpointSequence, theta: ModelInterval) -> StraightnessReport:
-    n_mid = len(seq.words) - 1
+def _straightness_stacks(steps: FIsometry, mids: FIsometry, n_mid: int):
+    """The zeta-angles, spacings and segment types of the windows of n_mid
+    steps and local midpoints, as stacks whose first axis runs along the
+    window."""
     if n_mid < 3:
         raise ValueError("straightness needs at least 3 midpoints")
-    steps, mids = seq.steps, seq.local_mids
     nxt, lam, spacing = _row_major(lambda k: _segments(steps, mids, k), n_mid - 1)
-    zeta_angles = _row_major(lambda k: _vertex_angles(steps, mids, nxt, k), n_mid - 2).tolist()
-    spacings = spacing.tolist()
-    types = chamber_angle(lam).tolist()
+    zeta_angles = _row_major(lambda k: _vertex_angles(steps, mids, nxt, k), n_mid - 2)
+    return zeta_angles, spacing, chamber_angle(lam)
+
+
+def _report(zeta_angles: list, spacings: list, types: list,
+            theta: ModelInterval) -> StraightnessReport:
     return StraightnessReport(
         min_zeta_angle=min(zeta_angles),
         min_spacing=min(spacings),
@@ -224,6 +244,11 @@ def straightness_report(seq: MidpointSequence, theta: ModelInterval) -> Straight
         zeta_angles=tuple(zeta_angles),
         spacings=tuple(spacings),
     )
+
+
+def straightness_report(seq: MidpointSequence, theta: ModelInterval) -> StraightnessReport:
+    stacks = _straightness_stacks(seq.steps, seq.local_mids, len(seq.words) - 1)
+    return _report(*(a.tolist() for a in stacks), theta)
 
 
 # -- Cartan gap scan ---------------------------------------------------------
@@ -788,11 +813,34 @@ def _verdict_window(length: int, seed: int) -> tuple[F2Word, ...]:
     return tuple(random_f2_geodesic(length, seed))
 
 
-def anosov_verdict(c: Coordinates, config: VerdictConfig | None = None) -> AnosovVerdict:
-    """Combine straightness, gap growth and peripheral growth into one of
-    evidence-anosov / evidence-degenerate / inconclusive."""
-    cfg = config or VerdictConfig()
-    rep = rep_from_coords(c)
+def _window_stats(rep: Representation, cfg: VerdictConfig):
+    """Yield the equidistance defect of the verdict window, then its
+    StraightnessReport, each computed when it is asked for."""
+    seq = midpoint_sequence(rep, _verdict_window(cfg.window, cfg.seed))
+    yield seq.equidistance_defect
+    yield straightness_report(seq, ModelInterval.symmetric(cfg.theta_halfwidth))
+
+
+def _window_block(reps: list[Representation], cfg: VerdictConfig) -> list[tuple]:
+    """(equidistance defect, StraightnessReport) of the verdict window of
+    each rep, from one stacked pass: the stages of ``_window_stacks`` and
+    ``straightness_report`` on (n, P) stacks, the midpoint axis first and
+    one column per rep, after the F2 tables of all reps as one stack.
+    Each entry equals the unstacked stage's bit for bit.  Raises what a
+    stage raises at some point."""
+    step_words = _step_words(_verdict_window(cfg.window, cfg.seed))
+    steps = _f2_fold(_f2_tables(reps), step_words)
+    mids, ratios = _local_midpoints(fstack([rep.fx for rep in reps]), steps)
+    stacks = _straightness_stacks(steps, mids, len(step_words))
+    theta = ModelInterval.symmetric(cfg.theta_halfwidth)
+    return [(_defect(r), _report(*lists, theta))
+            for r, *lists in zip(*(a.T.tolist() for a in (ratios, *stacks)))]
+
+
+def _verdict(c: Coordinates, rep: Representation, cfg: VerdictConfig, window) -> AnosovVerdict:
+    """The verdict at c, where ``rep`` is ``rep_from_coords(c)`` and
+    ``window`` yields the window's equidistance defect, then its
+    StraightnessReport; either may raise a window error."""
     stats: dict = asdict(cfg)
 
     peripheral = peripheral_growth(rep, cfg.peripheral_n)
@@ -800,10 +848,10 @@ def anosov_verdict(c: Coordinates, config: VerdictConfig | None = None) -> Anoso
     stats["peripheral_kappa"] = peripheral.kappa
 
     straight = None
+    window = iter(window)
     try:
-        seq = midpoint_sequence(rep, _verdict_window(cfg.window, cfg.seed))
-        stats["equidistance_defect"] = seq.equidistance_defect
-        straight = straightness_report(seq, ModelInterval.symmetric(cfg.theta_halfwidth))
+        stats["equidistance_defect"] = next(window)
+        straight = next(window)
         stats["min_zeta_angle"] = straight.min_zeta_angle
         stats["min_spacing"] = straight.min_spacing
         stats["type_min"] = straight.type_min
@@ -833,3 +881,57 @@ def anosov_verdict(c: Coordinates, config: VerdictConfig | None = None) -> Anoso
     else:
         verdict = INCONCLUSIVE
     return AnosovVerdict(coordinates=c, verdict=verdict, stats=stats)
+
+
+def anosov_verdict(c: Coordinates, config: VerdictConfig | None = None) -> AnosovVerdict:
+    """Combine straightness, gap growth and peripheral growth into one of
+    evidence-anosov / evidence-degenerate / inconclusive."""
+    cfg = config or VerdictConfig()
+    rep = rep_from_coords(c)
+    return _verdict(c, rep, cfg, _window_stats(rep, cfg))
+
+
+# The stacked window pass takes the points of a block in chunks of at most
+# this many: its temporaries grow with the stack (about 40 MB at 2048
+# points, 1.2 MB at 64), while its cost per point stops falling near 64.
+_WINDOW_POINTS = 64
+
+
+def anosov_verdicts(coords: Sequence[Coordinates],
+                    config: VerdictConfig | None = None) -> list[AnosovVerdict]:
+    """``anosov_verdict`` of each point of a block, in order, bit for bit.
+    The block is cut into even chunks of at most ``_WINDOW_POINTS``
+    points.  Each chunk forms the straightness windows of its points as
+    one stacked pass (``_window_block``); then each of its points takes
+    its peripheral growth, its straightness stats read off the pass, its
+    gap scan and its verdict, as ``anosov_verdict`` does.
+
+    A one-point block, and a chunk whose stacked pass raises anything,
+    runs ``anosov_verdict`` point by point instead, so window errors
+    (``straightness_error``) and raised errors are the loop's, in its
+    order.  A point's GeometryError raises with ``row`` set to the
+    point's index in the block."""
+    cfg = config or VerdictConfig()
+    coords = list(coords)
+    verdicts = []
+    chunks = max(1, -(-len(coords) // _WINDOW_POINTS))
+    for rows in np.array_split(np.arange(len(coords)), chunks):
+        rows = rows.tolist()
+        windows = None
+        if len(coords) > 1:
+            try:
+                reps = [rep_from_coords(coords[row]) for row in rows]
+                windows = _window_block(reps, cfg)
+            except Exception:
+                # whatever the pass meets, a window error, a warning raised
+                # as an error or a short window, the loop meets again in
+                # its order
+                pass
+        for k, row in enumerate(rows):
+            try:
+                verdicts.append(anosov_verdict(coords[row], cfg) if windows is None
+                                else _verdict(coords[row], reps[k], cfg, windows[k]))
+            except GeometryError as exc:
+                exc.row = row
+                raise
+    return verdicts

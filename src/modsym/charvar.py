@@ -146,16 +146,10 @@ class Representation:
         """Factored isometries of the four free generators of the
         index-six subgroup, as one read-only stack in letter order: the
         first four rows of ``_f2_table``, whose fifth row is the identity
-        letter that ``f2_fisometries`` pads shorter words with."""
+        letter that ``_f2_fold`` pads shorter words with.  ``_f2_tables``
+        builds both, for one representation or a block of them."""
         if self._f2_gens is None:
-            # the four words have four letters each: fold them position by
-            # position, each position's four letters as one stack
-            columns = zip(*(_letter_picks(self._letters, _F2_SUBSTITUTION[k]) for k in range(4)))
-            gens = reduce(fcompose, map(fstack, columns), FIsometry.identity())
-            table = fstack([*gens, FIsometry.identity()])
-            for a in (table.mat, table.matinv, table.lm, table.lmi):
-                a.flags.writeable = False
-            self._f2_table, self._f2_gens = table, table[:4]
+            _f2_tables([self])
         return self._f2_gens
 
     def validate(self, tol: float = 1e-10) -> bool:
@@ -212,15 +206,42 @@ def evaluate(rep: Representation, w: ModWord) -> Isometry:
     return reduce(compose, (table[syll] for syll in w.syllables), Isometry.identity())
 
 
+def _f2_tables(reps: Sequence[Representation]) -> FIsometry:
+    """The F2 tables of ``reps`` as one read-only (5, P) stack, letter
+    axis first: row k < 4 holds each rep's k-th free generator, row 4 the
+    identity letter that ``_f2_fold`` pads shorter words with.  Each rep
+    keeps its column as its table, bit for bit the table it would build
+    alone.  The four generator words have four letters each: they fold
+    position by position, each position's letters of every word and rep
+    as one stack."""
+    columns = zip(*(_letter_picks(rep._letters, _F2_SUBSTITUTION[k])
+                    for k in range(4) for rep in reps))
+    gens = reduce(fcompose, map(fstack, columns), FIsometry.identity())
+    flat = fstack([*gens, *[FIsometry.identity()] * len(reps)])
+    table = FIsometry(*(a.reshape((5, len(reps)) + a.shape[1:])
+                        for a in (flat.mat, flat.matinv, flat.lm, flat.lmi)))
+    for a in (table.mat, table.matinv, table.lm, table.lmi):
+        a.flags.writeable = False
+    for j, rep in enumerate(reps):
+        rep._f2_table, rep._f2_gens = table[:, j], table[:4, j]
+    return table
+
+
 def f2_fisometries(rep: Representation, words: Sequence[F2Word]) -> FIsometry:
     """The factored isometries of the words, as one stack with read-only
-    factors.  The words are folded together letter by letter from the
-    left, starting at the identity, one ``fcompose`` per letter column;
-    a shorter word is padded with the identity letter (index 4 of the
-    table), which changes nothing: I M is M, and its max |entry| is 1.
-    So each entry is its own fold by ``fcompose`` bit for bit."""
+    factors (``_f2_fold`` over the representation's table)."""
     rep.f2_generators()  # builds the table once per representation
-    table = rep._f2_table
+    return _f2_fold(rep._f2_table, words)
+
+
+def _f2_fold(table: FIsometry, words: Sequence[F2Word]) -> FIsometry:
+    """The words folded over an F2 table of ``_f2_tables``, one stack entry
+    per word, each followed by the table's trailing stack axes.  The words
+    are folded together letter by letter from the left, starting at the
+    identity, one ``fcompose`` per letter column; a shorter word is padded
+    with the identity letter (index 4 of the table), which changes
+    nothing: I M is M, and its max |entry| is 1.  So each entry is its own
+    fold by ``fcompose`` bit for bit."""
     letters = np.full((len(words), max(map(len, words), default=0)), 4)
     for row, w in zip(letters, words):
         row[:len(w)] = w.letters
@@ -253,9 +274,8 @@ def _fold(table, syllables, one):
 
     ``matrix_of`` and ``matrices_at`` fold extended-precision matrices,
     any leading stack axes being the table's.
-    ``Representation.f2_generators`` reduces the same picks of its four
-    words with ``fcompose``, side by side as one stack per letter
-    position."""
+    ``_f2_tables`` reduces the same picks of the four generator words
+    with ``fcompose``, side by side as one stack per letter position."""
     return reduce(operator.matmul, _letter_picks(table, syllables), one)
 
 

@@ -294,20 +294,18 @@ def cmd_surface(args) -> int:
 # -- anosov scan ---------------------------------------------------------------
 
 
-def _verdict_row(cfg: anosov.VerdictConfig, point) -> tuple:
-    """The cells (verdict, c, minangle, minspacing) of one scan point."""
-    s, t, theta = point
+def _verdict_block(cfg: anosov.VerdictConfig, axes: list[np.ndarray]) -> list:
+    """The cells (verdict, c, minangle, minspacing) of the points of a
+    block given by its axis runs (s, t, theta), from one block verdict."""
+    points = _grid_points(axes).tolist()
     try:
-        v = anosov.anosov_verdict(charvar.Coordinates(s, t, theta), cfg)
+        verdicts = anosov.anosov_verdicts([charvar.Coordinates(*p) for p in points], cfg)
     except GeometryError as exc:
-        point = ",".join(_FMT % x for x in (s, t, theta))
+        point = ",".join(_FMT % x for x in points[exc.row])
         raise SystemExit(f"anosov-scan at {point}: {exc}") from exc
-    return (
-        v.verdict,
-        v.stats.get("slope_c", float("nan")),
-        v.stats.get("min_zeta_angle", float("nan")),
-        v.stats.get("min_spacing", float("nan")),
-    )
+    return [(v.verdict, *(v.stats.get(k, float("nan"))
+                          for k in ("slope_c", "min_zeta_angle", "min_spacing")))
+            for v in verdicts]
 
 
 def _write_gap_table(path: str, coords, max_len, samples, seed) -> None:
@@ -342,7 +340,7 @@ def cmd_anosov_scan(args) -> int:
     _check_out_paths(args.gap_table, args.out, args.out and args.out + ".summary.json")
     cfg = anosov.VerdictConfig(max_len=args.max_len, samples=args.samples, window=args.window,
                                seed=args.seed)
-    results = _map_rows(functools.partial(_verdict_row, cfg), points, args.jobs)
+    results = _map_grid(functools.partial(_verdict_block, cfg), axes, args.jobs)
     if args.gap_table:
         # after the verdict, which runs the same scan and so meets its errors first;
         # a tuple, as the configuration hash spells the coordinates

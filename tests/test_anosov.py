@@ -653,6 +653,70 @@ def test_verdict_stats_echo_the_config():
         "theta_halfwidth": 0.3, "zeta_slack": 0.6, "spacing_factor": 0.04}
 
 
+def test_verdict_stats_keep_their_key_order():
+    """The config fields, then the peripheral, window and gap stats, in the
+    order the verdict records them; a window error takes the window's
+    place after its equidistance defect, if it has one."""
+    cfg = VerdictConfig(max_len=3, samples=100)
+    config = [f.name for f in dataclasses.fields(VerdictConfig)]
+    window = ["equidistance_defect", "min_zeta_angle", "min_spacing", "type_min", "type_max"]
+    assert list(anosov_verdict(Coordinates(1.0, 4.0, 0.5), cfg).stats) == [
+        *config, "peripheral_model", "peripheral_kappa", *window, "slope_c", "intercept_C"]
+    assert list(anosov_verdict(Coordinates(0.0, 0.0, 0.5), cfg).stats) == [
+        *config, "peripheral_model", "peripheral_kappa", "straightness_error", "slope_c",
+        "intercept_C"]
+
+
+def _verdict_fields(v):
+    return v.coordinates, v.verdict, list(v.stats), v.stats
+
+
+@pytest.mark.parametrize("grid, cfg, chunk, looped", [
+    ("0.5:2:4,1:8:4,0.5:0.5:1", VerdictConfig(max_len=8, samples=20_000), 64, []),
+    ("0.5:2:4,1:8:4,0.5:0.5:1", VerdictConfig(), 64, []),
+    ("0.5:2:4,1:8:4,0.5:0.5:1", VerdictConfig(max_len=8, samples=20_000), 5, []),
+    ("1:1:1,4:4:1,0.5:0.5:1", VerdictConfig(max_len=8, samples=20_000), 64, [0]),
+    ("0:1:2,0:2:2,0.5:4:2", VerdictConfig(max_len=3), 64, list(range(8))),
+    ("0:1:2,0:2:2,0.5:4:2", VerdictConfig(max_len=3), 4, [0, 1, 2, 3]),
+])
+def test_block_verdicts_equal_the_loop_bit_for_bit(grid, cfg, chunk, looped, monkeypatch):
+    """anosov_verdicts gives each point of a block the loop's verdict and
+    stats, key order included.  The README grid takes stacked window
+    passes, in one chunk or in even chunks of at most ``chunk`` points;
+    a one-point block runs the loop, and so do the points of a chunk
+    whose stacked pass raises, here at the fixed points (0, 0, theta),
+    rows 0 and 1."""
+    coords = [Coordinates(*p) for p in cli._grid_points(cli._coordinate_axes(grid)).tolist()]
+    loop = [anosov_verdict(c, cfg) for c in coords]
+    calls, verdict = [], anosov.anosov_verdict
+
+    def counted(c, config=None):
+        calls.append(c)
+        return verdict(c, config)
+
+    monkeypatch.setattr(anosov, "anosov_verdict", counted)
+    monkeypatch.setattr(anosov, "_WINDOW_POINTS", chunk)
+    block = anosov.anosov_verdicts(coords, cfg)
+    assert [_verdict_fields(v) for v in block] == [_verdict_fields(v) for v in loop]
+    assert calls == [coords[row] for row in looped]
+    if grid.startswith("0:1:2"):
+        fixed = [v.stats.get("straightness_error") for v in loop[:2]]
+        assert fixed == ["segment undefined for coincident points"] * 2
+        with pytest.raises(DomainError, match="coincident points"):
+            anosov._window_block([rep_from_coords(c) for c in coords], cfg)
+
+
+@pytest.mark.parametrize("chunk", [64, 1])
+def test_block_verdicts_raise_the_point_error_with_its_row(chunk, monkeypatch):
+    """(0, 400, 0.7) raises from its gap scan, after (0, 4, 0.7) passed,
+    whether the two points share a chunk or not."""
+    monkeypatch.setattr(anosov, "_WINDOW_POINTS", chunk)
+    coords = [Coordinates(0.0, 4.0, 0.7), Coordinates(0.0, 400.0, 0.7)]
+    with pytest.raises(DomainError, match="^word product underflows the float64 range$") as info:
+        anosov.anosov_verdicts(coords, VerdictConfig(max_len=8, samples=20_000))
+    assert info.value.row == 1
+
+
 def test_morse_reports_newton_iterations():
     rep = rep_from_coords(Coordinates(1.0, 4.0, 0.5))
     rpt = morse_flat_check(rep, random_f2_geodesic(10, seed=0), THETA_INTERVAL)

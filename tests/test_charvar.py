@@ -242,6 +242,30 @@ def test_explicit_fixed_point_is_formed_once_where_it_fits():
     assert rep.rho_a is rep.rho_a and rep.x is rep.x
 
 
+def test_block_tables_are_each_representation_s_own():
+    """One (5, P) table stack for a block: each representation keeps its
+    column, the table it builds alone bit for bit, and a ragged fold over
+    the stack gives each column the representation's own fold."""
+    coords = [Coordinates(1.0, 6.0, 0.5), Coordinates(0.3, 0.2, 2.9), Coordinates(2.0, 40.0, 1.3)]
+    reps = [rep_from_coords(c) for c in coords]
+    table = charvar._f2_tables(reps)
+    assert table.mat.shape == (5, 3, 3, 3) and table.lm.shape == (5, 3)
+    assert not any(a.flags.writeable for a in (table.mat, table.matinv, table.lm, table.lmi))
+    words = [f2_from_string(name) for name in ("e", "x", "Y", "xyXY", "yyxYxxyX")]
+    folded = charvar._f2_fold(table, words)
+    assert folded.mat.shape == (5, 3, 3, 3)
+    def same(g, h):
+        return all(np.array_equal(a, b) for a, b in zip(
+            (g.mat, g.matinv, g.lm, g.lmi), (h.mat, h.matinv, h.lm, h.lmi)))
+
+    for j, (c, rep) in enumerate(zip(coords, reps)):
+        alone = rep_from_coords(c)
+        alone.f2_generators()
+        assert same(rep._f2_table, table[:, j]) and same(rep._f2_table, alone._f2_table)
+        assert same(rep.f2_generators(), alone.f2_generators())
+        assert same(folded[:, j], f2_fisometries(alone, words))
+
+
 @pytest.mark.parametrize("s", [0.0, 0.7, 2.0])
 @pytest.mark.parametrize("t", [0.5, 3.0, 8.0, 20.0])
 def test_f2_generators_are_the_matrices_of_their_words(s, t):

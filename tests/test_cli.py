@@ -688,6 +688,39 @@ def test_anosov_scan_point_error_is_one_line(extra, tmp_path, capsys):
     assert capsys.readouterr().out == ""
 
 
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_anosov_scan_block_error_names_its_point(jobs):
+    """A block of two points whose second raises from its gap scan ends
+    with that point's line and exit status 1, whether the block is cut or
+    not."""
+    src = str(Path(modsym.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-m", "modsym", "anosov-scan", "--grid",
+                           "0:0:1,4:400:2,0.7:0.7:1", "--max-len", "8", "--jobs", jobs],
+                          capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
+                          timeout=120)
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr.splitlines()[-1] == (
+        "anosov-scan at 0,400,0.69999999999999996: word product underflows the float64 range")
+
+
+def test_anosov_scan_split_blocks_keep_the_bytes(tmp_path, monkeypatch):
+    """Blocks cut inside the t axis give the rows and summary of the whole
+    grid as one block, at --jobs 1 and 2."""
+    grid = "0.8:1.2:2,2:6:3,0.4:0.6:2"
+    args = ["anosov-scan", "--grid", grid, "--max-len", "4", "--samples", "300", "--window", "5"]
+    whole = tmp_path / "whole.csv"
+    run_cli(args + ["--out", str(whole)])
+    monkeypatch.setattr(cli, "_BLOCK_POINTS", 4)
+    assert len(cli._grid_blocks(cli._coordinate_axes(grid), 1)) == 4
+    for jobs in ("1", "2"):
+        split = tmp_path / f"split{jobs}.csv"
+        run_cli(args + ["--jobs", jobs, "--out", str(split)])
+        assert split.read_bytes() == whole.read_bytes()
+        assert (Path(f"{split}.summary.json").read_bytes()
+                == Path(f"{whole}.summary.json").read_bytes())
+
+
 @pytest.mark.parametrize("option, value", [
     ("--seed", "-1"), ("--seed", str(2**64)), ("--window", "2"), ("--max-len", "0"),
     ("--samples", "0"), ("--jobs", "0"),
@@ -801,7 +834,7 @@ def test_bad_gap_table_and_summary_paths_end_with_a_message(tmp_path, capsys, mo
     def verdict(*args):
         raise AssertionError("a verdict ran before the output paths were checked")
 
-    monkeypatch.setattr(cli.anosov, "anosov_verdict", verdict)
+    monkeypatch.setattr(cli.anosov, "anosov_verdicts", verdict)
     with pytest.raises(SystemExit, match=f"^bad output path {re.escape(repr(str(tmp_path)))}: "):
         run_cli(_SCAN_POINT + ["--gap-table", str(tmp_path)])
     out = tmp_path / "scan.csv"
