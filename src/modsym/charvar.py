@@ -71,19 +71,20 @@ def _halfangle_blocks(s, t, alpha, dtype):
     W = exp(2 s R_alpha f1 R_{-alpha}) by the rank-two power identity.
 
     Broadcasts over coordinate arrays (a scalar is shape ()), each factor
-    on the axes of the coordinate it depends on: S and S^{-1} are
-    (..., 3, 3) stacks on t's shape, ``expw(factor)`` on the broadcast
-    shape of s and alpha.  Each entry is computed by the same operations,
-    in the same order, as for one point, so on an open grid
-    (``np.ix_``) every transcendental runs once per axis value.
+    on the axes of the coordinate it depends on: the diagonals
+    (1, e^{t/2}, e^{-t/2}) of S and (1, e^{-t/2}, e^{t/2}) of S^{-1} are
+    (..., 3) stacks on t's shape, ``expw(factor)`` a (..., 3, 3) stack on
+    the broadcast shape of s and alpha.  Each entry is computed by the
+    same operations, in the same order, as for one point, so on an open
+    grid (``np.ix_``) every transcendental runs once per axis value.
     """
     s, t, alpha = dtype(s), dtype(t), dtype(alpha)
     one = dtype(1.0)
-    S = np.zeros(t.shape + (3, 3), dtype=dtype)
-    Si = np.zeros(t.shape + (3, 3), dtype=dtype)
-    S[..., 0, 0] = Si[..., 0, 0] = one
-    S[..., 1, 1] = Si[..., 2, 2] = np.exp(t / 2)
-    S[..., 2, 2] = Si[..., 1, 1] = np.exp(-t / 2)
+    d = np.empty(t.shape + (3,), dtype=dtype)
+    di = np.empty(t.shape + (3,), dtype=dtype)
+    d[..., 0] = di[..., 0] = one
+    d[..., 1] = di[..., 2] = np.exp(t / 2)
+    d[..., 2] = di[..., 1] = np.exp(-t / 2)
     wt = np.zeros(alpha.shape + (3, 3), dtype=dtype)
     wt[..., 0, 1] = wt[..., 1, 0] = np.cos(alpha)
     wt[..., 0, 2] = wt[..., 2, 0] = np.sin(alpha)
@@ -95,7 +96,15 @@ def _halfangle_blocks(s, t, alpha, dtype):
         ch = (np.cosh(factor * s) - one)[..., None, None]
         return eye + sh * wt + ch * wt2
 
-    return S, Si, expw
+    return d, di, expw
+
+
+def _sandwich(d, w):
+    """S w S for the diagonal S of ``d``: row i of w scaled by d_i, then
+    column j by d_j.  That is the rounding of the dense (S @ w) @ S, whose
+    zero terms add nothing to a finite entry; where the dense product
+    forms 0 * inf = NaN, the scaled entry reads +-inf."""
+    return d[..., :, None] * w * d[..., None, :]
 
 
 def generators_at(s, t, theta):
@@ -106,8 +115,18 @@ def generators_at(s, t, theta):
     reduced mod pi as :class:`Coordinates` reduces it.
     """
     alpha = np.remainder(theta, np.pi) / 2.0
-    S, Si, expw = _halfangle_blocks(s, t, alpha, np.longdouble)
-    return S @ expw(2.0) @ S, Si @ expw(-2.0) @ Si
+    d, di, expw = _halfangle_blocks(s, t, alpha, np.longdouble)
+    return _sandwich(d, expw(2.0)), _sandwich(di, expw(-2.0))
+
+
+def _float_factors(s, t, alpha):
+    """The float64 factor F = S W^{1/2} of x, its inverse
+    F^{-1} = W^{-1/2} S^{-1}, x = S W S and x^{-1}, each W scaled by
+    S's diagonal as ``_sandwich`` scales it.  Broadcasts as
+    ``_halfangle_blocks`` does."""
+    d, di, expw = _halfangle_blocks(s, t, alpha, np.float64)
+    return (d[..., :, None] * expw(1.0), expw(-1.0) * di[..., None, :],
+            _sandwich(d, expw(2.0)), _sandwich(di, expw(-2.0)))
 
 
 class Representation:
@@ -117,7 +136,8 @@ class Representation:
     remain meaningful at any coordinate scale; the explicit ``x`` Point
     (and the inversion ``rho_a``) are available whenever the eigenvalue
     range of ``x`` fits in double precision.  ``x_ld`` is the pair
-    (x, x^{-1}) in extended precision, which ``matrix_of`` folds.
+    (x, x^{-1}) in extended precision, which ``matrix_of`` and
+    ``trace_of_word`` fold.
     """
 
     def __init__(self, coords: Coordinates | None, fx: FIsometry, x_pair: FIsometry,
@@ -166,9 +186,7 @@ def rep_from_coords(c: Coordinates) -> Representation:
     Raises DomainError when the fixed point or the inversion leaves the
     float64 range, from t + 2s of about 710 on."""
     with np.errstate(over="ignore", invalid="ignore"):
-        S, Si, expw = _halfangle_blocks(c.s, c.t, c.theta / 2.0, np.float64)
-        f, finv = S @ expw(1.0), expw(-1.0) @ Si
-        x_mat, x_inv = S @ expw(2.0) @ S, Si @ expw(-2.0) @ Si
+        f, finv, x_mat, x_inv = _float_factors(c.s, c.t, c.theta / 2.0)
     # _rescaled rejects the overflowed (inf or NaN) factors
     fx = FIsometry.from_pair(f, finv)
     return Representation(c, fx, FIsometry.from_pair(x_mat, x_inv),
@@ -272,11 +290,25 @@ def _fold(table, syllables, one):
     """Fold ``syllables`` left to right over ``table`` with ``@``, starting
     at ``one``: the reduce of their ``_letter_picks``.
 
-    ``matrix_of`` and ``matrices_at`` fold extended-precision matrices,
-    any leading stack axes being the table's.
+    ``matrix_of`` folds extended-precision matrices, and ``_trace_fold``
+    all but the last of them, any leading stack axes being the table's.
     ``_f2_tables`` reduces the same picks of the four generator words
     with ``fcompose``, side by side as one stack per letter position."""
     return reduce(operator.matmul, _letter_picks(table, syllables), one)
+
+
+def _trace_fold(table, syllables, one):
+    """``np.trace`` of ``_fold(table, syllables, one)`` over its last two
+    axes, bit for bit, without forming the last product: every letter
+    but the last is folded, and of the last product m @ g only the
+    diagonal entries sum_k m[i, k] g[k, i] are formed, each summed over
+    k in order as matmul sums it, and then added in order as ``np.trace``
+    adds them.  Both of numpy's sums start at +0, which turns a -0 sum
+    into +0 and changes nothing else: the final ``+ 0`` does the same."""
+    *head, last = [*_letter_picks(table, syllables)] or [one]
+    terms = reduce(operator.matmul, head, one) * np.swapaxes(last, -1, -2)
+    diag = terms[..., 0] + terms[..., 1] + terms[..., 2]
+    return diag[..., 0] + diag[..., 1] + diag[..., 2] + 0
 
 
 def _letter_table(x, xstar, r, r2) -> dict:
@@ -302,17 +334,16 @@ def matrix_of(rep: Representation, w) -> np.ndarray:
     return _fold(rep._letters_ld, _even_word(w).syllables, np.eye(3, dtype=np.longdouble))
 
 
-def matrices_at(s, t, theta, w) -> np.ndarray:
-    """:func:`matrix_of` at every point of coordinate arrays, as a
-    (..., 3, 3) extended-precision stack; each matrix is bit for bit the
-    one ``matrix_of(rep_from_coords(Coordinates(s, t, theta)), w)`` gives.
-    A word without ``a`` does not depend on the point and gives one 3x3
-    matrix.
+def traces_at(s, t, theta, w) -> np.ndarray:
+    """The trace of :func:`matrix_of` at every point of coordinate arrays,
+    as an extended-precision array; each is bit for bit the ``np.trace``
+    of ``matrix_of(rep_from_coords(Coordinates(s, t, theta)), w)``.  A
+    word without ``a`` does not depend on the point and gives one trace.
 
     Raises ParityError on words with odd inversion count.
     """
-    return _fold(_letter_table(*generators_at(s, t, theta), _R_LD, _R_LD.T),
-                 _even_word(w).syllables, np.eye(3, dtype=np.longdouble))
+    return _trace_fold(_letter_table(*generators_at(s, t, theta), _R_LD, _R_LD.T),
+                       _even_word(w).syllables, np.eye(3, dtype=np.longdouble))
 
 
 def _as_double(x, what: str) -> np.ndarray:
@@ -328,7 +359,8 @@ def _as_double(x, what: str) -> np.ndarray:
 def trace_of_word(rep: Representation, w) -> float:
     """Trace of an even word's matrix as a float.  Raises DomainError when
     it does not fit the float64 range."""
-    return float(_as_double(np.trace(matrix_of(rep, w)), f"trace of {w}"))
+    trace = _trace_fold(rep._letters_ld, _even_word(w).syllables, np.eye(3, dtype=np.longdouble))
+    return float(_as_double(trace, f"trace of {w}"))
 
 
 def trace_baba_closed_form(c: Coordinates | None = None, s=None, t=None, theta=None):

@@ -232,8 +232,7 @@ def _trace_block(axes: list[np.ndarray]) -> list:
     s, t, theta = np.ix_(*axes)
     theta = np.remainder(theta, np.pi)  # as Coordinates reduces it
     with np.errstate(over="ignore", invalid="ignore"):
-        numeric = np.trace(charvar.matrices_at(s, t, theta, charvar.BABA),
-                           axis1=-2, axis2=-1).astype(float).ravel()
+        numeric = charvar.traces_at(s, t, theta, charvar.BABA).astype(float).ravel()
         closed = charvar.trace_baba_closed_form(s=s, t=t, theta=theta).astype(float).ravel()
         return list(zip(numeric.tolist(), closed.tolist(), np.abs(numeric - closed).tolist()))
 

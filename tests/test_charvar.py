@@ -29,6 +29,7 @@ from modsym.factored import FIsometry, fcompose
 from modsym.modgroup import (
     _F2_SUBSTITUTION,
     F2Word,
+    ModWord,
     f2_from_string,
     f2_to_mod,
     normalize,
@@ -36,6 +37,7 @@ from modsym.modgroup import (
 )
 from modsym.symspace import Isometry, compose, rotation
 from modsym.verify import random_point
+from word_matrices import matrices_at
 
 LOG3_HALF = float(np.log(3.0) / 2.0)
 
@@ -190,8 +192,8 @@ def _reference_word_folds(rep):
 def test_f2_generators_are_the_parity_fold(s, t):
     for theta in (0.0, 0.5, 1.3, 2.9):
         c = Coordinates(s, t, theta)
-        S, Si, expw = charvar._halfangle_blocks(c.s, c.t, c.theta / 2.0, np.float64)
-        ref = _reference_f2_generators(S @ expw(2.0) @ S, Si @ expw(-2.0) @ Si)
+        ref = _reference_f2_generators(
+            *_reference_halfangle_products(c.s, c.t, c.theta / 2.0, np.float64)[2:])
         rep = rep_from_coords(c)
         gens = rep.f2_generators()
         words = _reference_word_folds(rep)
@@ -501,13 +503,13 @@ def test_matrices_at_matches_matrix_of_bitwise():
     s, t, theta = (g.ravel() for g in np.meshgrid([0.0, 0.7, 2.9], [0.0, 1.3, 3.0],
                                                   [0.0, 1.1, np.pi, 4.0], indexing="ij"))
     for word in ("baba", "aBaB", "b", "baBaBaba"):
-        stack = np.broadcast_to(charvar.matrices_at(s, t, theta, word), (s.size, 3, 3))
+        stack = np.broadcast_to(matrices_at(s, t, theta, word), (s.size, 3, 3))
         assert stack.dtype == np.longdouble
         for k in range(s.size):
             ref = matrix_of(rep_from_coords(Coordinates(s[k], t[k], theta[k])), word)
             assert np.array_equal(stack[k], ref)
     with pytest.raises(ParityError):
-        charvar.matrices_at(s, t, theta, "a")
+        matrices_at(s, t, theta, "a")
 
 
 def test_closed_forms_broadcast_elementwise():
@@ -526,36 +528,152 @@ def test_closed_forms_broadcast_elementwise():
 
 def test_halfangle_blocks_keep_each_factor_on_its_axes():
     s, t, alpha = np.ix_([0.0, 1.0], [0.0, 2.0, 3.0], [0.0, 0.5, 1.0, 2.0])
-    S, Si, expw = charvar._halfangle_blocks(s, t, alpha, np.longdouble)
-    assert S.shape == Si.shape == (1, 3, 1, 3, 3)
+    d, di, expw = charvar._halfangle_blocks(s, t, alpha, np.longdouble)
+    assert d.shape == di.shape == (1, 3, 1, 3)
     assert expw(2.0).shape == expw(-2.0).shape == (2, 1, 4, 3, 3)
 
 
+def _reference_halfangle_products(s, t, alpha, dtype):
+    """F = S W^{1/2}, F^{-1} = W^{-1/2} S^{-1}, x = S W S and x^{-1} as
+    dense matrix products against zero-filled (..., 3, 3) stacks S and
+    S^{-1}, the form that scaling W by S's diagonal replaced."""
+    d, di, expw = charvar._halfangle_blocks(s, t, alpha, dtype)
+    S, Si = np.zeros(d.shape + (3,), dtype=dtype), np.zeros(di.shape + (3,), dtype=dtype)
+    k = np.arange(3)
+    S[..., k, k], Si[..., k, k] = d, di
+    return S @ expw(1.0), expw(-1.0) @ Si, S @ expw(2.0) @ S, Si @ expw(-2.0) @ Si
+
+
 def _same_values(a, b):
-    """Equal by value, with NaN in the same places: the padding bytes of
-    longdouble are undefined, so bytes are not compared."""
+    """Equal by value and sign bit, with NaN in the same places: the
+    padding bytes of longdouble are undefined, so bytes are not compared."""
     assert a.dtype == b.dtype and a.shape == b.shape
     assert np.array_equal(np.isnan(a), np.isnan(b))
     assert np.array_equal(a, b, equal_nan=True)
+    finite = ~np.isnan(a)
+    assert np.array_equal(np.signbit(a[finite]), np.signbit(b[finite]))
+
+
+def _scaled_and_dense_points(rng):
+    """The open grid s x t x theta, where theta = 0 puts exact zeros in W,
+    and 4000 random points whose products stay in the float64 range,
+    30% of them at theta = 0."""
+    grid = [g.ravel() for g in np.meshgrid([0.0, 0.7, 3.0], [0.0, 1.3, 6.0],
+                                           [0.0, np.pi / 2, 3.1], indexing="ij")]
+    s, t, theta = rng.uniform(0, 150, 4000), rng.uniform(0, 400, 4000), rng.uniform(0, np.pi, 4000)
+    theta[rng.random(4000) < 0.3] = 0.0
+    return [np.concatenate(pair) for pair in zip(grid, (s, t, theta))]
+
+
+def test_scaled_generators_are_the_dense_products(rng):
+    """x and x^{-1} in extended precision, scaled by S's diagonal, equal
+    the dense products S W S and S^{-1} W^{-1} S^{-1} bit for bit, on the
+    open grid as on a list of points."""
+    for s, t, theta in (np.ix_([0.0, 0.7, 3.0], [0.0, 1.3, 6.0], [0.0, np.pi / 2, 3.1]),
+                        _scaled_and_dense_points(rng)):
+        ref = _reference_halfangle_products(s, t, np.remainder(theta, np.pi) / 2.0,
+                                            np.longdouble)[2:]
+        for got, want in zip(charvar.generators_at(s, t, theta), ref):
+            _same_values(got, want)
+
+
+def test_rep_from_coords_factors_are_the_dense_products(rng):
+    """The float64 F, F^{-1}, x and x^{-1} that rep_from_coords builds,
+    one point at a time, equal the dense products bit for bit."""
+    for s, t, theta in zip(*_scaled_and_dense_points(rng)):
+        c = Coordinates(s, t, theta)
+        got = charvar._float_factors(c.s, c.t, c.theta / 2.0)
+        want = _reference_halfangle_products(c.s, c.t, c.theta / 2.0, np.float64)
+        assert all(np.isfinite(m).all() for m in got)
+        for a, b in zip(got, want):
+            _same_values(a, b)
+
+
+def test_scaled_generators_read_inf_where_the_dense_product_reads_nan():
+    """Past the extended-precision range, a dense product against S forms
+    0 * inf = NaN in entries that scaling by S's diagonal leaves +-inf,
+    and sums to +0 a zero that scaling leaves -0, the underflowed
+    e^{-t/2} times a negative entry; every other entry keeps its bits.
+    That happens where e^{t/2} overflows (t = 23000 and 30000) and W is
+    finite (s up to 400): from s = 6000 on, W's own entries are already
+    inf or NaN."""
+    s, t, theta = np.ix_([0.0, 0.7, 3.0, 400.0, 6000.0, 12000.0],
+                         [0.0, 1.3, 3.0, 400.0, 6000.0, 23000.0, 30000.0],
+                         [0.0, 0.5, np.pi / 2, 3.0, 3.1])
+    with np.errstate(all="ignore"):
+        x, x_inv = charvar.generators_at(s, t, theta)
+        x_ref, x_inv_ref = _reference_halfangle_products(s, t, theta / 2.0, np.longdouble)[2:]
+    expected = np.zeros((6, 7), dtype=bool)
+    expected[:4, 5:] = True
+    for got, want in ((x, x_ref), (x_inv, x_inv_ref)):
+        moved = ~((got == want) | (np.isnan(got) & np.isnan(want)))
+        signed = (got == 0) & (np.signbit(got) != np.signbit(want))
+        assert np.isnan(want[moved]).all() and np.isinf(got[moved]).all()
+        assert np.signbit(got[signed]).all()
+        _same_values(np.where(moved | signed, want, got), want)
+        assert np.array_equal(moved.any(axis=(2, 3, 4)), expected)
+        assert not (signed.any(axis=(2, 3, 4)) & ~expected).any()
+    assert (np.isnan(x_ref).sum(), np.isinf(x_ref).sum()) == (800, 30)
+    assert (np.isnan(x).sum(), np.isinf(x).sum()) == (730, 100)
+
+
+def _even_words(max_syllables):
+    """Every normal-form word with an even number of a, up to
+    ``max_syllables`` syllables."""
+    words, frontier = [ModWord()], [()]
+    for _ in range(max_syllables):
+        frontier = [w + (syll,) for w in frontier for syll in ("a", "b", "B")
+                    if not w or (w[-1] == "a") != (syll == "a")]
+        words += [ModWord(w) for w in frontier]
+    return [w for w in words if parity_abelianization(w)[0] == 0]
+
+
+_OPEN_GRID_AXES = ([0.0, -0.0, 0.7, 6000.0], [0.0, -0.0, 1.3, 6000.0], [0.0, -0.0, np.pi, 4.2])
 
 
 def test_open_grid_equals_the_dense_grid():
     """Evaluated on an open grid, each term depends on one axis, and every
     entry matches the dense evaluation, inf and NaN included."""
-    axes = ([0.0, -0.0, 0.7, 6000.0], [0.0, -0.0, 1.3, 6000.0], [0.0, -0.0, np.pi, 4.2])
-    open_grid = np.ix_(*(np.array(a) for a in axes))
-    dense = np.meshgrid(*axes, indexing="ij")
+    open_grid = np.ix_(*(np.array(a) for a in _OPEN_GRID_AXES))
+    dense = np.meshgrid(*_OPEN_GRID_AXES, indexing="ij")
     with np.errstate(all="ignore"):
-        mats = charvar.matrices_at(*open_grid, BABA)
-        _same_values(mats, charvar.matrices_at(*dense, BABA))
+        mats = matrices_at(*open_grid, BABA)
+        _same_values(mats, matrices_at(*dense, BABA))
+        _same_values(charvar.traces_at(*open_grid, BABA), charvar.traces_at(*dense, BABA))
         closed = trace_baba_closed_form(s=open_grid[0], t=open_grid[1], theta=open_grid[2])
         _same_values(closed, trace_baba_closed_form(s=dense[0], t=dense[1], theta=dense[2]))
-        s, theta = np.ix_(np.array(axes[0]), np.array(axes[2]))
-        dense_s, dense_theta = np.meshgrid(axes[0], axes[2], indexing="ij")
+        s, theta = np.ix_(np.array(_OPEN_GRID_AXES[0]), np.array(_OPEN_GRID_AXES[2]))
+        dense_s, dense_theta = np.meshgrid(_OPEN_GRID_AXES[0], _OPEN_GRID_AXES[2], indexing="ij")
         surf = schwartz_t(s, theta)
         _same_values(surf, schwartz_t(dense_s, dense_theta))
     assert np.isnan(mats).any() and np.isinf(mats).any()
     assert np.isnan(closed).any() and np.isinf(closed).any() and np.isnan(surf).any()
+
+
+def test_trace_fold_is_the_trace_of_the_full_fold():
+    """For every even word of up to six syllables, the trace read from
+    the last product's diagonal is np.trace of the whole fold bit for bit,
+    on an open grid that reaches past the extended-precision range."""
+    words = _even_words(6)
+    assert len(words) == 21 and str(words[0]) == "e"
+    grid = np.ix_(*(np.array(a) for a in _OPEN_GRID_AXES))
+    with np.errstate(all="ignore"):
+        for w in words:
+            traces = charvar.traces_at(*grid, w)
+            full = np.trace(matrices_at(*grid, w), axis1=-2, axis2=-1)
+            _same_values(traces, full)
+            if "a" in w.syllables:
+                assert traces.shape == (4, 4, 4)
+            else:
+                assert type(traces) is np.longdouble
+        assert np.isnan(traces).any() and np.isinf(traces).any()
+    # a trace whose nine diagonal terms are all -0 reads +0, as numpy's
+    # sums, which start at +0, make it
+    g = np.array([[-0.0, -1.0, -1.0], [-1.0, -0.0, -1.0], [-1.0, -1.0, -0.0]], dtype=np.longdouble)
+    table, one = charvar._letter_table(g, g, g, g), np.eye(3, dtype=np.longdouble)
+    trace = charvar._trace_fold(table, ("b",), one)
+    assert trace == 0 and not np.signbit(trace)
+    _same_values(trace, np.trace(charvar._fold(table, ("b",), one)))
 
 
 def test_float64_overflow_raises_domain_error():
@@ -588,5 +706,8 @@ def test_longdouble_is_extended_precision():
 
 
 def test_trace_of_word_is_the_float_of_the_trace():
-    rep = rep_from_coords(Coordinates(1.0, 6.0, 0.5))
-    assert trace_of_word(rep, BABA) == float(np.trace(matrix_of(rep, BABA)))
+    for c in (Coordinates(1.0, 6.0, 0.5), Coordinates(0.0, 0.0, 0.0), Coordinates(0.7, 0.0, 3.1),
+              Coordinates(2.0, 40.0, 0.0)):
+        rep = rep_from_coords(c)
+        for w in _even_words(6):
+            assert trace_of_word(rep, w) == float(np.trace(matrix_of(rep, w))), (c, w)

@@ -6,7 +6,10 @@ and before a representation kept its extended-precision letter table,
 so they show that neither change moved a bit.  The grid commands and
 the gap table are pinned by the bytes they write, and the gap scan's
 word tables by their arrays, both recorded before the prefix tree
-numbered its nodes with ``np.unique``."""
+numbered its nodes with ``np.unique``.  The batched word fold
+(``tests/word_matrices.py``) is pinned by its values, and the trace
+table by its bytes, both recorded while x = S W S was a dense product
+against S and the trace table formed every entry of the last product."""
 
 import hashlib
 
@@ -14,11 +17,12 @@ import numpy as np
 import pytest
 
 from modsym import anosov, cli
-from modsym.charvar import Coordinates, matrices_at, matrix_of, rep_from_coords
+from modsym.charvar import Coordinates, matrix_of, rep_from_coords
 from modsym.errors import GeometryError
 from modsym.flats import flag_of_sector, flat_from_flags, segment_type, zeta_direction
 from modsym.symspace import distance, log_map, midpoint
 from modsym.verify import random_point
+from word_matrices import matrices_at
 
 N_PAIRS = 500
 
@@ -92,6 +96,35 @@ def test_matrix_of_equals_the_batched_fold(word):
         c = Coordinates(s, t, theta)
         assert np.array_equal(matrix_of(rep_from_coords(c), word),
                               matrices_at(c.s, c.t, c.theta, word))
+
+
+# sha256 over the 400 seeded points of each word's extended-precision
+# matrices, each entry as the float64 bytes of its high part and of the
+# exact remainder, recorded while x = S W S was formed with a dense S
+MATRICES_AT_SHA256 = {
+    "baba": "cea7d60d2aa43c70d5a5474b2d375e578d4c14945d8652e85a8a77682a5354a4",
+    "aBaB": "d13854193d443a7f9b0288ea2674b779e2ae60edd25d7b8a95cc4e2186df3593",
+    "b": "e22db3bc1dc564ac510010cfab8ba056a9bd2559cb4890e76011faddd8f8d7d3",
+    "aba": "ee714757db460f7c3084c0975408374511e81bce03025c4080d8b136aa8c383a",
+    "Baba": "65562f62e9bc02713c4163c2e1df424ed80c919feb9ce8b07c1adb5cc0f7de5e",
+    "babaBaba": "bb52b5806a9671d509db012ad2b562cebcf8f9ba3033bbee4e3f2bc141121e01",
+}
+
+
+@pytest.mark.parametrize("word", sorted(MATRICES_AT_SHA256))
+def test_batched_fold_is_pinned(word):
+    """Points with s = 0, t = 0 and theta = 0 among them; every entry is
+    finite, so the split into two float64 parts is exact."""
+    rng = np.random.default_rng(5)
+    s, t, theta = rng.uniform(0, 6, 400), rng.uniform(0, 30, 400), rng.uniform(0, 2 * np.pi, 400)
+    s[:40] = 0.0
+    t[40:80] = 0.0
+    theta[80:160] = 0.0
+    m = np.broadcast_to(matrices_at(s, t, theta, word), (400, 3, 3))
+    hi = m.astype(np.float64)
+    lo = (m - hi).astype(np.float64)
+    assert np.isfinite(hi).all() and np.isfinite(lo).all()
+    assert hashlib.sha256(hi.tobytes() + lo.tobytes()).hexdigest() == MATRICES_AT_SHA256[word]
 
 
 # sha256 of the stdout of ``rep-info --word baBa`` at each point
