@@ -158,7 +158,8 @@ def midpoint_sequence(rep: Representation, window: Sequence[F2Word]) -> Midpoint
 
     A repeat call on the last window built (``morse_flat_check`` after
     its caller built the sequence) wraps the stacks of ``_window_stacks``
-    in a new MidpointSequence.
+    in a new MidpointSequence.  The verdict's window does not come
+    through here: ``_window_block`` runs the same stages.
     """
     words = tuple(window)
     if len(words) < 3:
@@ -813,28 +814,27 @@ def _verdict_window(length: int, seed: int) -> tuple[F2Word, ...]:
     return tuple(random_f2_geodesic(length, seed))
 
 
-def _window_stats(rep: Representation, cfg: VerdictConfig):
-    """Yield the equidistance defect of the verdict window, then its
-    StraightnessReport, each computed when it is asked for."""
-    seq = midpoint_sequence(rep, _verdict_window(cfg.window, cfg.seed))
-    yield seq.equidistance_defect
-    yield straightness_report(seq, ModelInterval.symmetric(cfg.theta_halfwidth))
-
-
-def _window_block(reps: list[Representation], cfg: VerdictConfig) -> list[tuple]:
-    """(equidistance defect, StraightnessReport) of the verdict window of
-    each rep, from one stacked pass: the stages of ``_window_stacks`` and
-    ``straightness_report`` on (n, P) stacks, the midpoint axis first and
-    one column per rep, after the F2 tables of all reps as one stack.
-    Each entry equals the unstacked stage's bit for bit.  Raises what a
-    stage raises at some point."""
-    step_words = _step_words(_verdict_window(cfg.window, cfg.seed))
-    steps = _f2_fold(_f2_tables(reps), step_words)
-    mids, ratios = _local_midpoints(fstack([rep.fx for rep in reps]), steps)
-    stacks = _straightness_stacks(steps, mids, len(step_words))
+def _window_block(reps: list[Representation], cfg: VerdictConfig):
+    """Yield the equidistance defect of the verdict window of each rep,
+    then each rep's StraightnessReport, from one stacked pass: the stages
+    of ``midpoint_sequence`` and ``straightness_report`` on (n, P) stacks,
+    the midpoint axis first and one column per rep, after the F2 tables
+    of all reps as one stack.  Each entry equals the unstacked stage's
+    bit for bit; each stage runs when its first value is asked for and
+    raises, as they do, what a loop over the midpoints meets first."""
+    words = _verdict_window(cfg.window, cfg.seed)
+    if len(words) < 3:
+        raise ValueError("geodesic window must contain at least 3 words")
+    step_words = _step_words(words)
+    n = len(step_words)
+    table, x = _f2_tables(reps), fstack([rep.fx for rep in reps])
+    steps = _row_major(lambda k: _f2_fold(table, step_words[:k]), n)
+    mids, ratios = _row_major(lambda k: _local_midpoints(x, steps[:k]), n)
+    yield from map(_defect, ratios.T.tolist())
     theta = ModelInterval.symmetric(cfg.theta_halfwidth)
-    return [(_defect(r), _report(*lists, theta))
-            for r, *lists in zip(*(a.T.tolist() for a in (ratios, *stacks)))]
+    stacks = _straightness_stacks(steps, mids, n)
+    for lists in zip(*(a.T.tolist() for a in stacks)):
+        yield _report(*lists, theta)
 
 
 def _verdict(c: Coordinates, rep: Representation, cfg: VerdictConfig, window) -> AnosovVerdict:
@@ -885,10 +885,11 @@ def _verdict(c: Coordinates, rep: Representation, cfg: VerdictConfig, window) ->
 
 def anosov_verdict(c: Coordinates, config: VerdictConfig | None = None) -> AnosovVerdict:
     """Combine straightness, gap growth and peripheral growth into one of
-    evidence-anosov / evidence-degenerate / inconclusive."""
+    evidence-anosov / evidence-degenerate / inconclusive.  The window is
+    the stacked pass of ``anosov_verdicts`` on the one point."""
     cfg = config or VerdictConfig()
     rep = rep_from_coords(c)
-    return _verdict(c, rep, cfg, _window_stats(rep, cfg))
+    return _verdict(c, rep, cfg, _window_block([rep], cfg))
 
 
 # The stacked window pass takes the points of a block in chunks of at most
@@ -906,31 +907,27 @@ def anosov_verdicts(coords: Sequence[Coordinates],
     its peripheral growth, its straightness stats read off the pass, its
     gap scan and its verdict, as ``anosov_verdict`` does.
 
-    A one-point block, and a chunk whose stacked pass raises anything,
-    runs ``anosov_verdict`` point by point instead, so window errors
-    (``straightness_error``) and raised errors are the loop's, in its
-    order.  A point's GeometryError raises with ``row`` set to the
-    point's index in the block."""
+    A chunk whose stacked pass raises anything runs ``anosov_verdict``
+    point by point instead, so window errors (``straightness_error``) and
+    raised errors are the loop's, in its order.  A point's GeometryError
+    raises with ``row`` set to the point's index in the block."""
     cfg = config or VerdictConfig()
     coords = list(coords)
     verdicts = []
     chunks = max(1, -(-len(coords) // _WINDOW_POINTS))
     for rows in np.array_split(np.arange(len(coords)), chunks):
         rows = rows.tolist()
-        windows = None
-        if len(coords) > 1:
-            try:
-                reps = [rep_from_coords(coords[row]) for row in rows]
-                windows = _window_block(reps, cfg)
-            except Exception:
-                # whatever the pass meets, a window error, a warning raised
-                # as an error or a short window, the loop meets again in
-                # its order
-                pass
+        try:
+            reps = [rep_from_coords(coords[row]) for row in rows]
+            windows = list(_window_block(reps, cfg))
+        except Exception:
+            # whatever the pass meets, a window error, a warning raised as
+            # an error or a short window, the loop meets again in its order
+            windows = None
         for k, row in enumerate(rows):
             try:
                 verdicts.append(anosov_verdict(coords[row], cfg) if windows is None
-                                else _verdict(coords[row], reps[k], cfg, windows[k]))
+                                else _verdict(coords[row], reps[k], cfg, windows[k::len(rows)]))
             except GeometryError as exc:
                 exc.row = row
                 raise

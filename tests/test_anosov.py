@@ -668,26 +668,74 @@ def test_verdict_stats_keep_their_key_order():
 
 
 def _verdict_fields(v):
-    return v.coordinates, v.verdict, list(v.stats), v.stats
+    return (v.coordinates, v.verdict, list(v.stats), v.stats, repr(v.stats),
+            v.stats.get("straightness_error"))
+
+
+def _reference_window_stats(rep, cfg):
+    """The per-point window route the stacked pass replaced: the verdict
+    window's midpoint sequence yields its equidistance defect, then its
+    straightness report, each built when it is asked for."""
+    seq = midpoint_sequence(rep, random_f2_geodesic(cfg.window, cfg.seed))
+    yield seq.equidistance_defect
+    yield straightness_report(seq, ModelInterval.symmetric(cfg.theta_halfwidth))
+
+
+def _reference_verdict(c, cfg):
+    rep = rep_from_coords(c)
+    return anosov._verdict(c, rep, cfg, _reference_window_stats(rep, cfg))
+
+
+def _reference_verdicts(coords, cfg):
+    """``_reference_verdict`` of each point, a GeometryError raising with
+    ``row`` set to the point's index, as a block sets it."""
+    verdicts = []
+    for row, c in enumerate(coords):
+        try:
+            verdicts.append(_reference_verdict(c, cfg))
+        except GeometryError as exc:
+            exc.row = row
+            raise
+    return verdicts
+
+
+def _verdicts_outcome(call):
+    """The fields of each verdict ``call()`` returns, or the type, message
+    and ``row`` of what it raises."""
+    try:
+        return [_verdict_fields(v) for v in call()]
+    except Exception as exc:
+        return type(exc), str(exc), getattr(exc, "row", None)
+
+
+def _assert_verdicts_match_the_reference(coords, cfg):
+    """anosov_verdict at each point and anosov_verdicts on the block give,
+    bit for bit, the verdicts and errors of the per-point window route."""
+    for c in coords:
+        assert (_verdicts_outcome(lambda: [anosov_verdict(c, cfg)])
+                == _verdicts_outcome(lambda: [_reference_verdict(c, cfg)]))
+    assert (_verdicts_outcome(lambda: anosov.anosov_verdicts(coords, cfg))
+            == _verdicts_outcome(lambda: _reference_verdicts(coords, cfg)))
 
 
 @pytest.mark.parametrize("grid, cfg, chunk, looped", [
     ("0.5:2:4,1:8:4,0.5:0.5:1", VerdictConfig(max_len=8, samples=20_000), 64, []),
     ("0.5:2:4,1:8:4,0.5:0.5:1", VerdictConfig(), 64, []),
     ("0.5:2:4,1:8:4,0.5:0.5:1", VerdictConfig(max_len=8, samples=20_000), 5, []),
-    ("1:1:1,4:4:1,0.5:0.5:1", VerdictConfig(max_len=8, samples=20_000), 64, [0]),
+    ("1:1:1,4:4:1,0.5:0.5:1", VerdictConfig(max_len=8, samples=20_000), 64, []),
     ("0:1:2,0:2:2,0.5:4:2", VerdictConfig(max_len=3), 64, list(range(8))),
     ("0:1:2,0:2:2,0.5:4:2", VerdictConfig(max_len=3), 4, [0, 1, 2, 3]),
 ])
 def test_block_verdicts_equal_the_loop_bit_for_bit(grid, cfg, chunk, looped, monkeypatch):
-    """anosov_verdicts gives each point of a block the loop's verdict and
-    stats, key order included.  The README grid takes stacked window
-    passes, in one chunk or in even chunks of at most ``chunk`` points;
-    a one-point block runs the loop, and so do the points of a chunk
-    whose stacked pass raises, here at the fixed points (0, 0, theta),
-    rows 0 and 1."""
+    """anosov_verdicts, and anosov_verdict at each point, give the verdict
+    and stats of the per-point window route, key order and window errors
+    included.  The README grid takes stacked window passes, in one chunk
+    or in even chunks of at most ``chunk`` points, and so does a one-point
+    block; the points of a chunk whose stacked pass raises, here at the
+    fixed points (0, 0, theta), rows 0 and 1, run anosov_verdict."""
     coords = [Coordinates(*p) for p in cli._grid_points(cli._coordinate_axes(grid)).tolist()]
-    loop = [anosov_verdict(c, cfg) for c in coords]
+    monkeypatch.setattr(anosov, "_WINDOW_POINTS", chunk)
+    _assert_verdicts_match_the_reference(coords, cfg)
     calls, verdict = [], anosov.anosov_verdict
 
     def counted(c, config=None):
@@ -695,15 +743,72 @@ def test_block_verdicts_equal_the_loop_bit_for_bit(grid, cfg, chunk, looped, mon
         return verdict(c, config)
 
     monkeypatch.setattr(anosov, "anosov_verdict", counted)
-    monkeypatch.setattr(anosov, "_WINDOW_POINTS", chunk)
-    block = anosov.anosov_verdicts(coords, cfg)
-    assert [_verdict_fields(v) for v in block] == [_verdict_fields(v) for v in loop]
+    anosov.anosov_verdicts(coords, cfg)
     assert calls == [coords[row] for row in looped]
     if grid.startswith("0:1:2"):
-        fixed = [v.stats.get("straightness_error") for v in loop[:2]]
+        fixed = [anosov_verdict(c, cfg).stats.get("straightness_error") for c in coords[:2]]
         assert fixed == ["segment undefined for coincident points"] * 2
         with pytest.raises(DomainError, match="coincident points"):
-            anosov._window_block([rep_from_coords(c) for c in coords], cfg)
+            list(anosov._window_block([rep_from_coords(c) for c in coords], cfg))
+
+
+def _random_verdict_cases():
+    """Two points with s <= 2, t <= 25 and any theta for each verdict
+    window of 3 to 11 steps and window seed 0 to 3, 72 points in all; t
+    is drawn as 25 u^2, so that small t, near the fixed point, is common."""
+    rng = np.random.default_rng(5)
+    for window, seed in itertools.product(range(3, 12), range(4)):
+        points = rng.uniform(0.0, 1.0, size=(2, 3)) * [2.0, 5.0, np.pi]
+        points[:, 1] **= 2
+        yield pytest.param(points.tolist(),
+                           VerdictConfig(max_len=8, samples=400, window=window, seed=seed),
+                           id=f"random-window{window}-seed{seed}")
+
+
+@pytest.mark.parametrize("coords, cfg", [
+    pytest.param([(0.0, 4.0, 0.7), (0.0, 400.0, 0.7)], VerdictConfig(max_len=8, samples=20_000),
+                 id="gap-scan-underflow"),
+    pytest.param([(0.0, 257.0, 1.3), (1e-9, 0.0, 0.3), (1.1097, 2.1255, 1.0763)],
+                 VerdictConfig(), id="far-near-fixed-twin-flip"),
+    *_random_verdict_cases(),
+])
+def test_verdicts_equal_the_per_point_window_route(coords, cfg):
+    """Points whose gap scan underflows after a point that passed, a far
+    point, one next to the fixed point, the twin-flip point of
+    test_twin.py and random points over windows and seeds: the stacked
+    pass gives the reference route's verdicts, stats and errors, raised
+    or recorded."""
+    _assert_verdicts_match_the_reference([Coordinates(*c) for c in coords], cfg)
+
+
+@pytest.mark.parametrize("window, message", [
+    (1, "geodesic window must contain at least 3 words"),
+    (2, "straightness needs at least 3 midpoints"),
+])
+def test_short_verdict_windows_raise_their_own_error(window, message):
+    """A window of 2 words fails the word count of midpoint_sequence, one
+    of 3 words the midpoint count of the straightness stage, whether the
+    verdict runs on one point or on a block."""
+    cfg = VerdictConfig(max_len=3, samples=100, window=window)
+    coords = [Coordinates(1.0, 4.0, 0.5), Coordinates(1.2, 12.0, 0.55)]
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        anosov_verdict(coords[0], cfg)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        anosov.anosov_verdicts(coords, cfg)
+
+
+def test_verdicts_reach_the_window_only_through_the_stacked_pass(monkeypatch):
+    """With the per-point window route unusable, the verdicts still come,
+    window errors included: the straightness window has one code path."""
+    def unusable(*args):
+        raise AssertionError("the verdict went through the per-point window route")
+
+    monkeypatch.setattr(anosov, "midpoint_sequence", unusable)
+    monkeypatch.setattr(anosov, "straightness_report", unusable)
+    cfg = VerdictConfig(max_len=3, samples=100)
+    assert "min_zeta_angle" in anosov_verdict(Coordinates(1.0, 4.0, 0.5), cfg).stats
+    block = anosov.anosov_verdicts([Coordinates(1.0, 4.0, 0.5), Coordinates(0.0, 0.0, 0.5)], cfg)
+    assert ["straightness_error" in v.stats for v in block] == [False, True]
 
 
 @pytest.mark.parametrize("chunk", [64, 1])
